@@ -5,17 +5,12 @@ Dirichlet characters, q-series, Eisenstein atoms, newforms, graded bases
 and decomposition, prime-detecting series, and the command line front end.
 """
 
-from .exact import CycNumber, bernoulli, cyc_embed
-from .qseries import EtaProduct, QSeries, apply_D, dilate, eta_expand, series_mul
+from .exact import CycNumber, bernoulli
+from .qseries import EtaProduct, QSeries
 
 __all__ = [
     "CycNumber",
     "EtaProduct",
     "QSeries",
-    "apply_D",
     "bernoulli",
-    "cyc_embed",
-    "dilate",
-    "eta_expand",
-    "series_mul",
 ]

@@ -17,9 +17,7 @@ from .exact import CycNumber, divisors, euler_phi, factorize
 __all__ = [
     "DirichletCharacter",
     "character_group",
-    "conductor_of",
     "enumerate_primitive",
-    "evaluate",
     "trivial_character",
 ]
 
@@ -217,12 +215,3 @@ def character_group(u: int) -> list[DirichletCharacter]:
 def enumerate_primitive(u: int) -> list[DirichletCharacter]:
     """Primitive characters mod u in canonical (lexicographic) order."""
     return [chi for chi in character_group(u) if chi.is_primitive()]
-
-
-def evaluate(chi: DirichletCharacter, n: int) -> CycNumber:
-    """Functional form of chi(n)."""
-    return chi(n)
-
-
-def conductor_of(chi: DirichletCharacter) -> int:
-    return chi.conductor

@@ -192,13 +192,13 @@ class _FormParser:
                 r = self.expect("num")
             return _Op({r: Fraction(1)})
         if name == "E2":
-            return self.form_from(raw_e2_atom().expand(self.precision), 2)
+            return _Form(raw_e2_atom().expand(self.precision), 2)
         if name == "E2twist":
             (t,) = self.bracket_numbers(1)
             if t < 2:
                 raise FormSpecError(where, "E2twist index must be at least 2")
             atom = EisensteinAtom(2, trivial_character(1), t)
-            return self.form_from(atom.expand(self.precision), 2)
+            return _Form(atom.expand(self.precision), 2)
         if name == "E":
             return self.eisenstein_atom(where)
         if name == "newform":
@@ -221,7 +221,7 @@ class _FormParser:
                 series = g_series(k, N, self.precision)
             except ValueError as exc:
                 raise FormSpecError(where, str(exc)) from None
-            return self.form_from(series, k)
+            return _Form(series, k)
         if name == "U":
             (a,) = self.bracket_numbers(1)
             if a < 1:
@@ -231,11 +231,8 @@ class _FormParser:
             return self.eta_atom(where)
         if name == "Delta":
             series = EtaProduct([(1, 24)]).expand(self.precision)
-            return self.form_from(series, 12)
+            return _Form(series, 12)
         raise FormSpecError(where, f"unknown atom {name!r}")
-
-    def form_from(self, series, weight):
-        return _Form(series, weight)
 
     def bracket_numbers(self, count):
         self.expect("[")
@@ -276,8 +273,11 @@ class _FormParser:
             raise FormSpecError(
                 where, "the weight-2 trivial atom needs t >= 2 (spell it E2twist[t])"
             )
-        atom = EisensteinAtom(k, chi, t)
-        return self.form_from(atom.expand(self.precision), k)
+        try:
+            atom = EisensteinAtom(k, chi, t)
+        except ValueError as exc:
+            raise FormSpecError(where, str(exc)) from None
+        return _Form(atom.expand(self.precision), k)
 
     def newform_atom(self, where):
         self.expect("[")
@@ -292,7 +292,7 @@ class _FormParser:
         records = newforms_for(level, weight)
         for record in records:
             if record.label == label:
-                return self.form_from(record.expand(self.precision), weight)
+                return _Form(record.expand(self.precision), weight)
         known = ", ".join(r.label for r in records) or "none"
         raise FormSpecError(
             where,
@@ -320,7 +320,7 @@ class _FormParser:
         except ValueError as exc:
             raise FormSpecError(where, str(exc)) from None
         w = product.weight
-        return self.form_from(series, int(w) if w.denominator == 1 else None)
+        return _Form(series, int(w) if w.denominator == 1 else None)
 
     # -- arithmetic over parse values -------------------------------------
     def add(self, a, b):

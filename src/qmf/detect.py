@@ -184,6 +184,8 @@ class DetectReport:
 
 def prime_detect_verdict(f: QSeries, N: int, X: int) -> DetectReport:
     """Is a_f(n) = 0 exactly at the primes not dividing N, for 2 <= n <= X?"""
+    if N < 1:
+        raise ValueError("level must be positive")
     if f.precision <= X:
         raise InsufficientPrecisionError(X + 1, f.precision, "input series")
     prime_set = set(primes_upto(X))
@@ -264,6 +266,8 @@ def epsilon_bound(X: int) -> float:
 
 def census(f: QSeries, N: int, X: int, delta) -> CensusReport:
     """Count primes p <= X, p coprime to N, with a_f(p) = 0, exactly."""
+    if N < 1:
+        raise ValueError("level must be positive")
     if X < 100:
         raise ValueError("census bound X must be at least 100")
     if f.precision <= X:

@@ -26,7 +26,6 @@ __all__ = [
     "EisensteinAtom",
     "e2_series",
     "eisenstein_basis",
-    "eisenstein_expand",
     "enumerate_A",
     "raw_e2_atom",
     "sigma_phi",
@@ -91,6 +90,8 @@ class EisensteinAtom:
     def __post_init__(self):
         if self.weight < 2 or self.weight % 2:
             raise ValueError("atoms have even weight >= 2")
+        if self.t < 1:
+            raise ValueError("dilation t must be at least 1")
         if self.chi is None and (self.weight != 2 or self.t != 1):
             raise ValueError("bare E2 is the weight-2, t=1 atom")
 
@@ -159,13 +160,6 @@ def _expand_atom(atom: EisensteinAtom, precision: int) -> QSeries:
     for n in range(1, base_len):
         coeffs[n * t] = 2 * sig[n]
     return QSeries(coeffs, precision)
-
-
-def eisenstein_expand(
-    k: int, chi: DirichletCharacter, t: int, precision: int
-) -> QSeries:
-    """Expansion of the (k, phi, t) atom to the requested precision."""
-    return EisensteinAtom(k, chi, t).expand(precision)
 
 
 def enumerate_A(N: int, k: int) -> list[tuple[DirichletCharacter, int]]:

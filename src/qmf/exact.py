@@ -16,14 +16,15 @@ from typing import Iterable, Iterator
 __all__ = [
     "ConductorMismatchError",
     "CycNumber",
+    "LinearSolver",
     "bernoulli",
-    "cyc_embed",
     "cyclotomic_polynomial",
     "divisors",
     "euler_phi",
     "factorize",
     "is_prime",
     "moebius",
+    "null_space",
     "primes_upto",
     "zeta_at_negative",
 ]
@@ -144,30 +145,19 @@ def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
     if got is not None:
         return got
     with _CYC_POLY_LOCK:
-        got = _CYC_POLY_CACHE.get(M)
-        if got is not None:
-            return got
+        return _cyclotomic_polynomial_locked(M)
+
+
+def _cyclotomic_polynomial_locked(M: int) -> tuple[int, ...]:
+    # caller holds _CYC_POLY_LOCK; recursion depth is the divisor chain length
+    got = _CYC_POLY_CACHE.get(M)
+    if got is None:
         num = [0] * (M + 1)
         num[0], num[M] = -1, 1
         for d in divisors(M)[:-1]:
-            # recursion depth is the divisor chain length; fine at desk scale
-            num = _poly_divide_exact(num, _cyc_poly_unlocked(d))
-        poly = tuple(num)
-        _CYC_POLY_CACHE[M] = poly
-        return poly
-
-
-def _cyc_poly_unlocked(M: int) -> tuple[int, ...]:
-    got = _CYC_POLY_CACHE.get(M)
-    if got is not None:
-        return got
-    num = [0] * (M + 1)
-    num[0], num[M] = -1, 1
-    for d in divisors(M)[:-1]:
-        num = _poly_divide_exact(num, _cyc_poly_unlocked(d))
-    poly = tuple(num)
-    _CYC_POLY_CACHE[M] = poly
-    return poly
+            num = _poly_divide_exact(num, _cyclotomic_polynomial_locked(d))
+        got = _CYC_POLY_CACHE[M] = tuple(num)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +409,9 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [x - y for x, y in zip(a, b)]
 
 
-def cyc_embed(x: CycNumber, target_conductor: int) -> CycNumber:
-    """Functional form of CycNumber.embed."""
-    return x.embed(target_conductor)
-
-
 def format_cyc(x: CycNumber) -> str:
     """Space-separated power-basis coordinates, each as p or p/q."""
     return " ".join(str(c) for c in x.coords)
-
-
-def parse_cyc(text: str, conductor: int) -> CycNumber:
-    return CycNumber(conductor, [Fraction(tok) for tok in text.split()])
 
 
 # ---------------------------------------------------------------------------
@@ -473,86 +454,112 @@ def zeta_at_negative(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact linear solving over Q(zeta_M)
 
+def _plain(c: CycNumber):
+    # conductor-1 entries work as bare Fractions; mixed Fraction/CycNumber
+    # arithmetic embeds on demand, and both test zero by truthiness
+    return c.coords[0] if c.conductor == 1 else c
+
+
 class LinearSolver:
     """Reduced-row-echelon factorization of an exact matrix, reusable for
-    many right-hand sides.
+    many right-hand sides and grown one column at a time.
 
     Rows are indexed by q-exponent; pivoting picks, for each column, the
     first unused row (lowest exponent) with a nonzero entry.  solve() replays
     the recorded row operations on the target vector, returns coordinates
     when consistent and None when the target is outside the column span.
+    Coordinates of a cyclotomic matrix live in Q(zeta_M), M the lcm of the
+    entries' conductors.
     """
 
     def __init__(self, rows: list[list[CycNumber]]):
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self._rational = all(c.conductor == 1 for row in rows for c in row)
-        if self._rational:
-            work = [[c.coords[0] for c in row] for row in rows]
-        else:
-            conductor = 1
-            for row in rows:
-                for c in row:
-                    conductor = math.lcm(conductor, c.conductor)
-            work = [[c.embed(conductor) for c in row] for row in rows]
-            self._conductor = conductor
+        self.ncols = 0
+        self.rank = 0
+        self._conductor = 1
         # ops: ("scale", row, factor) and ("axpy", dst, factor, src)
         self._ops: list[tuple] = []
         self._pivot_rows: list[int] = []
         self._pivot_cols: list[int] = []
-        used = [False] * self.nrows
-        for col in range(self.ncols):
-            pr = None
-            for i in range(self.nrows):
-                if not used[i] and work[i][col]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            used[pr] = True
-            self._pivot_rows.append(pr)
-            self._pivot_cols.append(col)
-            inv = (1 / work[pr][col]) if self._rational else work[pr][col].inverse()
-            self._ops.append(("scale", pr, inv))
-            work[pr] = [c * inv for c in work[pr]]
-            for i in range(self.nrows):
-                f = work[i][col]
-                if i != pr and f:
-                    self._ops.append(("axpy", i, f, pr))
-                    prow = work[pr]
-                    work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        self.rank = len(self._pivot_rows)
-        self._nonpivot_rows = [i for i in range(self.nrows) if not used[i]]
+        self._used = [False] * self.nrows
+        for j in range(len(rows[0]) if rows else 0):
+            column = [row[j] for row in rows]
+            self._conductor = math.lcm(self._conductor, *(c.conductor for c in column))
+            self._pivot(column)
+            self.ncols += 1
 
-    def solve(self, target: list[CycNumber]) -> list[CycNumber] | None:
-        if len(target) != self.nrows:
-            raise ValueError("target length does not match row count")
-        plain = self._rational and all(c.conductor == 1 for c in target)
-        if plain:
-            vec: list = [c.coords[0] for c in target]
-        elif self._rational:
-            # rational elimination steps stay valid over the extension field,
-            # so a cyclotomic target just replays them in CycNumber arithmetic
-            vec = list(target)
-        else:
-            vec = [c.embed(self._conductor) for c in target]
+    def add_column(self, column: list[CycNumber]) -> bool:
+        """Append column if it is independent of the current ones; a
+        dependent column leaves the solver unchanged and returns False."""
+        if len(column) != self.nrows:
+            raise ValueError("column length does not match row count")
+        if not self._pivot(column):
+            return False
+        self._conductor = math.lcm(self._conductor, *(c.conductor for c in column))
+        self.ncols += 1
+        return True
+
+    def _replay(self, target: list[CycNumber]) -> list:
+        vec = [_plain(c) for c in target]
         for op in self._ops:
             if op[0] == "scale":
                 _, r, f = op
                 vec[r] = vec[r] * f
             else:
                 _, dst, f, src = op
-                vec[dst] = vec[dst] - vec[src] * f
-        zero = (lambda v: v == 0) if plain else (lambda v: v.is_zero())
-        for i in self._nonpivot_rows:
-            if not zero(vec[i]):
-                return None
+                s = vec[src]
+                # skip zero Fractions only: a zero CycNumber still lifts dst
+                # into its field, so no coordinate's conductor depends on
+                # which zeros were skipped
+                if s or isinstance(s, CycNumber):
+                    vec[dst] = vec[dst] - s * f
+        return vec
+
+    def _pivot(self, column: list[CycNumber]) -> bool:
+        # eliminate column number self.ncols; False (and no ops) if dependent
+        work = self._replay(column)
+        used = self._used
+        pr = next((i for i in range(self.nrows) if not used[i] and work[i]), None)
+        if pr is None:
+            return False
+        used[pr] = True
+        self._pivot_rows.append(pr)
+        self._pivot_cols.append(self.ncols)
+        self.rank += 1
+        p = work[pr]
+        inv = p.inverse() if isinstance(p, CycNumber) else 1 / p
+        self._ops.append(("scale", pr, inv))
+        self._ops.extend(
+            ("axpy", i, f, pr) for i, f in enumerate(work) if f and i != pr
+        )
+        return True
+
+    def solve(self, target: list[CycNumber]) -> list[CycNumber] | None:
+        if len(target) != self.nrows:
+            raise ValueError("target length does not match row count")
+        vec = self._replay(target)
+        if any(v for v, used in zip(vec, self._used) if not used):
+            return None
         out = [CycNumber.zero() for _ in range(self.ncols)]
         for col, row in zip(self._pivot_cols, self._pivot_rows):
             v = vec[row]
-            out[col] = CycNumber.from_rational(v) if plain else v
+            if not isinstance(v, CycNumber):
+                v = CycNumber.from_rational(v)
+            out[col] = v.embed(math.lcm(self._conductor, v.conductor))
         return out
 
     def free_columns(self) -> list[int]:
         pivots = set(self._pivot_cols)
         return [c for c in range(self.ncols) if c not in pivots]
+
+
+def null_space(rows: list[list[CycNumber]]) -> list[list[CycNumber]]:
+    """Basis of the null space of an exact matrix: one vector per free
+    column, with 1 there and 0 at every other free column."""
+    solver = LinearSolver(rows)
+    basis = []
+    for free in solver.free_columns():
+        v = solver.solve([-row[free] for row in rows])
+        v[free] = CycNumber.one()
+        basis.append(v)
+    return basis

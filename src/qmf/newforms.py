@@ -28,6 +28,7 @@ from .exact import (
     LinearSolver,
     divisors,
     factorize,
+    null_space,
     primes_upto,
 )
 from .qseries import EtaProduct, QSeries, dump_qseries, load_qseries
@@ -553,8 +554,10 @@ def _derive_space(level: int, weight: int) -> list[NewformRecord]:
 
     dim_total = dim_cusp(level, weight)
     R = sturm_bound(weight, level)
-    basis_exprs, basis_vecs = _span_cusp_space(level, weight, dim_total, R)
-    eigen = _split_eigenlines(level, weight, basis_exprs, basis_vecs, R)
+    basis_exprs, basis_vecs, coord_solver = _span_cusp_space(
+        level, weight, dim_total, R
+    )
+    eigen = _split_eigenlines(level, weight, basis_exprs, basis_vecs, coord_solver, R)
     if len(eigen) != dim_new:
         raise DerivationError(
             f"found {len(eigen)} eigenlines, expected {dim_new} newforms"
@@ -596,7 +599,8 @@ def _index_label(i: int) -> str:
 
 
 def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
-    """Linearly independent expressions spanning S_weight(Gamma0(level)).
+    """Linearly independent expressions spanning S_weight(Gamma0(level)),
+    their expansions to q^R, and the solver factorizing those columns.
 
     Candidates, in order: dilated lower-level newforms, products of known
     cusp forms with modular forms of complementary weight, and Eisenstein
@@ -605,21 +609,14 @@ def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
     rows_precision = R + 1
     picked_exprs: list[_Expr] = []
     picked_vecs: list[QSeries] = []
-    echelon: list[list[CycNumber]] = []
+    solver = LinearSolver([[]] * rows_precision)
 
     def try_add(expr: _Expr) -> bool:
         if len(picked_exprs) >= dim_total:
             return False
         vec = expr.expand(rows_precision)
-        row = [vec.coefficient(n) for n in range(rows_precision)]
-        for prow in echelon:
-            lead = next((i for i, c in enumerate(prow) if not c.is_zero()), None)
-            if lead is not None and not row[lead].is_zero():
-                f = row[lead] * prow[lead].inverse()
-                row = [a - f * b for a, b in zip(row, prow)]
-        if all(c.is_zero() for c in row):
+        if not solver.add_column([vec.coefficient(n) for n in range(rows_precision)]):
             return False
-        echelon.append(row)
         picked_exprs.append(expr)
         picked_vecs.append(vec)
         return True
@@ -679,7 +676,7 @@ def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
         raise DerivationError(
             f"spanned only {len(picked_exprs)} of {dim_total} cusp dimensions"
         )
-    return picked_exprs, picked_vecs
+    return picked_exprs, picked_vecs, solver
 
 
 def _eisenstein_annihilator(expr: _Expr, level: int, weight: int, p: int) -> _Expr:
@@ -701,18 +698,12 @@ def _eisenstein_annihilator(expr: _Expr, level: int, weight: int, p: int) -> _Ex
     return out
 
 
-def _split_eigenlines(level, weight, basis_exprs, basis_vecs, R):
+def _split_eigenlines(level, weight, basis_exprs, basis_vecs, coord_solver, R):
     """Split span(basis) into T_p eigenlines; return the 1-dimensional
-    pieces as (expression, series) pairs."""
+    pieces as (expression, series) pairs.  coord_solver factorizes the
+    basis expansions to q^R, one column per basis element."""
     dim = len(basis_exprs)
     rows_precision = R + 1
-    basis_rows = [
-        [vec.coefficient(n) for vec in basis_vecs] for n in range(rows_precision)
-    ]
-    coord_solver = LinearSolver(basis_rows)
-    if coord_solver.rank != dim:
-        raise DerivationError("spanning set lost independence")
-
     expected = dim_cusp_new(level, weight)
     split_primes = [p for p in primes_upto(max(30, R)) if level % p]
     pieces = [_identity_piece(dim)]
@@ -722,10 +713,8 @@ def _split_eigenlines(level, weight, basis_exprs, basis_vecs, R):
         # once all expected new lines have separated
         if sum(1 for c, _ in pieces if len(c) == 1) >= expected:
             break
-        tp_matrix = _hecke_matrix(
-            basis_exprs, basis_vecs, coord_solver, p, weight, rows_precision
-        )
-        pieces = _refine_pieces(pieces, tp_matrix, p, weight)
+        tp_cols = _hecke_matrix(basis_exprs, coord_solver, p, weight, rows_precision)
+        pieces = _refine_pieces(pieces, tp_cols, p, weight)
 
     ones = [piece for piece in pieces if len(piece[0]) == 1]
     if len(ones) != expected:
@@ -755,7 +744,9 @@ def _identity_piece(dim: int):
     return (coords, None)
 
 
-def _hecke_matrix(basis_exprs, basis_vecs, coord_solver, p, weight, rows_precision):
+def _hecke_matrix(basis_exprs, coord_solver, p, weight, rows_precision):
+    """Columns of T_p on the basis: column j holds the coordinates of
+    T_p(basis_j)."""
     cols = []
     need = p * (rows_precision - 1) + 1
     for expr in basis_exprs:
@@ -765,12 +756,10 @@ def _hecke_matrix(basis_exprs, basis_vecs, coord_solver, p, weight, rows_precisi
         if coords is None:
             raise DerivationError(f"T_{p} image left the candidate span")
         cols.append(coords)
-    # matrix[i][j] = coefficient of basis_i in T_p(basis_j)
-    dim = len(basis_exprs)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    return cols
 
 
-def _refine_pieces(pieces, tp_matrix, p, weight):
+def _refine_pieces(pieces, tp_cols, p, weight):
     out = []
     for coords_list, _ in pieces:
         s = len(coords_list)
@@ -779,12 +768,12 @@ def _refine_pieces(pieces, tp_matrix, p, weight):
             continue
         # restrict T_p to the piece: T * S = S * A
         span_rows = [
-            [coords_list[j][i] for j in range(s)] for i in range(len(tp_matrix))
+            [coords_list[j][i] for j in range(s)] for i in range(len(tp_cols))
         ]
         span_solver = LinearSolver(span_rows)
         a_cols = []
         for j in range(s):
-            image = _mat_vec(tp_matrix, coords_list[j])
+            image = _vec_combination(tp_cols, coords_list[j])
             col = span_solver.solve(image)
             if col is None:
                 raise DerivationError("piece is not Hecke stable")
@@ -795,18 +784,6 @@ def _refine_pieces(pieces, tp_matrix, p, weight):
                 _vec_combination(coords_list, sub_vec) for sub_vec in sub
             ]
             out.append((mapped, None))
-    return out
-
-
-def _mat_vec(M, v):
-    n = len(M)
-    out = []
-    for i in range(n):
-        acc = CycNumber.zero()
-        for j in range(n):
-            if not v[j].is_zero() and not M[i][j].is_zero():
-                acc = acc + M[i][j] * v[j]
-        out.append(acc)
     return out
 
 
@@ -968,7 +945,7 @@ def _eigen_split_matrix(A, p, weight):
         shifted = [
             [A[i][j] - lam if i == j else A[i][j] for j in range(s)] for i in range(s)
         ]
-        kern = _kernel(shifted)
+        kern = null_space(shifted)
         if len(kern) != mult:
             raise DerivationError("eigenspace dimension mismatch (not semisimple?)")
         pieces.append(kern)
@@ -976,7 +953,7 @@ def _eigen_split_matrix(A, p, weight):
     if len(rat) - 1 > 0 and covered < s:
         # unsplit factor of degree >= 3: keep its kernel piece for later primes
         residual = _poly_matrix_eval(rat, A)
-        kern = _kernel(residual)
+        kern = null_space(residual)
         if len(kern) != len(rat) - 1:
             raise DerivationError("residual factor kernel has wrong dimension")
         pieces.append(kern)
@@ -1005,40 +982,6 @@ def _poly_matrix_eval(poly: list[Fraction], A):
         for i in range(s):
             out[i][i] = out[i][i] + c
     return out
-
-
-def _kernel(M):
-    """Basis of the null space of a square matrix over Q(zeta)."""
-    s = len(M)
-    rows = [list(r) for r in M]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    used_rows: list[int] = []
-    for col in range(s):
-        pr = None
-        for i in range(s):
-            if i not in used_rows and not rows[i][col].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        used_rows.append(pr)
-        pivots.append((pr, col))
-        inv = rows[pr][col].inverse()
-        rows[pr] = [c * inv for c in rows[pr]]
-        for i in range(s):
-            if i != pr and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-    pivot_cols = {col: pr for pr, col in pivots}
-    free_cols = [c for c in range(s) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [CycNumber.zero()] * s
-        v[fc] = CycNumber.one()
-        for col, pr in pivot_cols.items():
-            v[col] = -rows[pr][fc]
-        basis.append(v)
-    return basis
 
 
 def _jacobi_symbol(a: int, m: int) -> int:

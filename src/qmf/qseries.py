@@ -17,13 +17,9 @@ from .exact import CycNumber, format_cyc
 __all__ = [
     "EtaProduct",
     "QSeries",
-    "apply_D",
     "delta_eta",
-    "dilate",
     "dump_qseries",
-    "eta_expand",
     "load_qseries",
-    "series_mul",
 ]
 
 _ZERO = CycNumber.zero()
@@ -225,18 +221,6 @@ class QSeries:
         return f"QSeries({body} + O(q^{self.precision}))"
 
 
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def apply_D(f: QSeries, r: int = 1) -> QSeries:
-    return f.apply_D(r)
-
-
-def dilate(f: QSeries, t: int, precision: int | None = None) -> QSeries:
-    return f.dilate(t, precision)
-
-
 # ---------------------------------------------------------------------------
 # eta products
 
@@ -349,10 +333,6 @@ class EtaProduct:
     def __repr__(self) -> str:
         inner = " ".join(f"eta({d}t)^{e}" for d, e in self.factors)
         return f"EtaProduct({inner})"
-
-
-def eta_expand(factors: Iterable[tuple[int, int]], precision: int) -> QSeries:
-    return EtaProduct(factors).expand(precision)
 
 
 def delta_eta() -> EtaProduct:

@@ -334,6 +334,8 @@ class MembershipVerdict:
 
 def omega_membership(f: QSeries, N: int, X: int) -> MembershipVerdict:
     """Does a_f(p) vanish for every prime p <= X not dividing N?"""
+    if N < 1:
+        raise ValueError("level must be positive")
     if f.precision <= X:
         raise InsufficientPrecisionError(X + 1, f.precision, "input series")
     violations = []

@@ -283,6 +283,26 @@ def test_parse_misuse_errors(capsys):
         assert err.startswith(("parse error", "error:")), form
 
 
+def test_nonpositive_level_gets_no_verdict(capsys):
+    for argv in (
+        ("detect", "--form", "E2", "--level", "0", "--xmax", "20"),
+        ("detect", "--form", "E2", "--level", "-3", "--xmax", "20"),
+        ("census", "--form", "Delta", "--level", "0", "--xmax", "200",
+         "--delta", "0.05"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert out == ""
+        assert err == "error: level must be positive\n"
+
+
+def test_zero_dilation_is_a_parse_error(capsys):
+    rc, out, err = run(capsys, "expand", "--form", "E[4,1.1,0]", "--prec", "10")
+    assert rc == 1
+    assert out == ""
+    assert err == "parse error at position 0: dilation t must be at least 1\n"
+
+
 def test_usage_errors(capsys):
     rc, _, err = run(capsys)
     assert rc == 1

@@ -194,6 +194,15 @@ def test_detect_verdict_precision_guard():
         prime_detect_verdict(f, 1, 50)
 
 
+def test_level_guard():
+    g = g_series(4, 1, 201)
+    for level in (0, -3):
+        with pytest.raises(ValueError, match="level must be positive"):
+            prime_detect_verdict(g, level, 20)
+        with pytest.raises(ValueError, match="level must be positive"):
+            census(g, level, 200, "0.1")
+
+
 # ----------------------------------------------------------------- census
 
 

@@ -158,3 +158,6 @@ def test_atom_validation():
         EisensteinAtom(4, None, 1)
     with pytest.raises(ValueError):
         EisensteinAtom(2, None, 2)
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="dilation"):
+            EisensteinAtom(4, trivial_character(1), t)

@@ -9,11 +9,11 @@ from qmf.exact import (
     CycNumber,
     LinearSolver,
     bernoulli,
-    cyc_embed,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
     moebius,
+    null_space,
     primes_upto,
     zeta_at_negative,
 )
@@ -57,11 +57,11 @@ def test_roots_of_unity_reduce():
 def test_embedding_example():
     # zeta_3 viewed inside Q(zeta_6): z^2 reduced mod z^2 - z + 1 is z - 1
     z3 = CycNumber.root_of_unity(3)
-    image = cyc_embed(z3, 6)
+    image = z3.embed(6)
     assert image.conductor == 6
     assert image.coords == (Fraction(-1), Fraction(1))
     with pytest.raises(ConductorMismatchError):
-        cyc_embed(z3, 4)
+        z3.embed(4)
 
 
 def test_embedding_is_ring_homomorphism():
@@ -76,8 +76,8 @@ def test_embedding_is_ring_homomorphism():
             (z3**e * Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for e in range(2)),
             CycNumber.zero(),
         )
-        assert cyc_embed(a * b, 12) == cyc_embed(a, 12) * cyc_embed(b, 12)
-        assert cyc_embed(a + b, 12) == cyc_embed(a, 12) + cyc_embed(b, 12)
+        assert (a * b).embed(12) == a.embed(12) * b.embed(12)
+        assert (a + b).embed(12) == a.embed(12) + b.embed(12)
 
 
 def test_field_axioms_fuzz():
@@ -188,3 +188,114 @@ def test_linear_solver_rank_deficiency():
     solver = LinearSolver([[one, two], [one, two]])
     assert solver.rank == 1
     assert solver.free_columns() == [1]
+
+
+# entries drawn per field: Q; Q(zeta_5); and a mix of Q, Q(zeta_3) and
+# Q(zeta_4) entries, whose solver works in Q(zeta_12)
+SOLVER_UNITS = {
+    "rational": [CycNumber.one()],
+    "cyclotomic": [CycNumber.root_of_unity(5, e) for e in range(4)],
+    "mixed": [CycNumber.one(), CycNumber.root_of_unity(3), CycNumber.root_of_unity(4)],
+}
+
+
+def random_entry(rng, units):
+    return rng.choice(units) * Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def random_columns(rng, units, nrows, ncols):
+    return [[random_entry(rng, units) for _ in range(nrows)] for _ in range(ncols)]
+
+
+def combine(columns, coeffs):
+    return [
+        sum((c * col[i] for c, col in zip(coeffs, columns)), CycNumber.zero())
+        for i in range(len(columns[0]))
+    ]
+
+
+def exact_keys(vector):
+    return None if vector is None else [c.sort_key() for c in vector]
+
+
+@pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
+def test_add_column_matches_batch_factorization(field):
+    rng = random.Random(f"grow-{field}")
+    units = SOLVER_UNITS[field]
+    columns = random_columns(rng, units, 7, 4)
+    rows = [list(row) for row in zip(*columns)]
+    batch = LinearSolver(rows)
+    grown = LinearSolver([[] for _ in rows])
+    assert [grown.add_column(col) for col in columns] == [True] * 4
+    assert (grown.ncols, grown.rank) == (batch.ncols, batch.rank) == (4, 4)
+    assert grown.free_columns() == batch.free_columns() == []
+    coeffs = [random_entry(rng, units) for _ in columns]
+    targets = [combine(columns, coeffs), random_columns(rng, units, 7, 1)[0]]
+    assert grown.solve(targets[0]) == coeffs
+    for target in targets:
+        assert exact_keys(grown.solve(target)) == exact_keys(batch.solve(target))
+
+
+@pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
+def test_dependent_column_leaves_solver_unchanged(field):
+    rng = random.Random(f"dependent-{field}")
+    units = SOLVER_UNITS[field]
+    columns = random_columns(rng, units, 6, 3)
+    solver = LinearSolver([[] for _ in range(6)])
+    for col in columns:
+        assert solver.add_column(col)
+    targets = [
+        combine(columns, [random_entry(rng, units) for _ in columns]),
+        random_columns(rng, units, 6, 1)[0],
+    ]
+    before = [exact_keys(solver.solve(t)) for t in targets]
+    dependent = combine(columns, [units[-1], Fraction(-2), Fraction(1, 3)])
+    for col in (dependent, [CycNumber.zero()] * 6):
+        assert solver.add_column(col) is False
+        assert (solver.ncols, solver.rank) == (3, 3)
+        assert [exact_keys(solver.solve(t)) for t in targets] == before
+    with pytest.raises(ValueError):
+        solver.add_column([CycNumber.one()] * 5)
+
+
+@pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
+def test_null_space_basis(field):
+    rng = random.Random(f"kernel-{field}")
+    units = SOLVER_UNITS[field]
+    z = units[-1]
+    one, zero = CycNumber.one(), CycNumber.zero()
+    c0, c1, c3 = random_columns(rng, units, 5, 3)
+    columns = [
+        c0,
+        c1,
+        combine([c0, c1], [one, z]),
+        c3,
+        combine([c3, c1], [Fraction(2), -one]),
+        [zero] * 5,
+    ]
+    rows = [list(row) for row in zip(*columns)]
+    solver = LinearSolver(rows)
+    assert solver.rank == 3 and solver.free_columns() == [2, 4, 5]
+    basis = null_space(rows)
+    assert len(basis) == solver.ncols - solver.rank
+    for free, v in zip(solver.free_columns(), basis):
+        assert all(c.is_zero() for c in combine(columns, v))
+        assert [v[f] for f in solver.free_columns()] == [
+            one if f == free else zero for f in solver.free_columns()
+        ]
+    # the normalization makes the basis unique
+    assert basis == [
+        [-one, -z, one, zero, zero, zero],
+        [zero, one, zero, -2 * one, one, zero],
+        [zero, zero, zero, zero, zero, one],
+    ]
+
+
+def test_solve_keeps_the_target_field_through_zero_entries():
+    # a zero entry of Q(zeta_5) still lifts the rows combined with it into
+    # that field, so the coordinates (and their printed slots) stay there
+    one, zero = CycNumber.one(), CycNumber.zero()
+    solver = LinearSolver([[one, zero], [one, one]])
+    sol = solver.solve([CycNumber.zero(5), one])
+    assert sol == [zero, one]
+    assert [c.conductor for c in sol] == [5, 5]

@@ -8,14 +8,10 @@ from qmf.exact import CycNumber
 from qmf.qseries import (
     EtaProduct,
     QSeries,
-    apply_D,
     delta_eta,
-    dilate,
     dump_qseries,
     dumps_qseries,
-    eta_expand,
     load_qseries,
-    series_mul,
 )
 
 # frozen oracle: tau(1..10), the eta(tau)^24 coefficients
@@ -71,7 +67,7 @@ def test_series_construction_and_access():
 def test_e2_square_coefficient():
     # E2 = 1 - 24 q - 72 q^2 - 96 q^3 ...; the q coefficient of E2*E2 is -48
     e2 = QSeries([1, -24, -72, -96])
-    sq = series_mul(e2, e2)
+    sq = e2 * e2
     assert sq.precision == 4
     assert sq.coefficient(1) == -48
 
@@ -85,22 +81,22 @@ def test_mul_precision_is_min():
 
 def test_apply_D():
     f = QSeries([5, 7, 11, 13])
-    df = apply_D(f)
+    df = f.apply_D()
     assert [c.as_rational() for c in df.coefficients()] == [0, 7, 22, 39]
-    assert apply_D(f, 0) is f
-    d2 = apply_D(f, 2)
+    assert f.apply_D(0) is f
+    d2 = f.apply_D(2)
     assert d2.coefficient(3) == 13 * 9
 
 
 def test_dilate_precision_grows():
     f = QSeries([1, 2, 3])
-    g = dilate(f, 3)
+    g = f.dilate(3)
     assert g.precision == 9
     assert g.coefficient(0) == 1
     assert g.coefficient(3) == 2
     assert g.coefficient(6) == 3
     assert g.coefficient(5).is_zero()
-    capped = dilate(f, 3, precision=4)
+    capped = f.dilate(3, precision=4)
     assert capped.precision == 4
 
 
@@ -109,8 +105,8 @@ def test_dilate_commutes_with_D():
     coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(12)]
     f = QSeries(coeffs)
     for t in (2, 3):
-        lhs = apply_D(dilate(f, t))
-        rhs = dilate(apply_D(f), t).scale(t)
+        lhs = f.dilate(t).apply_D()
+        rhs = f.apply_D().dilate(t).scale(t)
         assert lhs == rhs
 
 
@@ -120,8 +116,8 @@ def test_leibniz_rule_fuzz():
     for _ in range(15):
         f = QSeries([z4 ** rng.randint(0, 3) * rng.randint(-3, 3) for _ in range(9)])
         g = QSeries([z4 ** rng.randint(0, 3) * rng.randint(-3, 3) for _ in range(9)])
-        lhs = apply_D(f * g)
-        rhs = apply_D(f) * g + f * apply_D(g)
+        lhs = (f * g).apply_D()
+        rhs = f.apply_D() * g + f * g.apply_D()
         assert lhs == rhs
 
 
@@ -140,7 +136,7 @@ def test_delta_expansion():
 
 
 def test_level11_eta_expansion():
-    f = eta_expand([(1, 2), (11, 2)], 11)
+    f = EtaProduct([(1, 2), (11, 2)]).expand(11)
     assert [f.coefficient(n).as_rational() for n in range(1, 11)] == LEVEL11
 
 
@@ -155,14 +151,14 @@ def test_eta_against_naive_oracle():
     ]
     for factors in cases:
         P = 80
-        got = eta_expand(factors, P)
+        got = EtaProduct(factors).expand(P)
         want = naive_eta_oracle(factors, P)
         assert [c.as_rational() for c in got.coefficients()] == want
 
 
 def test_eta_fractional_leading_exponent_rejected():
     with pytest.raises(ValueError) as err:
-        eta_expand([(1, 1)], 10)
+        EtaProduct([(1, 1)]).expand(10)
     assert "1/24" in str(err.value)
 
 

@@ -284,3 +284,9 @@ def test_membership_zero_series():
 def test_membership_precision_guard():
     with pytest.raises(InsufficientPrecisionError):
         omega_membership(e2_series(50), 1, 50)
+
+
+def test_membership_level_guard():
+    for level in (0, -3):
+        with pytest.raises(ValueError, match="level must be positive"):
+            omega_membership(e2_series(51), level, 50)
