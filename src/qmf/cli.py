@@ -4,8 +4,11 @@ Subcommands: basis, expand, decompose, detect, census, macmahon, newforms.
 Forms are written in a small expression language over the atoms
 E[k,u.j,t], E2, E2twist[t], newform[L,k,label], dilate[t](...), D^r(...),
 G[k,N], U[a], eta[d^e,...], and Delta, combined with rational scalars,
-+, -, * and operator application.  Exit codes: 0 clean, 1 error, 2 for a
-false verdict or a decomposition residual.
++, -, * and operator application.  Parentheses, operator applications and
+unary minus nest at most MAX_NESTING levels deep, and a derivative D^r
+takes r <= MAX_DERIVATIVE_ORDER.  Exit codes: 0 clean, 1 error (one line on
+stderr, never a traceback), 2 for a false verdict or a decomposition
+residual.
 """
 from __future__ import annotations
 
@@ -33,6 +36,13 @@ from .quasimodular import (
 )
 
 __all__ = ["FormSpecError", "eval_form", "main", "console_main"]
+
+# Each nesting level costs the recursive-descent parser about five stack
+# frames, so this keeps parsing far below Python's default recursion limit.
+MAX_NESTING = 100
+# D^r multiplies the q^n coefficient by n^r; beyond this order the numbers
+# are out of any sensible range (and past Python's int-to-string limit).
+MAX_DERIVATIVE_ORDER = 100
 
 
 class FormSpecError(ValueError):
@@ -103,6 +113,7 @@ class _FormParser:
         self.precision = precision
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
     def peek(self):
@@ -122,6 +133,11 @@ class _FormParser:
     def fail(self, reason):
         raise FormSpecError(self.peek()[2], reason)
 
+    def descend(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels")
+
     # -- grammar ----------------------------------------------------------
     def parse(self):
         value = self.expr()
@@ -130,11 +146,13 @@ class _FormParser:
         return value
 
     def expr(self):
+        self.descend()
         value = self.term()
         while self.peek()[0] in "+-":
             op = self.next()[0]
             rhs = self.term()
             value = self.add(value, rhs if op == "+" else self.neg(rhs))
+        self.depth -= 1
         return value
 
     def term(self):
@@ -159,7 +177,10 @@ class _FormParser:
     def unary(self):
         if self.peek()[0] == "-":
             self.next()
-            return self.neg(self.unary())
+            self.descend()
+            value = self.neg(self.unary())
+            self.depth -= 1
+            return value
         return self.primary()
 
     def primary(self):
@@ -190,6 +211,11 @@ class _FormParser:
             if self.peek()[0] == "^":
                 self.next()
                 r = self.expect("num")
+            if r > MAX_DERIVATIVE_ORDER:
+                raise FormSpecError(
+                    where,
+                    f"derivative order {r} is above the cap {MAX_DERIVATIVE_ORDER}",
+                )
             return _Op({r: Fraction(1)})
         if name == "E2":
             return _Form(raw_e2_atom().expand(self.precision), 2)
@@ -590,6 +616,10 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # last resort: a defect must still end as one line and exit code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

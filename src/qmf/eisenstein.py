@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .characters import DirichletCharacter, enumerate_primitive, trivial_character
@@ -76,7 +75,7 @@ def e2_series(precision: int) -> QSeries:
     for d in range(1, precision):
         for n in range(d, precision, d):
             coeffs[n] -= 24 * d
-    return QSeries([Fraction(c) for c in coeffs], precision)
+    return QSeries(coeffs, precision)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,14 @@ class CycNumber:
         raise AttributeError("CycNumber is immutable")
 
     # -- constructors -----------------------------------------------------
+    @classmethod
+    def _trusted(cls, conductor: int, coords: tuple[Fraction, ...]) -> "CycNumber":
+        # skips validation: coords must be a tuple of phi(conductor) Fractions
+        self = object.__new__(cls)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coords", coords)
+        return self
+
     @staticmethod
     def from_rational(value: Fraction | int) -> "CycNumber":
         return CycNumber(1, (Fraction(value),))

@@ -1,18 +1,34 @@
 """Truncated q-expansions with exact cyclotomic coefficients.
 
-A QSeries stores coefficients for exponents 0..precision-1.  Arithmetic
-tracks precision as the min of the operands and embeds coefficients into
-Q(zeta_lcm) as needed.  Eta products expand through the Miller power
-recurrence applied to the sparse pentagonal-number series, so powers like
-eta(tau)^24 stay cheap far beyond desk precision.
+A QSeries over Q(zeta_M), M its conductor, stores exponents 0..precision-1
+as one positive common denominator and one tuple of int numerators per
+power-basis coordinate (a single tuple when M = 1).  The form is canonical:
+the denominator and all numerators have gcd 1.  CycNumber values are built
+only at the API edge (coefficient, coefficients, items).  Arithmetic tracks
+precision as the min of the operands and embeds both into Q(zeta_lcm).
+
+Products use Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009): each
+operand is packed into one big number whose slots are wide enough that no
+slot can wrap, the two numbers are multiplied once, and the product slots
+are read back.  Long operands are packed in decimal, so libmpdec multiplies
+them with a number-theoretic transform; mid-size ones are packed into a
+Python int; short or sparse ones go through a schoolbook convolution.
+Eta powers eta(d tau)^e with e >= 1 are built from Jacobi's sparse
+eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2), squared repeatedly, times the
+sparse pentagonal-number series eta^(e mod 3); negative exponents and
+short series use the Miller power recurrence, which the tests also keep as
+the oracle.  No
+floating point enters any computation.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .exact import CycNumber, format_cyc
+from .exact import ConductorMismatchError, CycNumber, cyclotomic_polynomial, format_cyc
 
 __all__ = [
     "EtaProduct",
@@ -21,6 +37,18 @@ __all__ = [
     "dump_qseries",
     "load_qseries",
 ]
+
+# Crossovers measured on Python 3.11 (numbers in CHANGES.md).  A product
+# whose sparser operand has fewer nonzero terms than _KRONECKER_MIN_TERMS
+# is a schoolbook convolution.  A Kronecker product packs into decimal once
+# the shorter operand packs to _DECIMAL_MIN_BITS, into an int below.
+_KRONECKER_MIN_TERMS = 20
+_DECIMAL_MIN_BITS = 100_000
+# Wider slots stay in int packing: each decimal slot goes through int <-> str,
+# which must stay under Python's default 4300-digit limit.
+_DECIMAL_MAX_SLOT_BITS = 13_000
+# Eta powers of series shorter than this use the Miller recurrence.
+_ETA_SQUARING_MIN = 256
 
 _ZERO = CycNumber.zero()
 
@@ -31,6 +59,176 @@ def _wrap(value) -> CycNumber:
     return CycNumber.from_rational(value)
 
 
+# ---------------------------------------------------------------------------
+# integer kernel: products of int sequences
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], precision: int) -> list[int]:
+    """The first `precision` coefficients of the product of two int series."""
+    square = a is b
+    a = a[:precision]
+    b = a if square else b[:precision]
+    va = next((i for i, x in enumerate(a) if x), None)
+    vb = va if square else next((i for i, x in enumerate(b) if x), None)
+    if va is None or vb is None or va + vb >= precision:
+        return [0] * precision
+    # strip the valuations, so only the window below precision is packed
+    shift = va + vb
+    count = precision - shift
+    a = a[va : va + count]
+    b = a if square else b[vb : vb + count]
+    nnz_a = len(a) - a.count(0)
+    nnz_b = nnz_a if square else len(b) - b.count(0)
+    if min(nnz_a, nnz_b) < _KRONECKER_MIN_TERMS:
+        body = _schoolbook(a, b, count) if nnz_a <= nnz_b else _schoolbook(b, a, count)
+    else:
+        top_a = max(max(a), -min(a))
+        top_b = top_a if square else max(max(b), -min(b))
+        # every product coefficient is a sum of at most min(nnz) terms
+        bound = top_a * top_b * min(nnz_a, nnz_b)
+        body = _kronecker(a, b, bound, count, square)
+    out = [0] * shift
+    out.extend(body)
+    out.extend([0] * (precision - len(out)))
+    return out
+
+
+def _schoolbook(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
+    # a is the sparser operand; one pass over b per nonzero term of a
+    out = [0] * count
+    for i, x in enumerate(a):
+        if x:
+            seg = b[: count - i]
+            end = i + len(seg)
+            out[i:end] = [u + x * y for u, y in zip(out[i:end], seg)]
+    return out
+
+
+def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
+    """Product slots 0..count-1 of a*b, where no slot exceeds bound in size.
+
+    Each signed operand is packed as (positive part) - (negative part) with
+    slot base B > 2 * bound, so every product coefficient c has |c| < B/2
+    and the slots never wrap.  The balanced base-B digits of the product are
+    read back from its magnitude, low slot first, with a carry.
+    """
+    slots = len(a) + len(b) - 1
+    count = min(count, slots)
+    bits = (2 * bound).bit_length()
+    if bits <= _DECIMAL_MAX_SLOT_BITS and min(len(a), len(b)) * bits >= _DECIMAL_MIN_BITS:
+        digits = len(str(2 * bound))
+        base = 10**digits
+        ctx = decimal.Context(
+            prec=decimal.MAX_PREC,
+            Emax=decimal.MAX_EMAX,
+            Emin=decimal.MIN_EMIN,
+            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+        )
+        pa = _pack_decimal(a, digits, ctx)
+        pb = pa if square else _pack_decimal(b, digits, ctx)
+        text = str(ctx.multiply(pa, pb))
+        del pa, pb
+        negative = text.startswith("-")
+        top = len(text)
+        floor = 1 if negative else 0
+        magnitude = (
+            int(text[max(e - digits, floor) : e]) if e > floor else 0
+            for e in range(top, top - count * digits, -digits)
+        )
+    else:
+        width = (bits + 7) // 8
+        base = 1 << (8 * width)
+        pa = _pack_int(a, width)
+        product = pa * (pa if square else _pack_int(b, width))
+        negative = product < 0
+        raw = abs(product).to_bytes(slots * width, "little")
+        magnitude = (
+            int.from_bytes(raw[k : k + width], "little")
+            for k in range(0, count * width, width)
+        )
+    half = base // 2
+    assert bound < half, "Kronecker slot too narrow"
+    out = []
+    carry = 0
+    for v in magnitude:
+        v += carry
+        carry = v >= half
+        out.append(v - base if carry else v)
+    return [-v for v in out] if negative else out
+
+
+def _pack_int(seq: Sequence[int], width: int) -> int:
+    # each bytes string is dropped once parsed
+    zero = bytes(width)
+    pos = b"".join(x.to_bytes(width, "little") if x > 0 else zero for x in seq)
+    pos = int.from_bytes(pos, "little")
+    neg = b"".join((-x).to_bytes(width, "little") if x < 0 else zero for x in seq)
+    return pos - int.from_bytes(neg, "little")
+
+
+def _pack_decimal(seq: Sequence[int], digits: int, ctx) -> decimal.Decimal:
+    # most significant slot first; each string is dropped once parsed
+    zero = "0" * digits
+    pos = "".join(str(x).zfill(digits) if x > 0 else zero for x in reversed(seq))
+    pos = decimal.Decimal(pos)
+    neg = "".join(str(-x).zfill(digits) if x < 0 else zero for x in reversed(seq))
+    return ctx.subtract(pos, decimal.Decimal(neg))
+
+
+def _reduce_zeta(raw: list, conductor: int, precision: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis coordinates of sum_i raw[i] zeta^i (raw[i] an int
+    sequence, or None for zero) modulo the conductor's cyclotomic polynomial."""
+    phi = cyclotomic_polynomial(conductor)
+    deg = len(phi) - 1
+    raw = list(raw) + [None] * (deg - len(raw))
+    for i in range(len(raw) - 1, deg - 1, -1):
+        c = raw[i]
+        if c is None:
+            continue
+        # phi is monic: z^deg = -(phi[0] + ... + phi[deg-1] z^(deg-1))
+        for j, f in enumerate(phi[:deg]):
+            if f:
+                k = i - deg + j
+                cur = raw[k]
+                raw[k] = (
+                    [-f * v for v in c]
+                    if cur is None
+                    else [u - f * v for u, v in zip(cur, c)]
+                )
+    zero = (0,) * precision
+    return tuple(zero if c is None else tuple(c) for c in raw[:deg])
+
+
+def _embed_nums(nums, source: int, target: int, precision: int):
+    """Coordinates of a Q(zeta_source) series, seen in Q(zeta_target)."""
+    if source == target:
+        return nums
+    if target % source:
+        raise ConductorMismatchError(f"cannot embed conductor {source} into {target}")
+    step = target // source
+    raw: list = [None] * ((len(nums) - 1) * step + 1)
+    for i, t in enumerate(nums):
+        if any(t):
+            raw[i * step] = t
+    return _reduce_zeta(raw, target, precision)
+
+
+def _zeta_product(xs, ys, conductor: int, precision: int):
+    """Coordinates of (sum_i xs[i] zeta^i) * (sum_j ys[j] zeta^j), each xs[i]
+    and ys[j] an int series: convolve coordinate pairs, then reduce modulo
+    the conductor's cyclotomic polynomial once."""
+    raw: list = [None] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if not any(x):
+            continue
+        for j, y in enumerate(ys):
+            if any(y):
+                c = _convolve(x, y, precision)
+                cur = raw[i + j]
+                raw[i + j] = c if cur is None else [u + v for u, v in zip(cur, c)]
+    return _reduce_zeta(raw, conductor, precision)
+
+
 class QSeries:
     """A q-expansion truncated at a stated precision.
 
@@ -38,23 +236,53 @@ class QSeries:
     everything at or beyond q^P is unknown, not zero.
     """
 
-    __slots__ = ("precision", "conductor", "_coeffs")
+    __slots__ = ("precision", "conductor", "_den", "_nums", "_memo")
 
     def __init__(self, coeffs: Iterable, precision: int | None = None):
-        cs = [_wrap(c) for c in coeffs]
+        cs = list(coeffs)
         if precision is None:
             precision = len(cs)
         if precision < 1:
             raise ValueError("precision must be at least 1")
         if len(cs) > precision:
             raise ValueError("more coefficients than precision allows")
-        cs.extend(_ZERO for _ in range(precision - len(cs)))
         conductor = 1
         for c in cs:
-            conductor = math.lcm(conductor, c.conductor)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "_coeffs", tuple(cs))
+            if isinstance(c, CycNumber) and c.conductor != 1:
+                conductor = math.lcm(conductor, c.conductor)
+        if conductor == 1:
+            cols = [[_rational(c) for c in cs]]
+        else:
+            cols = list(zip(*(_wrap(c).embed(conductor).coords for c in cs)))
+        # lcm of reduced denominators: the canonical form needs no gcd pass
+        den = math.lcm(*(x.denominator for col in cols for x in col))
+        pad = [0] * (precision - len(cs))
+        nums = tuple(
+            tuple([x.numerator * (den // x.denominator) for x in col] + pad)
+            for col in cols
+        )
+        self._set(precision, conductor, den, nums)
+
+    def _set(self, precision, conductor, den, nums):
+        setter = object.__setattr__
+        setter(self, "precision", precision)
+        setter(self, "conductor", conductor)
+        setter(self, "_den", den)
+        setter(self, "_nums", nums)
+        setter(self, "_memo", None)
+
+    @classmethod
+    def _make(cls, precision: int, conductor: int, den: int, nums) -> "QSeries":
+        """Series from int coordinate sequences over den; reduces them to the
+        canonical form."""
+        if den != 1:
+            g = math.gcd(den, *(x for t in nums for x in t if x))
+            if g != 1:
+                den //= g
+                nums = [[x // g for x in t] for t in nums]
+        self = object.__new__(cls)
+        self._set(precision, conductor, den, tuple(map(tuple, nums)))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -83,53 +311,81 @@ class QSeries:
             raise IndexError(
                 f"coefficient q^{n} requested but precision is {self.precision}"
             )
-        return self._coeffs[n]
+        memo = self._memo
+        if memo is None:
+            memo = [None] * self.precision
+            object.__setattr__(self, "_memo", memo)
+        c = memo[n]
+        if c is None:
+            den = self._den
+            c = memo[n] = CycNumber._trusted(
+                self.conductor, tuple(Fraction(t[n], den) for t in self._nums)
+            )
+        return c
 
     def coefficients(self) -> tuple[CycNumber, ...]:
-        return self._coeffs
+        return tuple(self.coefficient(n) for n in range(self.precision))
 
     def items(self) -> Iterator[tuple[int, CycNumber]]:
         """Nonzero (exponent, coefficient) pairs in exponent order."""
-        for n, c in enumerate(self._coeffs):
-            if not c.is_zero():
-                yield n, c
+        for n in self._support():
+            yield n, self.coefficient(n)
+
+    def _support(self) -> Iterator[int]:
+        return (n for n, xs in enumerate(zip(*self._nums)) if any(xs))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._coeffs)
+        return not any(any(t) for t in self._nums)
 
     def valuation(self) -> int | None:
         """Lowest exponent with nonzero coefficient, None for the zero truncation."""
-        for n, c in enumerate(self._coeffs):
-            if not c.is_zero():
-                return n
-        return None
+        return next(self._support(), None)
+
+    def _coords(self, conductor: int, precision: int):
+        # numerators truncated to precision and seen in Q(zeta_conductor)
+        nums = self._nums
+        if precision < self.precision:
+            nums = tuple(t[:precision] for t in nums)
+        return _embed_nums(nums, self.conductor, conductor, precision)
 
     # -- arithmetic ----------------------------------------------------------
-    def _binary(self, other, op) -> "QSeries":
+    def _binary(self, other, sign: int) -> "QSeries":
         if not isinstance(other, QSeries):
             other = QSeries.constant(other, self.precision)
         p = min(self.precision, other.precision)
-        return QSeries(
-            [op(a, b) for a, b in zip(self._coeffs[:p], other._coeffs[:p])], p
-        )
+        M = math.lcm(self.conductor, other.conductor)
+        den = math.lcm(self._den, other._den)
+        fx, fy = den // self._den, sign * (den // other._den)
+        nums = [
+            [fx * u + fy * v for u, v in zip(x, y)]
+            for x, y in zip(self._coords(M, p), other._coords(M, p))
+        ]
+        return QSeries._make(p, M, den, nums)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return QSeries([-c for c in self._coeffs], self.precision)
+        nums = [[-x for x in t] for t in self._nums]
+        return QSeries._make(self.precision, self.conductor, self._den, nums)
 
     def scale(self, factor) -> "QSeries":
         factor = _wrap(factor)
-        return QSeries([factor * c for c in self._coeffs], self.precision)
+        M = math.lcm(self.conductor, factor.conductor)
+        coords = factor.embed(M).coords
+        fden = math.lcm(*(c.denominator for c in coords))
+        # each coordinate of the factor acts as a one-term series
+        scalars = [(c.numerator * (fden // c.denominator),) for c in coords]
+        nums = _zeta_product(scalars, self._coords(M, self.precision), M, self.precision)
+        return QSeries._make(self.precision, M, self._den * fden, nums)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
@@ -137,24 +393,10 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         p = min(self.precision, other.precision)
-        if self.conductor == 1 and other.conductor == 1:
-            xs = [c.coords[0] for c in self._coeffs[:p]]
-            ys = [c.coords[0] for c in other._coeffs[:p]]
-            out = [Fraction(0)] * p
-            for i, x in enumerate(xs):
-                if x:
-                    lim = p - i
-                    for j, y in enumerate(ys[:lim]):
-                        if y:
-                            out[i + j] += x * y
-            return QSeries([CycNumber(1, (v,)) for v in out], p)
-        out = [_ZERO] * p
-        for i, x in enumerate(self._coeffs[:p]):
-            if not x.is_zero():
-                for j, y in enumerate(other._coeffs[: p - i]):
-                    if not y.is_zero():
-                        out[i + j] = out[i + j] + x * y
-        return QSeries(out, p)
+        M = math.lcm(self.conductor, other.conductor)
+        xs = self._coords(M, p)
+        ys = xs if other is self else other._coords(M, p)
+        return QSeries._make(p, M, self._den * other._den, _zeta_product(xs, ys, M, p))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
@@ -168,9 +410,8 @@ class QSeries:
             raise ValueError("derivative order must be nonnegative")
         if r == 0:
             return self
-        return QSeries(
-            [c * n**r for n, c in enumerate(self._coeffs)], self.precision
-        )
+        nums = [[x * n**r if x else 0 for n, x in enumerate(t)] for t in self._nums]
+        return QSeries._make(self.precision, self.conductor, self._den, nums)
 
     def dilate(self, t: int, precision: int | None = None) -> "QSeries":
         """Substitute q -> q^t; known precision grows to t * precision."""
@@ -178,37 +419,42 @@ class QSeries:
             raise ValueError("dilation factor must be positive")
         full = self.precision * t
         target = full if precision is None else min(precision, full)
-        out = [_ZERO] * target
-        for n, c in enumerate(self._coeffs):
-            if n * t >= target:
-                break
-            out[n * t] = c
-        return QSeries(out, target)
+        count = (target - 1) // t + 1
+        nums = []
+        for xs in self._nums:
+            out = [0] * target
+            out[: count * t : t] = xs[:count]
+            nums.append(out)
+        return QSeries._make(target, self.conductor, self._den, nums)
 
     def truncate(self, precision: int) -> "QSeries":
         if precision >= self.precision:
             return self
-        return QSeries(self._coeffs[:precision], precision)
+        nums = [t[:precision] for t in self._nums]
+        return QSeries._make(precision, self.conductor, self._den, nums)
 
     def embed(self, conductor: int) -> "QSeries":
         if conductor == self.conductor:
             return self
-        return QSeries([c.embed(conductor) for c in self._coeffs], self.precision)
+        nums = _embed_nums(self._nums, self.conductor, conductor, self.precision)
+        return QSeries._make(self.precision, conductor, self._den, nums)
 
     # -- comparison and display ----------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.precision == other.precision and all(
-            a == b for a, b in zip(self._coeffs, other._coeffs)
-        )
+        if self.precision != other.precision:
+            return False
+        M = math.lcm(self.conductor, other.conductor)
+        a, b = self.embed(M), other.embed(M)
+        return a._den == b._den and a._nums == b._nums
 
     __hash__ = None
 
     def agrees_with(self, other: "QSeries") -> bool:
         """Equality on the shared prefix of known coefficients."""
         p = min(self.precision, other.precision)
-        return all(a == b for a, b in zip(self._coeffs[:p], other._coeffs[:p]))
+        return self.truncate(p) == other.truncate(p)
 
     def __repr__(self) -> str:
         shown = []
@@ -219,6 +465,14 @@ class QSeries:
                 break
         body = " + ".join(shown) if shown else "0"
         return f"QSeries({body} + O(q^{self.precision}))"
+
+
+def _rational(value) -> Fraction | int:
+    if isinstance(value, CycNumber):
+        return value.coords[0]
+    if isinstance(value, (int, Fraction)):
+        return value
+    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +519,40 @@ def _euler_power(step: int, power: int, precision: int) -> list[int]:
     return f
 
 
-def _int_convolve(a: list[int], b: list[int], precision: int) -> list[int]:
-    out = [0] * precision
-    for i, x in enumerate(a):
-        if x:
-            lim = precision - i
-            for j in range(min(len(b), lim)):
-                y = b[j]
-                if y:
-                    out[i + j] += x * y
+def _jacobi_cube(step: int, precision: int) -> list[int]:
+    """prod (1 - q^(step*n))^3 = sum_k (-1)^k (2k+1) q^(step*k(k+1)/2)."""
+    f = [0] * precision
+    k = e = 0
+    while e < precision:
+        f[e] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+        e = step * k * (k + 1) // 2
+    return f
+
+
+def _eta_power(step: int, power: int, precision: int) -> list[int]:
+    """prod (1 - q^(step*n))^power as (eta^3)^(power // 3) * eta^(power % 3),
+    the cube power by repeated squaring; Miller for short series and for
+    negative exponents."""
+    if power < 1 or precision < _ETA_SQUARING_MIN:
+        return _euler_power(step, power, precision)
+    cubes, rest = divmod(power, 3)
+    out = None
+    if rest:
+        eta = [0] * precision
+        eta[0] = 1
+        for e, s in _pentagonal_support(precision, step):
+            eta[e] = s
+        out = eta if rest == 1 else _convolve(eta, eta, precision)
+    if cubes:
+        base = _jacobi_cube(step, precision)
+        while True:
+            if cubes & 1:
+                out = base if out is None else _convolve(out, base, precision)
+            cubes >>= 1
+            if not cubes:
+                break
+            base = _convolve(base, base, precision)
     return out
 
 
@@ -316,10 +595,9 @@ class EtaProduct:
         body = precision - shift
         acc: list[int] | None = None
         for d, e in self.factors:
-            part = _euler_power(d, e, body)
-            acc = part if acc is None else _int_convolve(acc, part, body)
-        coeffs = [0] * shift + acc
-        return QSeries([CycNumber(1, (Fraction(c),)) for c in coeffs], precision)
+            part = _eta_power(d, e, body)
+            acc = part if acc is None else _convolve(acc, part, body)
+        return QSeries._make(precision, 1, 1, [[0] * shift + acc])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EtaProduct) and self.factors == other.factors

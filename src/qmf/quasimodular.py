@@ -14,12 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .eisenstein import (
-    EisensteinAtom,
-    ambient_conductor,
-    eisenstein_basis,
-    raw_e2_atom,
-)
+from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
 from .exact import CycNumber, LinearSolver, divisors, format_cyc, primes_upto
 from .newforms import (
     CatalogIncompleteError,
@@ -225,19 +220,13 @@ def _basis_solver(N: int, maxweight: int, rows: int):
     if got is not None:
         return got
     atoms = assemble_basis(N, maxweight)
-    ambient = ambient_conductor(N)
-    matrix = []
+    # derived newforms may need a field beyond the level's character values
+    # (the 9.8 newforms have conductor 40); the solver works over the lcm
     columns = []
     for atom in atoms:
         f = atom.expand(rows)
-        if ambient % f.conductor:
-            raise AssertionError(
-                f"atom {atom.spec_text()} has coefficients outside the "
-                f"level-{N} ambient field"
-            )
         columns.append([f.coefficient(n) for n in range(rows)])
-    for n in range(rows):
-        matrix.append([col[n] for col in columns])
+    matrix = [[col[n] for col in columns] for n in range(rows)]
     solver = LinearSolver(matrix)
     with _solver_lock:
         _solver_cache[key] = (atoms, solver)

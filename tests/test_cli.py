@@ -317,3 +317,56 @@ def test_missing_series_file(capsys):
                      "--level", "1", "--maxweight", "2")
     assert rc == 1
     assert "error:" in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    for form in ("(" * 3000 + "E2" + ")" * 3000, "-" * 3000 + "E2",
+                 "dilate[2](" * 200 + "E2" + ")" * 200):
+        rc, out, err = run(capsys, "expand", f"--form={form}", "--prec", "3")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("parse error at position ")
+        assert "nests deeper than 100 levels" in err
+        assert len(err.splitlines()) == 1
+    # the cap leaves ordinary nesting alone
+    rc, out, _ = run(capsys, "expand", "--form", "(" * 90 + "E2" + ")" * 90,
+                     "--prec", "3")
+    assert rc == 0
+
+
+def test_derivative_order_cap(capsys):
+    rc, out, err = run(capsys, "expand", "--form", "D^99999(E2)", "--prec", "3")
+    assert rc == 1
+    assert out == ""
+    assert err == "parse error at position 0: derivative order 99999 is above the cap 100\n"
+    rc, out, _ = run(capsys, "expand", "--form", "D^100(E2)", "--prec", "3")
+    assert rc == 0
+    assert f"2: {-72 * 2**100}" in out
+
+
+def test_internal_error_is_one_line(capsys, monkeypatch):
+    import qmf.cli
+
+    def broken(args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(qmf.cli, "cmd_macmahon", broken)
+    rc, out, err = run(capsys, "macmahon", "--a", "2", "--nmax", "8")
+    assert rc == 1
+    assert out == ""
+    assert err == "internal error: RuntimeError: simulated defect\n"
+
+
+def test_decompose_level9_newform_outside_ambient_field(tmp_path, capsys):
+    # the 9.8 newforms have conductor 40, the level-9 characters only 6
+    path = tmp_path / "f.qs"
+    rc, _, _ = run(capsys, "expand", "--form", "newform[9,8,b]", "--prec", "120",
+                   "--out", str(path))
+    assert rc == 0
+    assert "conductor: 40" in path.read_text()
+    rc, out, err = run(capsys, "decompose", "--series", str(path),
+                       "--level", "9", "--maxweight", "8")
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert lines[-1] == "residual: none"
+    assert lines[:-1] == ["new D^0(newform[9,8,b]) : 1" + " 0" * 15]

@@ -1,0 +1,102 @@
+"""Hypothesis property tests: series products against exact oracles, and the
+command line against random token strings.  Skipped when Hypothesis is not
+installed, so the rest of the suite runs without it."""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qmf.cli import main  # noqa: E402
+from qmf.exact import CycNumber  # noqa: E402
+from qmf.qseries import QSeries  # noqa: E402
+
+from test_qseries import cyc_product_oracle, fraction_product_oracle  # noqa: E402
+
+BIG = 2**200
+
+# signed rationals with numerators up to 2^200; zeros are common so that
+# sparse operands take the schoolbook side of the crossover
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 2**40)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def series_pairs(draw, elements, max_len):
+    precision = draw(st.integers(1, max_len))
+    xs = draw(st.lists(elements, max_size=precision))
+    ys = draw(st.lists(elements, max_size=precision))
+    return xs, ys, precision
+
+
+def _padded(values, precision, zero):
+    return list(values) + [zero] * (precision - len(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_pairs(rationals, 300))
+def test_rational_products_match_schoolbook(pair):
+    xs, ys, precision = pair
+    got = QSeries(xs, precision) * QSeries(ys, precision)
+    want = fraction_product_oracle(
+        _padded(xs, precision, Fraction(0)), _padded(ys, precision, Fraction(0)), precision
+    )
+    assert [c.as_rational() for c in got.coefficients()] == want
+
+
+def _cyclotomic(conductor):
+    zeta = CycNumber.root_of_unity(conductor)
+    return st.builds(
+        lambda k, value: zeta**k * value,
+        st.integers(0, conductor - 1),
+        st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-BIG, BIG),
+                                                  st.integers(1, 99))),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(series_pairs(_cyclotomic(3), 60), series_pairs(_cyclotomic(4), 60))
+def test_cyclotomic_products_match_schoolbook(pair3, pair4):
+    # the conductor-3 and conductor-4 fields of test_conductor_tracking
+    xs, _, p3 = pair3
+    ys, _, p4 = pair4
+    precision = min(p3, p4)
+    xs, ys = xs[:precision], ys[:precision]
+    got = QSeries(xs, precision) * QSeries(ys, precision)
+    want = cyc_product_oracle(
+        _padded(xs, precision, CycNumber.zero()), _padded(ys, precision, CycNumber.zero()),
+        precision,
+    )
+    assert all(got.coefficient(n) == want[n] for n in range(precision))
+
+
+# atoms and symbols of the form language; newform[...] is left out because
+# a random level and weight can start a derivation that takes minutes
+TOKENS = [
+    "E2", "Delta", "D", "U", "G", "E", "E2twist", "eta", "dilate", "foo",
+    "(", ")", "[", "]", ",", ".", "^", "*", "+", "-", "/", "$", " ",
+    "0", "1", "2", "3", "4", "12", "99999",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=25))
+def test_random_forms_succeed_or_fail_with_one_line(tokens):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["expand", "--form=" + "".join(tokens), "--prec", "5"])
+    if rc == 0:
+        assert out.getvalue().startswith("# qseries v1\n")
+    else:
+        assert rc == 1
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(("parse error", "error:")), lines[0]

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from qmf import qseries
 from qmf.exact import CycNumber
+from qmf.newforms import _BUILTIN_ETA
 from qmf.qseries import (
     EtaProduct,
     QSeries,
+    _euler_power,
     delta_eta,
     dump_qseries,
     dumps_qseries,
@@ -203,3 +206,123 @@ def test_agrees_with():
     b = QSeries([1, 2, 3])
     assert a.agrees_with(b)
     assert not a.agrees_with(QSeries([1, 2, 4]))
+
+
+# ------------------------------------------------------- integer kernel oracles
+
+def fraction_product_oracle(xs, ys, precision):
+    """Schoolbook product of two coefficient lists over Fraction."""
+    out = [Fraction(0)] * precision
+    for i, x in enumerate(xs[:precision]):
+        if x:
+            for j, y in enumerate(ys[: precision - i]):
+                out[i + j] += x * y
+    return out
+
+
+def cyc_product_oracle(xs, ys, precision):
+    """Schoolbook product of two coefficient lists over CycNumber."""
+    out = [CycNumber.zero()] * precision
+    for i, x in enumerate(xs[:precision]):
+        for j, y in enumerate(ys[: precision - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def miller_oracle(factors, precision):
+    """An eta product from Miller powers and a plain int convolution."""
+    shift = sum(d * e for d, e in factors) // 24
+    body = precision - shift
+    acc = [1] + [0] * (body - 1)
+    for d, e in factors:
+        part = _euler_power(d, e, body)
+        out = [0] * body
+        for i, x in enumerate(acc):
+            if x:
+                for j in range(body - i):
+                    out[i + j] += x * part[j]
+        acc = out
+    return [0] * shift + acc
+
+
+def random_fractions(rng, length, bits):
+    out = []
+    for _ in range(length):
+        if rng.random() < 0.2:
+            out.append(Fraction(0))
+        else:
+            out.append(Fraction(rng.getrandbits(bits) * rng.choice((-1, 1)),
+                                rng.randint(1, 60)))
+    return out
+
+
+@pytest.mark.parametrize("length, bits, packs_decimal", [
+    (qseries._KRONECKER_MIN_TERMS // 2, 30, False),   # schoolbook
+    (qseries._KRONECKER_MIN_TERMS * 4, 30, False),    # int Kronecker
+    (400, 300, True),                                 # decimal Kronecker
+])
+def test_product_paths_match_fraction_oracle(monkeypatch, length, bits, packs_decimal):
+    packed = []
+    real_pack = qseries._pack_decimal
+    monkeypatch.setattr(qseries, "_pack_decimal",
+                        lambda *a: packed.append(1) or real_pack(*a))
+    rng = random.Random(length * 7 + bits)
+    xs, ys = random_fractions(rng, length, bits), random_fractions(rng, length, bits)
+    got = QSeries(xs) * QSeries(ys)
+    assert [c.as_rational() for c in got.coefficients()] == fraction_product_oracle(xs, ys, length)
+    square = QSeries(xs) * QSeries(xs)
+    assert [c.as_rational() for c in square.coefficients()] == fraction_product_oracle(xs, xs, length)
+    assert bool(packed) == packs_decimal
+
+
+@pytest.mark.parametrize("length, bits", [(60, 64), (300, 400)])
+def test_kronecker_slot_holds_the_extreme_bound(length, bits):
+    # equal extreme coefficients make the last product slot reach the bound
+    # max|a| * max|b| * min(nnz) exactly
+    top = 2**bits - 1
+    for sign in (1, -1):
+        f = QSeries([sign * top] * length)
+        g = QSeries([top] * length)
+        got = (f * g).coefficients()
+        assert [c.as_rational() for c in got] == [sign * (k + 1) * top * top for k in range(length)]
+
+
+def test_cyclotomic_products_match_oracle():
+    rng = random.Random(5)
+    z3, z4 = CycNumber.root_of_unity(3), CycNumber.root_of_unity(4)
+    for length in (5, 30, 70):
+        xs = [z3 ** rng.randint(0, 2) * Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+              for _ in range(length)]
+        ys = [z4 ** rng.randint(0, 3) * Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+              for _ in range(length)]
+        got = QSeries(xs) * QSeries(ys)
+        assert got.conductor == 12
+        want = cyc_product_oracle(xs, ys, length)
+        assert all(got.coefficient(n) == want[n] for n in range(length))
+
+
+def test_canonical_storage_makes_equal_series_equal():
+    half = QSeries([Fraction(1, 2), Fraction(3, 2), 0])
+    assert half + half == QSeries([1, 3, 0])
+    assert half.scale(Fraction(2, 3)) == QSeries([Fraction(1, 3), 1, 0])
+    assert (half - half).is_zero()
+    z4 = CycNumber.root_of_unity(4)
+    f = QSeries([1, z4, Fraction(2, 5)])
+    assert f.embed(12) == f
+    assert f.embed(12).embed(24) == f.embed(8)
+    assert f.scale(z4).scale(z4) == -f
+    assert f.truncate(2).agrees_with(f)
+
+
+def test_eta_expansion_matches_miller_for_delta_to_20001():
+    P = 20001
+    got = delta_eta().expand(P)
+    assert [c.as_rational() for c in got.coefficients()] == [0] + _euler_power(1, 24, P - 1)
+
+
+def test_eta_expansion_matches_miller_for_builtin_catalog():
+    P = 2 * qseries._ETA_SQUARING_MIN + 17
+    for spaces in _BUILTIN_ETA.values():
+        for _, factors in spaces:
+            got = EtaProduct(factors).expand(P)
+            assert [c.as_rational() for c in got.coefficients()] == miller_oracle(factors, P)
