@@ -5,8 +5,9 @@ Forms are written in a small expression language over the atoms
 E[k,u.j,t], E2, E2twist[t], newform[L,k,label], dilate[t](...), D^r(...),
 G[k,N], U[a], eta[d^e,...], and Delta, combined with rational scalars,
 +, -, * and operator application.  Parentheses, operator applications and
-unary minus nest at most MAX_NESTING levels deep, and a derivative D^r
-takes r <= MAX_DERIVATIVE_ORDER.  Exit codes: 0 clean, 1 error (one line on
+unary minus nest at most MAX_NESTING levels deep, and the derivative
+orders along one nested chain, as in D^r(D^s(f)), add up to at most
+MAX_DERIVATIVE_ORDER.  Exit codes: 0 clean, 1 error (one line on
 stderr, never a traceback), 2 for a false verdict or a decomposition
 residual.
 """
@@ -40,8 +41,9 @@ __all__ = ["FormSpecError", "eval_form", "main", "console_main"]
 # Each nesting level costs the recursive-descent parser about five stack
 # frames, so this keeps parsing far below Python's default recursion limit.
 MAX_NESTING = 100
-# D^r multiplies the q^n coefficient by n^r; beyond this order the numbers
-# are out of any sensible range (and past Python's int-to-string limit).
+# D^r multiplies the q^n coefficient by n^r; beyond this total order along
+# one nested chain the numbers are out of any sensible range (and past
+# Python's int-to-string limit).
 MAX_DERIVATIVE_ORDER = 100
 
 
@@ -97,6 +99,7 @@ class _Op:
 class _Form:
     series: QSeries
     weight: int | None  # max weight across atoms, None once untagged
+    order: int = 0  # largest total derivative order along a nested chain
 
 
 def _as_op(v):
@@ -239,7 +242,7 @@ class _FormParser:
             if not isinstance(inner, _Form):
                 raise FormSpecError(where, "dilate needs a series argument")
             return _Form(
-                inner.series.dilate(t, self.precision), inner.weight
+                inner.series.dilate(t, self.precision), inner.weight, inner.order
             )
         if name == "G":
             k, N = self.bracket_numbers(2)
@@ -362,12 +365,12 @@ class _FormParser:
             weight = None
             if a.weight is not None and b.weight is not None:
                 weight = max(a.weight, b.weight)
-            return _Form(a.series + b.series, weight)
+            return _Form(a.series + b.series, weight, max(a.order, b.order))
         if isinstance(a, _Num) and isinstance(b, _Form):
             a, b = b, a
         if isinstance(a, _Form) and isinstance(b, _Num):
             const = QSeries.constant(b.value, a.series.precision)
-            return _Form(a.series + const, a.weight)
+            return _Form(a.series + const, a.weight, a.order)
         self.fail("cannot add an operator to a series")
 
     def neg(self, a):
@@ -375,7 +378,7 @@ class _FormParser:
             return _Num(-a.value)
         if isinstance(a, _Op):
             return _Op({r: -c for r, c in a.terms.items()})
-        return _Form(a.series.scale(-1), a.weight)
+        return _Form(a.series.scale(-1), a.weight, a.order)
 
     def mul(self, a, b):
         if isinstance(a, _Num) and isinstance(b, _Num):
@@ -387,7 +390,7 @@ class _FormParser:
         if isinstance(a, _Num) and isinstance(b, _Form):
             a, b = b, a
         if isinstance(a, _Form) and isinstance(b, _Num):
-            return _Form(a.series.scale(b.value), a.weight)
+            return _Form(a.series.scale(b.value), a.weight, a.order)
         if isinstance(a, _Op) and isinstance(b, _Form):
             return self.apply(a, b)
         if isinstance(a, _Form) and isinstance(b, _Form):
@@ -395,6 +398,12 @@ class _FormParser:
         self.fail("operators compose by application, e.g. D^2(f)")
 
     def apply(self, op, form):
+        order = form.order + max(op.terms)
+        if order > MAX_DERIVATIVE_ORDER:
+            self.fail(
+                f"total derivative order {order} along one nested chain "
+                f"is above the cap {MAX_DERIVATIVE_ORDER}"
+            )
         total = QSeries.zero(form.series.precision)
         weight = form.weight
         top = None
@@ -403,7 +412,7 @@ class _FormParser:
             if weight is not None:
                 lifted = weight + 2 * r
                 top = lifted if top is None else max(top, lifted)
-        return _Form(total, top)
+        return _Form(total, top, order)
 
 
 def eval_form(text: str, precision: int) -> tuple[QSeries, int | None]:

@@ -5,10 +5,19 @@ the power basis 1, zeta, ..., zeta^(phi(M)-1) with Fraction coordinates and
 reduced modulo the M-th cyclotomic polynomial.  M = 1 gives plain rationals
 and is the fast path almost everywhere.  No floating point enters any
 computation; floats appear only in human-readable reports.
+
+LinearSolver solves exactly.  A rational matrix whose rank modulo the prime
+2^61 - 1 equals its column count (which proves full column rank over Q) is
+solved by Dixon p-adic lifting with rational reconstruction, and an answer
+is returned only after A*x == b holds in integers on every row.  Any other
+matrix, or a case the modular path cannot certify, uses the replay
+eliminator, an exact reduced-row-echelon factorization recorded as row
+operations; it is also the oracle the modular path is tested against.
 """
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -462,54 +471,182 @@ def zeta_at_negative(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact linear solving over Q(zeta_M)
 
+# The prime of the modular path: rank mod p equal to the column count proves
+# full column rank over Q, and the pivot square is lifted p-adically.
+_MODULUS = 2**61 - 1
+
+
 def _plain(c: CycNumber):
     # conductor-1 entries work as bare Fractions; mixed Fraction/CycNumber
     # arithmetic embeds on demand, and both test zero by truthiness
     return c.coords[0] if c.conductor == 1 else c
 
 
-class LinearSolver:
-    """Reduced-row-echelon factorization of an exact matrix, reusable for
-    many right-hand sides and grown one column at a time.
+def _integer_scale(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(s, [s*v for v in values]) with s the lcm of the denominators."""
+    s = math.lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
+
+
+def _dot(xs, ys) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b*u mod m, |a| <= bound, 0 < b <= bound and
+    gcd(a, b) = 1, or None.  Unique when 2*bound^2 < m (Wang)."""
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound or math.gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _modular_factor(rows: list[list[CycNumber]]) -> "_DixonFactor | None":
+    """Certify full column rank of a rational matrix modulo _MODULUS.
+
+    Each column is scaled to integers by its denominator lcm.  Pivot rows
+    are found mod p by the eliminator's rule (for each column the first
+    unused row with a nonzero entry), keeping the multipliers and reduced
+    pivot rows as an LU factorisation of the pivot square.  Returns None
+    when some column has no pivot mod p.
+    """
+    p = _MODULUS
+    scales, columns = zip(*(_integer_scale([row[j].coords[0] for row in rows])
+                            for j in range(len(rows[0]))))
+    ints = [list(row) for row in zip(*columns)]
+    work = [[a % p for a in row] for row in ints]
+    unused = list(range(len(rows)))
+    multipliers: dict[int, list[int]] = {i: [] for i in unused}
+    pivot_rows, lower, upper, inv_diag = [], [], [], []
+    for j in range(len(scales)):
+        pr = next((i for i in unused if work[i][j]), None)
+        if pr is None:
+            return None
+        unused.remove(pr)
+        pivot_rows.append(pr)
+        lower.append(multipliers.pop(pr))
+        tail = work[pr][j + 1 :]
+        upper.append(tail)
+        inv = pow(work[pr][j], -1, p)
+        inv_diag.append(inv)
+        for i in unused:
+            row = work[i]
+            f = row[j] * inv % p
+            multipliers[i].append(f)
+            if f:
+                row[j + 1 :] = [(a - f * b) % p for a, b in zip(row[j + 1 :], tail)]
+    return _DixonFactor(p, list(scales), ints, pivot_rows, lower, upper, inv_diag)
+
+
+class _DixonFactor:
+    """A rational matrix of full column rank as integer rows with column
+    scales, and a Dixon p-adic solver for its pivot square (Dixon, Numer.
+    Math. 1982) built on the square's LU factorisation mod p."""
+
+    def __init__(self, p, scales, rows, pivot_rows, lower, upper, inv_diag):
+        self.p = p
+        self.scales = scales
+        self.rows = rows
+        self.pivot_rows = pivot_rows
+        # lower[k]: multipliers of pivots 0..k-1 in pivot row k; upper[k]:
+        # pivot row k right of its pivot; inv_diag[k]: inverse of the pivot
+        self.lower = lower
+        self.upper = upper
+        self.inv_diag = inv_diag
+        self.square = [rows[i] for i in pivot_rows]
+        self.col_norms = [sum(a * a for a in col) for col in zip(*self.square)]
+
+    def columns(self) -> list[list[Fraction]]:
+        """The matrix as it was given, one list per column."""
+        return [
+            [Fraction(a, s) for a in col] for s, col in zip(self.scales, zip(*self.rows))
+        ]
+
+    def _solve_mod_p(self, rhs: list[int]) -> list[int]:
+        # pivot square * x = rhs (mod p) by forward and back substitution
+        p = self.p
+        c: list[int] = []
+        for row, v in zip(self.lower, rhs):
+            c.append((v - _dot(row, c)) % p)
+        x = [0] * len(c)
+        for k in range(len(c) - 1, -1, -1):
+            x[k] = (c[k] - _dot(self.upper[k], x[k + 1 :])) * self.inv_diag[k] % p
+        return x
+
+    def solve(self, target: list[Fraction]) -> list[Fraction] | None:
+        """Exact x with A*x == target, or None when there is none."""
+        t, b = _integer_scale(target)
+        p, square = self.p, self.square
+        rhs = [b[i] for i in self.pivot_rows]
+        # Cramer and Hadamard: the pivot solution has numerators and common
+        # denominator at most sqrt(bound / 2), so it is recovered once the
+        # modulus exceeds bound
+        nb = sum(v * v for v in rhs)
+        bound = 2 * math.prod(max(n, nb) for n in self.col_norms)
+        residual, lifted, modulus = rhs, [0] * len(rhs), 1
+        while True:
+            digit = self._solve_mod_p([v % p for v in residual])
+            lifted = [a + modulus * x for a, x in zip(lifted, digit)]
+            modulus *= p
+            residual = [(v - _dot(row, digit)) // p for v, row in zip(residual, square)]
+            got = _reconstruct(lifted, modulus)
+            if got is not None:
+                y, d = got
+                if all(_dot(row, y) == d * v for row, v in zip(square, rhs)):
+                    break
+            if modulus > bound:
+                raise ArithmeticError("p-adic lifting passed the Hadamard bound")
+        # y/d solves the pivot rows exactly and uniquely; the target is in
+        # the span exactly when every other row holds too
+        if any(_dot(row, y) != d * v for row, v in zip(self.rows, b)):
+            return None
+        return [Fraction(v * s, d * t) for v, s in zip(y, self.scales)]
+
+
+def _reconstruct(residues: list[int], m: int) -> tuple[list[int], int] | None:
+    """Numerators and a common denominator of the rationals with these
+    residues mod m, each found relative to the denominators before it."""
+    bound = math.isqrt((m - 1) // 2)
+    nums: list[int] = []
+    d = 1
+    for u in residues:
+        got = _rational_reconstruction(u * d % m, m, bound)
+        if got is None:
+            return None
+        a, b = got
+        if b != 1:
+            nums = [v * b for v in nums]
+            d *= b
+        nums.append(a)
+    return nums, d
+
+
+class _ReplayEliminator:
+    """Reduced-row-echelon factorization recorded as row operations.
 
     Rows are indexed by q-exponent; pivoting picks, for each column, the
-    first unused row (lowest exponent) with a nonzero entry.  solve() replays
-    the recorded row operations on the target vector, returns coordinates
-    when consistent and None when the target is outside the column span.
-    Coordinates of a cyclotomic matrix live in Q(zeta_M), M the lcm of the
-    entries' conductors.
+    first unused row (lowest exponent) with a nonzero entry.  Replaying the
+    operations on a target leaves the coordinates in the pivot rows and
+    zeros in every other row exactly when the target is in the span.
+    Entries are plain values: Fractions, or CycNumbers of conductor > 1.
     """
 
-    def __init__(self, rows: list[list[CycNumber]]):
-        self.nrows = len(rows)
-        self.ncols = 0
-        self.rank = 0
-        self._conductor = 1
+    def __init__(self, nrows: int):
         # ops: ("scale", row, factor) and ("axpy", dst, factor, src)
-        self._ops: list[tuple] = []
-        self._pivot_rows: list[int] = []
-        self._pivot_cols: list[int] = []
-        self._used = [False] * self.nrows
-        for j in range(len(rows[0]) if rows else 0):
-            column = [row[j] for row in rows]
-            self._conductor = math.lcm(self._conductor, *(c.conductor for c in column))
-            self._pivot(column)
-            self.ncols += 1
+        self.ops: list[tuple] = []
+        self.pivot_rows: list[int] = []
+        self.pivot_cols: list[int] = []
+        self.used = [False] * nrows
 
-    def add_column(self, column: list[CycNumber]) -> bool:
-        """Append column if it is independent of the current ones; a
-        dependent column leaves the solver unchanged and returns False."""
-        if len(column) != self.nrows:
-            raise ValueError("column length does not match row count")
-        if not self._pivot(column):
-            return False
-        self._conductor = math.lcm(self._conductor, *(c.conductor for c in column))
-        self.ncols += 1
-        return True
-
-    def _replay(self, target: list[CycNumber]) -> list:
-        vec = [_plain(c) for c in target]
-        for op in self._ops:
+    def replay(self, vec: list) -> list:
+        vec = list(vec)
+        for op in self.ops:
             if op[0] == "scale":
                 _, r, f = op
                 vec[r] = vec[r] * f
@@ -523,41 +660,123 @@ class LinearSolver:
                     vec[dst] = vec[dst] - s * f
         return vec
 
-    def _pivot(self, column: list[CycNumber]) -> bool:
-        # eliminate column number self.ncols; False (and no ops) if dependent
-        work = self._replay(column)
-        used = self._used
-        pr = next((i for i in range(self.nrows) if not used[i] and work[i]), None)
+    def pivot(self, column: list, index: int) -> bool:
+        """Eliminate the column numbered index; False (and no ops) if it is
+        dependent on the earlier ones."""
+        work = self.replay(column)
+        used = self.used
+        pr = next((i for i in range(len(used)) if not used[i] and work[i]), None)
         if pr is None:
             return False
         used[pr] = True
-        self._pivot_rows.append(pr)
-        self._pivot_cols.append(self.ncols)
-        self.rank += 1
+        self.pivot_rows.append(pr)
+        self.pivot_cols.append(index)
         p = work[pr]
         inv = p.inverse() if isinstance(p, CycNumber) else 1 / p
-        self._ops.append(("scale", pr, inv))
-        self._ops.extend(
+        self.ops.append(("scale", pr, inv))
+        self.ops.extend(
             ("axpy", i, f, pr) for i, f in enumerate(work) if f and i != pr
         )
+        return True
+
+
+class LinearSolver:
+    """Exact factorization of a matrix over Q(zeta_M), reusable for many
+    right-hand sides and grown one column at a time.
+
+    A rational matrix whose rank modulo the prime _MODULUS equals its column
+    count has full column rank over Q (a nonzero minor mod p is nonzero).
+    It keeps its integer-scaled rows and a mod-p LU factorisation of its
+    pivot square, and solve() lifts the pivot system p-adically with
+    rational reconstruction (Dixon), stopping at the Hadamard bound at the
+    latest.  Coordinates are returned only after A*x == b holds exactly on
+    every row; None only when x solves the pivot rows exactly and another
+    row fails, which certifies that b is outside the span.  A target whose
+    entries share one conductor is solved one power-basis coordinate at a
+    time, and its coordinates keep that conductor.
+
+    Everything else uses the replay eliminator (_ReplayEliminator), the
+    reference the modular path is tested against: rank mod p below the
+    column count (an unlucky prime or a deficient matrix, so rank stays
+    exact), cyclotomic entries, add_column growth and targets of mixed
+    conductor.  A certified matrix records the replay on first need.
+    Coordinates of a cyclotomic matrix live in Q(zeta_M), M the lcm of the
+    entries' conductors.
+    """
+
+    def __init__(self, rows: list[list[CycNumber]]):
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        self._conductor = math.lcm(1, *(c.conductor for row in rows for c in row))
+        self._modular = None
+        self._replay = None
+        if self._conductor == 1 and 0 < self.ncols <= self.nrows:
+            self._modular = _modular_factor(rows)
+        if self._modular is not None:
+            self.rank = self.ncols
+            return
+        replay = self._replay = _ReplayEliminator(self.nrows)
+        self.rank = sum(
+            replay.pivot([_plain(row[j]) for row in rows], j) for j in range(self.ncols)
+        )
+
+    def _replay_eliminator(self) -> _ReplayEliminator:
+        replay = self._replay
+        if replay is None:
+            # published whole, so a concurrent solve never sees it half built
+            replay = _ReplayEliminator(self.nrows)
+            for j, column in enumerate(self._modular.columns()):
+                replay.pivot(column, j)
+            self._replay = replay
+        return replay
+
+    def add_column(self, column: list[CycNumber]) -> bool:
+        """Append column if it is independent of the current ones; a
+        dependent column leaves the solver unchanged and returns False."""
+        if len(column) != self.nrows:
+            raise ValueError("column length does not match row count")
+        if not self._replay_eliminator().pivot([_plain(c) for c in column], self.ncols):
+            return False
+        self._modular = None
+        self._conductor = math.lcm(self._conductor, *(c.conductor for c in column))
+        self.ncols += 1
+        self.rank += 1
         return True
 
     def solve(self, target: list[CycNumber]) -> list[CycNumber] | None:
         if len(target) != self.nrows:
             raise ValueError("target length does not match row count")
-        vec = self._replay(target)
-        if any(v for v, used in zip(vec, self._used) if not used):
+        if self._modular is not None:
+            M = target[0].conductor
+            if all(c.conductor == M for c in target):
+                return self._solve_modular(target, M)
+        replay = self._replay_eliminator()
+        vec = replay.replay([_plain(c) for c in target])
+        if any(v for v, used in zip(vec, replay.used) if not used):
             return None
         out = [CycNumber.zero() for _ in range(self.ncols)]
-        for col, row in zip(self._pivot_cols, self._pivot_rows):
+        for col, row in zip(replay.pivot_cols, replay.pivot_rows):
             v = vec[row]
             if not isinstance(v, CycNumber):
                 v = CycNumber.from_rational(v)
             out[col] = v.embed(math.lcm(self._conductor, v.conductor))
         return out
 
+    def _solve_modular(self, target: list[CycNumber], M: int) -> list[CycNumber] | None:
+        # the matrix is rational, so each power-basis coordinate of the
+        # target is a rational system of its own
+        parts = []
+        for k in range(euler_phi(M)):
+            x = self._modular.solve([c.coords[k] for c in target])
+            if x is None:
+                return None
+            parts.append(x)
+        return [CycNumber._trusted(M, coords) for coords in zip(*parts)]
+
     def free_columns(self) -> list[int]:
-        pivots = set(self._pivot_cols)
+        if self._modular is not None:
+            return []
+        pivots = set(self._replay.pivot_cols)
         return [c for c in range(self.ncols) if c not in pivots]
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, outputs, exit codes."""
 
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -370,3 +371,62 @@ def test_decompose_level9_newform_outside_ambient_field(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[-1] == "residual: none"
     assert lines[:-1] == ["new D^0(newform[9,8,b]) : 1" + " 0" * 15]
+
+
+def test_nested_derivative_chain_cap(capsys):
+    # forty nested D^100 used to end in Python's int-to-string limit
+    form = "D^100(" * 40 + "E2" + ")" * 40
+    rc, out, err = run(capsys, "expand", f"--form={form}", "--prec", "200")
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "parse error at position 244: total derivative order 200 along one "
+        "nested chain is above the cap 100\n"
+    )
+    rc, _, err = run(capsys, "expand", "--form", "D^60(3*dilate[2](D^41(E2)) + E2)",
+                     "--prec", "4")
+    assert rc == 1
+    assert "total derivative order 101" in err
+    # orders add along a chain, not across a sum
+    for form in ("D^60(dilate[2](D^40(E2)))", "D^50(D^50(E2)) + D^100(E2)"):
+        rc, out, _ = run(capsys, "expand", "--form", form, "--prec", "4")
+        assert rc == 0
+        assert out.startswith("# qseries v1\n")
+
+
+# the eight basis atoms of the level-6 weight-8 decompose benchmark
+BENCH_COMBINATION = {
+    "eis E2": "2",
+    "eis D^1(E2twist[3])": "-3",
+    "eis E[6,1.1,2]": "5/2",
+    "new D^1(newform[6,4,a])": "7",
+    "eis D^2(E[4,1.1,6])": "-1/3",
+    "new D^0(newform[6,8,a])": "-4/5",
+    "old D^1(dilate[2](newform[3,6,a]))": "-9/7",
+    "old D^0(dilate[3](newform[2,8,a]))": "6",
+}
+
+
+def test_decompose_level6_weight8_combination(tmp_path, capsys):
+    form = " + ".join(f"({c})*{spec.split(' ', 1)[1]}"
+                      for spec, c in BENCH_COMBINATION.items())
+    path = tmp_path / "f.qs"
+    rc, _, err = run(capsys, "expand", f"--form={form}", "--prec", "92",
+                     "--out", str(path))
+    assert rc == 0, err
+    rc, out, err = run(capsys, "decompose", "--series", str(path),
+                       "--level", "6", "--maxweight", "8")
+    assert (rc, err) == (0, "")
+    assert out == "".join(f"{spec} : {c}\n" for spec, c in BENCH_COMBINATION.items()) + (
+        "residual: none\n"
+    )
+    # q^91 lies outside the pivot rows of the 92 x 55 basis matrix: its
+    # coordinates solve the pivot rows exactly and this row decides
+    lines = path.read_text().splitlines()
+    index = lines.index(next(line for line in lines if line.startswith("91: ")))
+    value = Fraction(lines[index].split(": ")[1])
+    lines[index] = f"91: {value + 1}"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run(capsys, "decompose", "--series", str(path),
+                     "--level", "6", "--maxweight", "8")
+    assert (rc, out) == (2, "residual: present\n")

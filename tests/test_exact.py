@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from qmf import exact
 from qmf.exact import (
     ConductorMismatchError,
     CycNumber,
@@ -299,3 +301,161 @@ def test_solve_keeps_the_target_field_through_zero_entries():
     sol = solver.solve([CycNumber.zero(5), one])
     assert sol == [zero, one]
     assert [c.conductor for c in sol] == [5, 5]
+
+
+# -- the modular path against the replay eliminator ------------------------
+
+def replay_solver(rows):
+    """The replay eliminator alone: the oracle for the modular path."""
+    with mock.patch.object(exact, "_modular_factor", lambda rows: None):
+        return LinearSolver(rows)
+
+
+def replay_spy():
+    # counts the replay eliminators built: the fallback and the lazy replay
+    return mock.patch.object(exact, "_ReplayEliminator", wraps=exact._ReplayEliminator)
+
+
+def rational_rows(rng, nrows, ncols, rank=None):
+    """A random rational nrows x ncols matrix, of the given rank if set."""
+    rank = min(nrows, ncols) if rank is None else rank
+    units = SOLVER_UNITS["rational"]
+    basis = random_columns(rng, units, nrows, rank)
+    columns = list(basis)
+    while len(columns) < ncols:
+        coeffs = [random_entry(rng, units) for _ in basis]
+        column = combine(basis, coeffs) if basis else [CycNumber.zero()] * nrows
+        columns.insert(rng.randrange(len(columns) + 1), column)
+    return [list(row) for row in zip(*columns)], columns
+
+
+def assert_matches_replay(rows, targets, solver=None):
+    solver = LinearSolver(rows) if solver is None else solver
+    oracle = replay_solver(rows)
+    assert (solver.ncols, solver.rank) == (oracle.ncols, oracle.rank)
+    assert solver.free_columns() == oracle.free_columns()
+    for target in targets:
+        assert exact_keys(solver.solve(target)) == exact_keys(oracle.solve(target))
+    return solver
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 4), (12, 7)])
+def test_modular_path_matches_replay_on_full_rank_matrices(shape):
+    rng = random.Random(f"modular-{shape}")
+    rows, columns = rational_rows(rng, *shape)
+    units = SOLVER_UNITS["rational"]
+    inside = combine(columns, [random_entry(rng, units) for _ in columns])
+    outside = random_columns(rng, units, shape[0], 1)[0]
+    big = combine(columns, [Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30))
+                            for _ in columns])
+    zero = [CycNumber.zero()] * shape[0]
+    targets = [inside, outside, big, zero]
+    with replay_spy() as replays:
+        solver = LinearSolver(rows)
+        got = [exact_keys(solver.solve(t)) for t in targets]
+    # certified: the replay operations were never recorded
+    assert replays.call_count == 0
+    assert got[0] is not None and got[2] is not None
+    assert_matches_replay(rows, targets, solver)
+    assert solver.rank == shape[1] and solver.free_columns() == []
+    if shape[0] > shape[1]:
+        assert solver.solve(outside) is None
+
+
+@pytest.mark.parametrize("shape,rank", [((6, 4), 2), ((5, 5), 4), ((3, 6), 3), ((4, 3), 0)])
+def test_rank_deficient_and_wide_matrices_take_the_replay(shape, rank):
+    rng = random.Random(f"deficient-{shape}")
+    rows, columns = rational_rows(rng, *shape, rank=rank)
+    units = SOLVER_UNITS["rational"]
+    targets = [combine(columns, [random_entry(rng, units) for _ in columns]),
+               random_columns(rng, units, shape[0], 1)[0]]
+    solver = assert_matches_replay(rows, targets)
+    assert solver.rank == rank and solver._modular is None
+
+
+def test_modular_solve_keeps_a_shared_target_conductor():
+    # a rational matrix and a target of Q(zeta_5), zero entries included:
+    # each power-basis coordinate is solved on its own and the coordinates
+    # stay in Q(zeta_5), as the replay leaves them
+    rng = random.Random("shared-conductor")
+    rows, columns = rational_rows(rng, 8, 5)
+    units = SOLVER_UNITS["cyclotomic"]
+    coeffs = [random_entry(rng, units) for _ in columns]
+    coeffs[1] = CycNumber.zero(5)
+    target = [c if c else CycNumber.zero(5) for c in combine(columns, coeffs)]
+    assert {c.conductor for c in target} == {5}
+    outside = [random_entry(rng, units) for _ in range(8)]
+    solver = assert_matches_replay(rows, [target, outside, [CycNumber.zero(5)] * 8])
+    sol = solver.solve(target)
+    assert sol == coeffs
+    assert [c.conductor for c in sol] == [5] * 5
+    assert solver._modular is not None
+
+
+def test_mixed_conductor_target_falls_back_to_the_replay():
+    rng = random.Random("mixed-target")
+    rows, columns = rational_rows(rng, 6, 4)
+    z3 = CycNumber.root_of_unity(3)
+    target = combine(columns, [z3, Fraction(2), -z3, Fraction(1, 3)])
+    target[0] = target[0].embed(12)
+    assert len({c.conductor for c in target}) > 1
+    with replay_spy() as replays:
+        solver = LinearSolver(rows)
+        assert replays.call_count == 0
+        first = solver.solve(target)
+        assert exact_keys(solver.solve(target)) == exact_keys(first)
+    # the replay was recorded once, and the solver still certifies
+    assert replays.call_count == 1
+    assert solver._modular is not None and solver.free_columns() == []
+    assert_matches_replay(rows, [target], solver)
+
+
+def test_add_column_grows_a_certified_solver():
+    rng = random.Random("grow-certified")
+    rows, columns = rational_rows(rng, 8, 3)
+    solver = LinearSolver(rows)
+    assert solver._modular is not None
+    extra = random_columns(rng, SOLVER_UNITS["rational"], 8, 1)[0]
+    assert solver.add_column(combine(columns, [Fraction(1), Fraction(-2), Fraction(5)])) is False
+    assert solver._modular is not None
+    assert solver.add_column(extra)
+    grown = replay_solver([row + [x] for row, x in zip(rows, extra)])
+    target = combine(columns + [extra], [Fraction(k, 7) for k in range(1, 5)])
+    assert (solver.ncols, solver.rank) == (grown.ncols, grown.rank) == (4, 4)
+    assert exact_keys(solver.solve(target)) == exact_keys(grown.solve(target))
+
+
+def test_unlucky_prime_falls_back_with_identical_results(monkeypatch):
+    # full rank over Q, singular mod 3: the modular path must not certify
+    one = CycNumber.one()
+    rows = [[one, one], [one, 4 * one], [one, 7 * one]]
+    targets = [[2 * one, 5 * one, 8 * one], [one, 2 * one, 4 * one],
+               [CycNumber.zero()] * 3]
+    certified = LinearSolver(rows)
+    assert certified._modular is not None
+    monkeypatch.setattr(exact, "_MODULUS", 3)
+    with replay_spy() as replays:
+        solver = LinearSolver(rows)
+    assert replays.call_count == 1 and solver._modular is None
+    assert_matches_replay(rows, targets, solver)
+    assert (solver.rank, solver.free_columns()) == (certified.rank, certified.free_columns())
+    for target in targets:
+        assert exact_keys(solver.solve(target)) == exact_keys(certified.solve(target))
+    assert solver.solve(targets[0]) == [one, one]
+    assert solver.solve(targets[1]) is None
+
+
+def test_small_prime_lifts_over_many_steps(monkeypatch):
+    # with p = 10007 the coordinates below need many p-adic digits before
+    # rational reconstruction recovers them
+    monkeypatch.setattr(exact, "_MODULUS", 10007)
+    rng = random.Random("many-steps")
+    rows, columns = rational_rows(rng, 10, 6)
+    coeffs = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25))
+              for _ in columns]
+    target = combine(columns, coeffs)
+    solver = assert_matches_replay(rows, [target])
+    assert solver._modular is not None
+    assert [c.as_rational() for c in solver.solve(target)] == coeffs
+    target[-1] = target[-1] + 1
+    assert solver.solve(target) is None

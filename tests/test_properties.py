@@ -1,10 +1,11 @@
-"""Hypothesis property tests: series products against exact oracles, and the
-command line against random token strings.  Skipped when Hypothesis is not
-installed, so the rest of the suite runs without it."""
+"""Hypothesis property tests: series products and linear solves against exact
+oracles, and the command line against random token strings.  Skipped when
+Hypothesis is not installed, so the rest of the suite runs without it."""
 
 import contextlib
 import io
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qmf.cli import main  # noqa: E402
-from qmf.exact import CycNumber  # noqa: E402
+from qmf import exact  # noqa: E402
+from qmf.exact import CycNumber, LinearSolver  # noqa: E402
 from qmf.qseries import QSeries  # noqa: E402
 
 from test_qseries import cyc_product_oracle, fraction_product_oracle  # noqa: E402
@@ -100,3 +102,54 @@ def test_random_forms_succeed_or_fail_with_one_line(tokens):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(("parse error", "error:")), lines[0]
+
+
+# -- LinearSolver: the modular path against the replay eliminator ----------
+
+small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 2**40)),
+)
+
+
+@st.composite
+def solver_cases(draw):
+    """A rational matrix, built from `rank` random columns and combinations
+    of them, and targets inside and (usually) outside its column span."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    column = st.lists(small_rationals, min_size=nrows, max_size=nrows)
+    basis = draw(st.lists(column, min_size=rank, max_size=rank))
+    columns = list(basis)
+    while len(columns) < ncols:
+        coeffs = draw(st.lists(small_rationals, min_size=rank, max_size=rank))
+        combo = [sum((c * col[i] for c, col in zip(coeffs, basis)), Fraction(0))
+                 for i in range(nrows)]
+        columns.insert(draw(st.integers(0, len(columns))), combo)
+    coeffs = draw(st.lists(small_rationals, min_size=ncols, max_size=ncols))
+    inside = [sum((c * col[i] for c, col in zip(coeffs, columns)), Fraction(0))
+              for i in range(nrows)]
+    other = draw(column)
+    rows = [[CycNumber.from_rational(v) for v in row] for row in zip(*columns)]
+    targets = [[CycNumber.from_rational(v) for v in t] for t in (inside, other)]
+    return rows, targets
+
+
+def _keys(vector):
+    return None if vector is None else [c.sort_key() for c in vector]
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_cases(), st.sampled_from([exact._MODULUS, 7, 101]))
+def test_modular_solver_matches_replay(case, modulus):
+    # a small modulus makes unlucky primes and long lifts common
+    rows, targets = case
+    with mock.patch.object(exact, "_MODULUS", modulus):
+        solver = LinearSolver(rows)
+        got = [_keys(solver.solve(t)) for t in targets]
+    with mock.patch.object(exact, "_modular_factor", lambda rows: None):
+        oracle = LinearSolver(rows)
+    assert (solver.rank, solver.free_columns()) == (oracle.rank, oracle.free_columns())
+    assert got == [_keys(oracle.solve(t)) for t in targets]
+    assert got[0] is not None
