@@ -93,6 +93,7 @@ class _Num:
 class _Op:
     # c_r * D^r terms of a derivative polynomial
     terms: dict[int, Fraction]
+    where: int | None  # position of its first D token, None for a scalar
 
 
 @dataclass
@@ -104,7 +105,7 @@ class _Form:
 
 def _as_op(v):
     if isinstance(v, _Num):
-        return _Op({0: v.value})
+        return _Op({0: v.value}, None)
     return v
 
 
@@ -219,7 +220,7 @@ class _FormParser:
                     where,
                     f"derivative order {r} is above the cap {MAX_DERIVATIVE_ORDER}",
                 )
-            return _Op({r: Fraction(1)})
+            return _Op({r: Fraction(1)}, where)
         if name == "E2":
             return _Form(raw_e2_atom().expand(self.precision), 2)
         if name == "E2twist":
@@ -360,7 +361,8 @@ class _FormParser:
             terms = dict(left.terms)
             for r, c in right.terms.items():
                 terms[r] = terms.get(r, Fraction(0)) + c
-            return _Op(terms)
+            where = left.where if left.where is not None else right.where
+            return _Op(terms, where)
         if isinstance(a, _Form) and isinstance(b, _Form):
             weight = None
             if a.weight is not None and b.weight is not None:
@@ -377,7 +379,7 @@ class _FormParser:
         if isinstance(a, _Num):
             return _Num(-a.value)
         if isinstance(a, _Op):
-            return _Op({r: -c for r, c in a.terms.items()})
+            return _Op({r: -c for r, c in a.terms.items()}, a.where)
         return _Form(a.series.scale(-1), a.weight, a.order)
 
     def mul(self, a, b):
@@ -386,7 +388,7 @@ class _FormParser:
         if isinstance(a, _Num) and isinstance(b, _Op):
             a, b = b, a
         if isinstance(a, _Op) and isinstance(b, _Num):
-            return _Op({r: c * b.value for r, c in a.terms.items()})
+            return _Op({r: c * b.value for r, c in a.terms.items()}, a.where)
         if isinstance(a, _Num) and isinstance(b, _Form):
             a, b = b, a
         if isinstance(a, _Form) and isinstance(b, _Num):
@@ -400,9 +402,10 @@ class _FormParser:
     def apply(self, op, form):
         order = form.order + max(op.terms)
         if order > MAX_DERIVATIVE_ORDER:
-            self.fail(
+            raise FormSpecError(
+                op.where,
                 f"total derivative order {order} along one nested chain "
-                f"is above the cap {MAX_DERIVATIVE_ORDER}"
+                f"is above the cap {MAX_DERIVATIVE_ORDER}",
             )
         total = QSeries.zero(form.series.precision)
         weight = form.weight

@@ -10,10 +10,16 @@ the atom is E_k^phi(t tau) where
 Weight 2 is special: the trivial-character dilation pairs enter as the
 modular combinations E2(tau) - t E2(t tau) for t > 1, and the bare
 quasimodular E2 is kept as a separate atom for graded assemblies.
+
+Every expansion, E2 included, comes from one integer divisor sieve that
+sums d^(k-1) into an int list per pair of unit residues (d, n/d) mod u and
+hands the lists to the integer QSeries kernel; sigma_phi stays as the
+per-n oracle.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,34 +54,34 @@ def sigma_phi(chi: DirichletCharacter, power: int, n: int) -> CycNumber:
     return acc
 
 
-def _sigma_phi_prefix(chi: DirichletCharacter, power: int, precision: int) -> list[CycNumber]:
-    """sigma_phi(n) for 0 < n < precision by a divisor sieve."""
-    out = [CycNumber.zero() for _ in range(precision)]
-    inv = chi.inverse()
-    chi_vals = [chi(r) for r in range(chi.modulus)] if chi.modulus > 1 else [chi(0)]
-    inv_vals = [inv(r) for r in range(chi.modulus)] if chi.modulus > 1 else [inv(0)]
+def _sigma_sieve(chi: DirichletCharacter, power: int, precision: int) -> QSeries:
+    """sum over 0 < n < precision of sigma_phi(n) q^n: each term d^power of
+    sigma_phi(d*m) goes into the int list of the unit residues (d, m) mod u,
+    and each list is scaled once by chi(d) conj(chi)(m) before the sum."""
     u = chi.modulus
+    units = [r for r in range(1, u + 1) if math.gcd(r, u) == 1]
+    rows: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * precision)
     for d in range(1, precision):
-        a = chi_vals[d % u] if u > 1 else chi_vals[0]
-        if a.is_zero():
+        if math.gcd(d, u) != 1:
             continue
-        w = a * d**power
-        for m in range(1, (precision - 1) // d + 1):
-            b = inv_vals[m % u] if u > 1 else inv_vals[0]
-            if not b.is_zero():
-                out[d * m] = out[d * m] + w * b
+        w = d**power
+        for m in units:
+            if d * m >= precision:
+                break
+            row = rows[d % u, m % u]
+            for n in range(d * m, precision, d * u):
+                row[n] += w
+    inv = chi.inverse()
+    out = QSeries.zero(precision)
+    for (a, b), row in rows.items():
+        out = out + QSeries(row, precision).scale(chi(a) * inv(b))
     return out
 
 
 @lru_cache(maxsize=None)
 def e2_series(precision: int) -> QSeries:
     """The quasimodular E2 = 1 - 24 sum sigma_1(n) q^n."""
-    coeffs = [0] * precision
-    coeffs[0] = 1
-    for d in range(1, precision):
-        for n in range(d, precision, d):
-            coeffs[n] -= 24 * d
-    return QSeries(coeffs, precision)
+    return 1 - 24 * _sigma_sieve(trivial_character(), 1, precision)
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,6 @@ class EisensteinAtom:
             raise ValueError("dilation t must be at least 1")
         if self.chi is None and (self.weight != 2 or self.t != 1):
             raise ValueError("bare E2 is the weight-2, t=1 atom")
-
-    @property
-    def is_raw_e2(self) -> bool:
-        return self.chi is None
 
     @property
     def kind(self) -> str:
@@ -151,14 +153,10 @@ def _expand_atom(atom: EisensteinAtom, precision: int) -> QSeries:
     if k == 2 and chi.is_trivial():
         e2 = e2_series(precision)
         return e2 - e2.dilate(t, precision).scale(t)
-    base_len = (precision - 1) // t + 1
-    sig = _sigma_phi_prefix(chi, k - 1, base_len)
-    coeffs: list[CycNumber] = [CycNumber.zero() for _ in range(precision)]
-    if chi.modulus == 1:
-        coeffs[0] = CycNumber.from_rational(zeta_at_negative(k))
-    for n in range(1, base_len):
-        coeffs[n * t] = 2 * sig[n]
-    return QSeries(coeffs, precision)
+    base = 2 * _sigma_sieve(chi, k - 1, (precision - 1) // t + 1)
+    if chi.is_trivial():
+        base = base + zeta_at_negative(k)
+    return base.dilate(t, precision)
 
 
 def enumerate_A(N: int, k: int) -> list[tuple[DirichletCharacter, int]]:

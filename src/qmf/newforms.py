@@ -253,19 +253,6 @@ class _Linear(_Expr):
         return out
 
 
-class _Dilated(_Expr):
-    __slots__ = ("inner", "t")
-
-    def __init__(self, inner, t: int):
-        super().__init__()
-        self.inner = inner
-        self.t = t
-
-    def _compute(self, precision: int) -> QSeries:
-        base = self.inner.expand((precision - 1) // self.t + 1)
-        return base.dilate(self.t, precision)
-
-
 def hecke_image(f: QSeries, p: int, weight: int, precision: int) -> QSeries:
     """T_p f to the requested precision; needs f to precision p*(precision-1)+1."""
     need = p * (precision - 1) + 1
@@ -313,10 +300,6 @@ class NewformRecord:
         self.label = label
         self.source = source
         self._memo: QSeries | None = None
-
-    @property
-    def conductor(self) -> int:
-        return self.expand(2).conductor if self._memo is None else self._memo.conductor
 
     def expand(self, precision: int) -> QSeries:
         memo = self._memo
@@ -404,11 +387,14 @@ _derive_failures: dict[tuple[int, int], str] = {}
 _ingested: dict[str, dict[tuple[int, int], dict[str, NewformRecord]]] = {}
 _registry_lock = threading.RLock()
 _generation = 0
+_ingested_root: str | None = None  # the cache directory read last
 
 
 def catalog_generation() -> int:
-    """Bumped whenever the set of available records may change; lets
+    """Bumped whenever the set of available records may change: on ingest,
+    on reset_caches and when QMF_CACHE_DIR names another directory; lets
     downstream caches key off the catalog state."""
+    _ingested_store()
     return _generation
 
 
@@ -433,10 +419,16 @@ def cache_dir() -> Path:
     return Path(os.environ.get("QMF_CACHE_DIR", ".qmf-cache"))
 
 
-def _ingested_records(level: int, weight: int) -> list[NewformRecord]:
+def _ingested_store() -> dict[tuple[int, int], dict[str, NewformRecord]]:
+    """Ingested records of the current cache directory, read once per directory."""
+    global _ingested_root
     root = cache_dir()
     key = str(root.resolve())
     with _registry_lock:
+        if key != _ingested_root:
+            # another directory may hold other records
+            _ingested_root = key
+            _bump_generation()
         store = _ingested.get(key)
         if store is None:
             store = {}
@@ -448,9 +440,13 @@ def _ingested_records(level: int, weight: int) -> list[NewformRecord]:
                         continue
                     store.setdefault((rec.level, rec.weight), {})[rec.label] = rec
             _ingested[key] = store
-        return sorted(
-            store.get((level, weight), {}).values(), key=lambda r: r.label
-        )
+        return store
+
+
+def _ingested_records(level: int, weight: int) -> list[NewformRecord]:
+    with _registry_lock:
+        store = _ingested_store()
+        return sorted(store.get((level, weight), {}).values(), key=lambda r: r.label)
 
 
 def _record_from_file(path: Path) -> NewformRecord:

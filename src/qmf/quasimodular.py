@@ -210,27 +210,26 @@ class Decomposition:
 
 
 _solver_lock = threading.Lock()
-_solver_cache: dict[tuple, tuple[list[BasisAtom], LinearSolver]] = {}
+# (level, max weight, catalog generation) -> (atoms, {depth: solver})
+_solver_cache: dict[tuple[int, int, int], tuple[list[BasisAtom], dict[int, LinearSolver]]] = {}
 
 
-def _basis_solver(N: int, maxweight: int, rows: int):
-    key = (N, maxweight, rows, catalog_generation())
+def _cached(table: dict, key, build):
+    """table[key], built outside the lock on a miss; the first build stored wins."""
     with _solver_lock:
-        got = _solver_cache.get(key)
-    if got is not None:
-        return got
-    atoms = assemble_basis(N, maxweight)
+        got = table.get(key)
+    if got is None:
+        got = build()
+        with _solver_lock:
+            got = table.setdefault(key, got)
+    return got
+
+
+def _basis_solver(atoms: list[BasisAtom], rows: int) -> LinearSolver:
     # derived newforms may need a field beyond the level's character values
     # (the 9.8 newforms have conductor 40); the solver works over the lcm
-    columns = []
-    for atom in atoms:
-        f = atom.expand(rows)
-        columns.append([f.coefficient(n) for n in range(rows)])
-    matrix = [[col[n] for col in columns] for n in range(rows)]
-    solver = LinearSolver(matrix)
-    with _solver_lock:
-        _solver_cache[key] = (atoms, solver)
-    return atoms, solver
+    columns = [atom.expand(rows).coefficients() for atom in atoms]
+    return LinearSolver([[col[n] for col in columns] for n in range(rows)])
 
 
 def decompose(
@@ -244,9 +243,9 @@ def decompose(
     supplied coefficient is in use the precision error reports the depth a
     retry should carry.
     """
-    atoms = assemble_basis(N, maxweight)
-    policy = PrecisionPolicy(N, maxweight, len(atoms))
-    p_req = policy.p_req
+    key = (N, maxweight, catalog_generation())
+    atoms, solvers = _cached(_solver_cache, key, lambda: (assemble_basis(N, maxweight), {}))
+    p_req = PrecisionPolicy(N, maxweight, len(atoms)).p_req
     if f.precision < p_req:
         raise InsufficientPrecisionError(p_req, f.precision, "input series")
     rows = p_req if initial_rows is None else max(2, initial_rows)
@@ -254,8 +253,8 @@ def decompose(
         raise InsufficientPrecisionError(rows, f.precision, "input series")
     escalations = 0
     while True:
-        basis_atoms, solver = _basis_solver(N, maxweight, rows)
-        if solver.rank == len(basis_atoms):
+        solver = _cached(solvers, rows, lambda: _basis_solver(atoms, rows))
+        if solver.rank == len(atoms):
             break
         if rows >= p_req * PrecisionPolicy.ESCALATION_CAP:
             raise RankDeficientError(
@@ -270,8 +269,8 @@ def decompose(
     target = [f.coefficient(n) for n in range(rows)]
     coords = solver.solve(target)
     if coords is None:
-        return Decomposition(basis_atoms, None, True, rows, escalations)
-    return Decomposition(basis_atoms, coords, False, rows, escalations)
+        return Decomposition(atoms, None, True, rows, escalations)
+    return Decomposition(atoms, coords, False, rows, escalations)
 
 
 @dataclass

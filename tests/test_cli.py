@@ -380,7 +380,7 @@ def test_nested_derivative_chain_cap(capsys):
     assert rc == 1
     assert out == ""
     assert err == (
-        "parse error at position 244: total derivative order 200 along one "
+        "parse error at position 228: total derivative order 200 along one "
         "nested chain is above the cap 100\n"
     )
     rc, _, err = run(capsys, "expand", "--form", "D^60(3*dilate[2](D^41(E2)) + E2)",

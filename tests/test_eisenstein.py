@@ -15,7 +15,8 @@ from qmf.eisenstein import (
     raw_e2_atom,
     sigma_phi,
 )
-from qmf.exact import divisors, primes_upto
+from qmf.exact import divisors, primes_upto, zeta_at_negative
+from qmf.qseries import QSeries
 
 
 def sigma(power, n):
@@ -26,6 +27,35 @@ def test_e2_series_frozen():
     f = e2_series(7)
     want = [1, -24, -72, -96, -168, -144, -288]
     assert [f.coefficient(n).as_rational() for n in range(7)] == want
+
+
+def test_e2_series_matches_direct_divisor_sums():
+    f = e2_series(500)
+    assert f == QSeries([1] + [-24 * sigma(1, n) for n in range(1, 500)], 500)
+
+
+@pytest.mark.parametrize("N", [9, 16, 25, 27, 49])
+def test_atoms_match_sigma_phi_oracle(N):
+    precision = 60
+    for k in (2, 4, 6):
+        for atom in eisenstein_basis(N, k):
+            chi, t = atom.chi, atom.t
+            if k == 2 and chi.is_trivial():
+                # E2(tau) - t E2(t tau)
+                want = [1 - t] + [
+                    -24 * sigma(1, n) + (24 * t * sigma(1, n // t) if n % t == 0 else 0)
+                    for n in range(1, precision)
+                ]
+            else:
+                const = zeta_at_negative(k) if chi.is_trivial() else 0
+                want = [const] + [
+                    2 * sigma_phi(chi, k - 1, n // t) if n % t == 0 else 0
+                    for n in range(1, precision)
+                ]
+            oracle = QSeries(want, precision)
+            f = atom.expand(precision)
+            assert f == oracle, atom.spec_text()
+            assert f.conductor == oracle.conductor, atom.spec_text()
 
 
 def test_classical_weight4_atom():

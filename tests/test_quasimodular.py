@@ -6,8 +6,8 @@ import pytest
 
 from qmf.exact import CycNumber
 from qmf.eisenstein import e2_series, raw_e2_atom
-from qmf.newforms import newforms_for
-from qmf.qseries import QSeries
+from qmf.newforms import CatalogIncompleteError, ingest, newforms_for, reset_caches
+from qmf.qseries import QSeries, dump_qseries
 from qmf.quasimodular import (
     BasisAtom,
     InsufficientPrecisionError,
@@ -225,6 +225,35 @@ def test_coordinate_unknown_atom():
     dec = decompose(e2_series(P), 1, 2)
     with pytest.raises(KeyError):
         dec.coordinate(BasisAtom("eis", raw_e2_atom(), 5))
+
+
+def test_catalog_change_invalidates_cached_basis(tmp_path, monkeypatch):
+    # the basis and its solvers are cached per catalog generation, so an
+    # ingested record that overfills a space, or a switch to a cache
+    # directory that holds one, must surface on the next call
+    full, empty = tmp_path / "full", tmp_path / "empty"
+    monkeypatch.setenv("QMF_CACHE_DIR", str(full))
+    reset_caches()
+    try:
+        (record,) = newforms_for(11, 2)
+        f = record.expand(60)
+        dec = decompose(f, 11, 2)
+        assert [(a.spec_text(), c) for a, c in dec.nonzero()] == [
+            ("D^0(newform[11,2,a])", 1)
+        ]
+        source = tmp_path / "b.qs"
+        with open(source, "w") as fh:
+            dump_qseries(f, fh, level=11, weight=2, label="b")
+        ingest(source)
+        with pytest.raises(CatalogIncompleteError, match="2 of 1 newforms known"):
+            decompose(f, 11, 2)
+        monkeypatch.setenv("QMF_CACHE_DIR", str(empty))
+        assert not decompose(f, 11, 2).residual
+        monkeypatch.setenv("QMF_CACHE_DIR", str(full))
+        with pytest.raises(CatalogIncompleteError, match="2 of 1 newforms known"):
+            decompose(f, 11, 2)
+    finally:
+        reset_caches()
 
 
 # ---------------------------------------------------------------- closure
