@@ -2,10 +2,12 @@
 
 The table side computes M_a(n), the weighted count of chains
 0 < s_1 < ... < s_a with multiplicities, whose generating series U_a(q)
-stacks factors q^s/(1-q^s)^2.  The series side builds the restricted
-divisor sums G_k^{(N)} and their D-combinations f_{k,l}^{(N)}, checks the
-prime-detecting property coefficient by coefficient, and runs exhaustive
-prime-vanishing censuses with an informational density bound.
+stacks factors q^s/(1-q^s)^2, by MacMahon's recurrence in the chain
+length (Andrews-Rose, J. reine angew. Math. 676, 2013).  The series side
+builds the restricted divisor sums G_k^{(N)} and their D-combinations
+f_{k,l}^{(N)}, checks the prime-detecting property coefficient by
+coefficient, and runs exhaustive prime-vanishing censuses with an
+informational density bound.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import factorize, primes_upto
-from .qseries import QSeries
+from .qseries import QSeries, _convolve
 from .quasimodular import InsufficientPrecisionError
 
 __all__ = [
@@ -49,40 +51,34 @@ class MacMahonTable:
 
 
 def macmahon(a: int, precision: int) -> MacMahonTable:
-    """Tabulate M_a(n) for n < precision by dynamic programming.
+    """Tabulate M_a(n) for n < precision by MacMahon's recurrence
 
-    Sweeping the largest allowed part s upward, B_j accumulates
-    B_{j-1} * q^s/(1-q^s)^2 with j descending so that B_{j-1} still only
-    uses parts below s.  The squared denominator is two stride-s partial
-    sum passes.
+        U_k = ((6 U_1 + k(k-1)) U_{k-1} - 2 D U_{k-1}) / (2k(2k+1)),
+
+    U_1 = sum sigma_1(n) q^n, as Andrews-Rose state it (J. reine angew.
+    Math. 676, 2013): one divisor sieve and a-1 integer products, each
+    divided exactly.  U_a has valuation a(a+1)/2, so a longer chain than
+    the precision allows is the zero table without any product.
     """
     if a < 1:
         raise ValueError("chain length a must be positive")
     if precision < 2:
         raise ValueError("need precision at least 2")
     P = precision
-    rows = [[0] * P for _ in range(a + 1)]
-    rows[0][0] = 1
-    for s in range(1, P):
-        for j in range(a, 1, -1):
-            src = rows[j - 1]
-            start = (j - 1) * j // 2  # smallest sum a (j-1)-chain can reach
-            if start + s >= P:
-                continue
-            tmp = src.copy()
-            for n in range(max(s, start), P):
-                tmp[n] += tmp[n - s]
-            for n in range(max(s, start), P):
-                tmp[n] += tmp[n - s]
-            dst = rows[j]
-            for n in range(start + s, P):
-                dst[n] += tmp[n - s]
-        # j = 1 reads the untouched delta at 0: its image is just T_s
-        dst = rows[1]
-        for m in range(1, (P - 1) // s + 1):
-            dst[s * m] += m
-    vals = rows[a]
-    floor = min(a * (a + 1) // 2, P)
+    floor = a * (a + 1) // 2  # smallest sum an a-chain can reach
+    if floor >= P:
+        return MacMahonTable(a, P, (0,) * P)
+    vals = _divisor_sums(1, 1, P)
+    six_u1 = [6 * c for c in vals]
+    for k in range(2, a + 1):
+        shift, den = k * (k - 1), 2 * k * (2 * k + 1)
+        step = []
+        for n, (x, y) in enumerate(zip(_convolve(six_u1, vals, P), vals)):
+            q, rem = divmod(x + (shift - 2 * n) * y, den)
+            if rem:
+                raise ArithmeticError("MacMahon recurrence lost integrality")
+            step.append(q)
+        vals = step
     assert not any(vals[:floor]), "chain sum below the minimal triangle"
     assert min(vals) >= 0
     return MacMahonTable(a, P, tuple(vals))
@@ -129,14 +125,18 @@ def g_series(k: int, N: int, precision: int) -> QSeries:
         raise ValueError("weight k must be even and at least 2")
     if N < 1:
         raise ValueError("level must be positive")
-    P = precision
-    coeffs = [0] * P
-    for d in range(1, P):
-        dk = d ** (k - 1)
-        for n in range(d, P, d):
+    return QSeries(_divisor_sums(k - 1, N, precision), precision)
+
+
+def _divisor_sums(power: int, N: int, precision: int) -> list[int]:
+    """Sum of d^power over d | n with gcd(n/d, N) = 1, for n < precision."""
+    coeffs = [0] * precision
+    for d in range(1, precision):
+        dk = d**power
+        for n in range(d, precision, d):
             if math.gcd(n // d, N) == 1:
                 coeffs[n] += dk
-    return QSeries(coeffs, P)
+    return coeffs
 
 
 def f_kl(k: int, l: int, N: int, precision: int) -> QSeries:

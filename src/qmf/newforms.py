@@ -1127,9 +1127,8 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     with open(target, "w", encoding="utf-8") as handle:
         dump_qseries(rec.source, handle, level=L, weight=k, label=rec.label)
     with _registry_lock:
-        key = str(root.resolve())
-        store = _ingested.setdefault(key, {})
-        store.setdefault((L, k), {})[rec.label] = rec
+        # a directory not read yet loads every file on disk, not only this one
+        _ingested_store().setdefault((L, k), {})[rec.label] = rec
         _bump_generation()
     return rec
 

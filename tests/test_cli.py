@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,14 @@ def test_detect_macmahon_combination(capsys):
     assert out == "prime-detecting (n <= 300, level 1)\n"
 
 
+def test_detect_macmahon_combination_to_1000(capsys):
+    rc, out, _ = run(capsys, "detect", "--form",
+                     "(D^2)(U[1]) - 3*(D^1)(U[1]) + 2*U[1] - 8*U[2]",
+                     "--level", "1", "--xmax", "1000")
+    assert rc == 0
+    assert out == "prime-detecting (n <= 1000, level 1)\n"
+
+
 def test_detect_failure_exit_code(capsys):
     rc, out, _ = run(capsys, "detect", "--form", "Delta", "--level", "1",
                      "--xmax", "100")
@@ -211,6 +220,18 @@ def test_macmahon_row(capsys):
     rc, out, _ = run(capsys, "macmahon", "--a", "2", "--nmax", "6")
     assert rc == 0
     assert out == "3:1 4:3 5:9\n"
+
+
+def test_macmahon_row_matches_bench_golden(capsys):
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "macmahon_a3_n1000.txt"
+    rc, out, err = run(capsys, "macmahon", "--a", "3", "--nmax", "1000")
+    assert (rc, err) == (0, "")
+    assert out == golden.read_text()
+
+
+def test_macmahon_chain_longer_than_precision_prints_empty_row(capsys):
+    rc, out, err = run(capsys, "macmahon", "--a", "1000000", "--nmax", "100")
+    assert (rc, out, err) == (0, "\n", "")
 
 
 # ----------------------------------------------------------------- newforms

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qmf.detect
 from qmf.exact import is_prime, primes_upto
 from qmf.qseries import delta_eta
 from qmf.detect import (
@@ -38,6 +39,38 @@ def brute_macmahon(a, precision):
     return out
 
 
+def dp_macmahon(a, precision):
+    """Rows M_0 .. M_a below precision by the O(a * precision^2) chain DP.
+
+    Sweeping the largest allowed part s upward, B_j accumulates
+    B_{j-1} * q^s/(1-q^s)^2 with j descending so that B_{j-1} still only
+    uses parts below s.  The squared denominator is two stride-s partial
+    sum passes.
+    """
+    P = precision
+    rows = [[0] * P for _ in range(a + 1)]
+    rows[0][0] = 1
+    for s in range(1, P):
+        for j in range(a, 1, -1):
+            src = rows[j - 1]
+            start = (j - 1) * j // 2  # smallest sum a (j-1)-chain can reach
+            if start + s >= P:
+                continue
+            tmp = src.copy()
+            for n in range(max(s, start), P):
+                tmp[n] += tmp[n - s]
+            for n in range(max(s, start), P):
+                tmp[n] += tmp[n - s]
+            dst = rows[j]
+            for n in range(start + s, P):
+                dst[n] += tmp[n - s]
+        # j = 1 reads the untouched delta at 0: its image is just T_s
+        dst = rows[1]
+        for m in range(1, (P - 1) // s + 1):
+            dst[s * m] += m
+    return rows
+
+
 def sigma(n, k=1):
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
@@ -49,6 +82,51 @@ def test_dp_matches_brute_force_chains():
     for a in (1, 2, 3):
         table = macmahon(a, 61)
         assert list(table.values) == brute_macmahon(a, 61)
+    assert dp_macmahon(3, 61)[1:] == [brute_macmahon(a, 61) for a in (1, 2, 3)]
+
+
+def test_recurrence_matches_dp_oracle():
+    for a, row in enumerate(dp_macmahon(5, 1001)[1:], start=1):
+        assert list(macmahon(a, 1001).values) == row
+    assert list(macmahon(3, 2001).values) == dp_macmahon(3, 2001)[3]
+    rows = dp_macmahon(12, 301)
+    for a in range(6, 13):
+        assert list(macmahon(a, 301).values) == rows[a]
+
+
+def _spy_convolve(monkeypatch, perturb=False):
+    calls = []
+    real = qmf.detect._convolve
+
+    def spy(x, y, precision):
+        calls.append(precision)
+        out = real(x, y, precision)
+        if perturb:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(qmf.detect, "_convolve", spy)
+    return calls
+
+
+def test_recurrence_costs_one_product_per_chain_step(monkeypatch):
+    calls = _spy_convolve(monkeypatch)
+    assert macmahon(13, 100).value(91) == 1  # the single chain 1 < ... < 13
+    assert len(calls) == 12
+
+
+def test_chain_longer_than_precision_is_zero_without_products(monkeypatch):
+    calls = _spy_convolve(monkeypatch)
+    assert macmahon(14, 105).values == (0,) * 105  # valuation 105 = precision
+    assert calls == []
+    assert macmahon(10**6, 100).values == (0,) * 100
+    assert calls == []
+
+
+def test_recurrence_remainder_raises(monkeypatch):
+    _spy_convolve(monkeypatch, perturb=True)
+    with pytest.raises(ArithmeticError, match="integrality"):
+        macmahon(2, 50)
 
 
 def test_m1_is_sigma1():

@@ -1,6 +1,12 @@
 """Dimensions, the newform catalog, derivation, ingestion, verification."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qmf
 from qmf.exact import divisors, primes_upto
 from qmf.newforms import (
     CatalogIncompleteError,
@@ -339,3 +345,37 @@ def test_ingested_precision_is_a_hard_ceiling(tmp_path, monkeypatch):
             got.expand(26)
     finally:
         reset_caches()
+
+
+def _ingest_in_new_process(candidate, cache):
+    """Ingest in a fresh interpreter whose first catalog access is the ingest,
+    then print the catalog labels it sees for the space."""
+    script = (
+        "import sys\n"
+        "from qmf.newforms import catalog_lookup, ingest\n"
+        "rec = ingest(sys.argv[1])\n"
+        "print(' '.join(r.name() for r in catalog_lookup(rec.level, rec.weight)))\n"
+    )
+    env = dict(os.environ, QMF_CACHE_DIR=str(cache))
+    src = str(Path(qmf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(candidate)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_ingest_keeps_files_another_process_wrote(tmp_path):
+    # the second process must load 2.10.x from disk, not start an empty store
+    rec = newforms_for(2, 10)[0]
+    cache = tmp_path / "cache"
+    f = rec.expand(40)
+    for label in ("x", "y"):
+        (tmp_path / f"{label}.qs").write_text(
+            dumps_qseries(f, level=2, weight=10, label=label)
+        )
+    assert _ingest_in_new_process(tmp_path / "x.qs", cache) == ["2.10.x"]
+    assert _ingest_in_new_process(tmp_path / "y.qs", cache) == ["2.10.x", "2.10.y"]
+    assert sorted(p.name for p in cache.iterdir()) == ["2.10.x.qs", "2.10.y.qs"]

@@ -1,6 +1,7 @@
-"""Hypothesis property tests: series products and linear solves against exact
-oracles, and the command line against random token strings.  Skipped when
-Hypothesis is not installed, so the rest of the suite runs without it."""
+"""Hypothesis property tests: series products, MacMahon tables and linear
+solves against exact oracles, and the command line against random token
+strings.  Skipped when Hypothesis is not installed, so the rest of the suite
+runs without it."""
 
 import contextlib
 import io
@@ -15,8 +16,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from qmf.cli import main  # noqa: E402
 from qmf import exact  # noqa: E402
 from qmf.exact import CycNumber, LinearSolver  # noqa: E402
+from qmf.detect import macmahon  # noqa: E402
 from qmf.qseries import QSeries  # noqa: E402
 
+from test_detect import brute_macmahon, dp_macmahon  # noqa: E402
 from test_qseries import cyc_product_oracle, fraction_product_oracle  # noqa: E402
 
 BIG = 2**200
@@ -77,6 +80,15 @@ def test_cyclotomic_products_match_schoolbook(pair3, pair4):
         precision,
     )
     assert all(got.coefficient(n) == want[n] for n in range(precision))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 150))
+def test_macmahon_recurrence_matches_chain_oracles(a, precision):
+    got = list(macmahon(a, precision).values)
+    assert got == dp_macmahon(a, precision)[a]
+    if precision <= 40:
+        assert got == brute_macmahon(a, precision)
 
 
 # atoms and symbols of the form language; newform[...] is left out because
