@@ -16,25 +16,29 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import enumerate_primitive, trivial_character
-from .detect import census, g_series, macmahon, prime_detect_verdict
-from .eisenstein import EisensteinAtom, raw_e2_atom
-from .newforms import (
-    CatalogIncompleteError,
-    DerivationError,
-    ingest,
-    newforms_for,
+from .detect import (
+    census,
+    g_series,
+    macmahon,
+    prime_detect_verdict,
+    validate_census,
+    validate_detect,
 )
-from .qseries import EtaProduct, QSeries, dumps_qseries, load_qseries
-from .quasimodular import (
+from .errors import CatalogIncompleteError, DerivationError, RankDeficientError
+from .qseries import (
+    EtaProduct,
     InsufficientPrecisionError,
-    RankDeficientError,
-    assemble_basis,
-    decompose,
+    QSeries,
+    dumps_qseries,
+    load_qseries,
 )
+
+# The characters, eisenstein, newforms and quasimodular layers are imported
+# inside the atoms and commands that use them, so that census, detect and
+# macmahon start without loading (and, with no bytecode cache, compiling)
+# them.
 
 __all__ = ["FormSpecError", "eval_form", "main", "console_main"]
 
@@ -84,23 +88,28 @@ def _tokenize(text: str):
     return out
 
 
-@dataclass
 class _Num:
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
 
-@dataclass
 class _Op:
-    # c_r * D^r terms of a derivative polynomial
-    terms: dict[int, Fraction]
-    where: int | None  # position of its first D token, None for a scalar
+    __slots__ = ("terms", "where")
+
+    def __init__(self, terms: dict[int, Fraction], where: int | None):
+        self.terms = terms  # c_r * D^r terms of a derivative polynomial
+        self.where = where  # position of its first D token, None for a scalar
 
 
-@dataclass
 class _Form:
-    series: QSeries
-    weight: int | None  # max weight across atoms, None once untagged
-    order: int = 0  # largest total derivative order along a nested chain
+    __slots__ = ("series", "weight", "order")
+
+    def __init__(self, series: QSeries, weight: int | None, order: int = 0):
+        self.series = series
+        self.weight = weight  # max weight across atoms, None once untagged
+        self.order = order  # largest total derivative order along a nested chain
 
 
 def _as_op(v):
@@ -222,8 +231,13 @@ class _FormParser:
                 )
             return _Op({r: Fraction(1)}, where)
         if name == "E2":
+            from .eisenstein import raw_e2_atom
+
             return _Form(raw_e2_atom().expand(self.precision), 2)
         if name == "E2twist":
+            from .characters import trivial_character
+            from .eisenstein import EisensteinAtom
+
             (t,) = self.bracket_numbers(1)
             if t < 2:
                 raise FormSpecError(where, "E2twist index must be at least 2")
@@ -275,6 +289,9 @@ class _FormParser:
         return values
 
     def eisenstein_atom(self, where):
+        from .characters import enumerate_primitive, trivial_character
+        from .eisenstein import EisensteinAtom
+
         self.expect("[")
         k = self.expect("num")
         self.expect(",")
@@ -310,6 +327,8 @@ class _FormParser:
         return _Form(atom.expand(self.precision), k)
 
     def newform_atom(self, where):
+        from .newforms import newforms_for
+
         self.expect("[")
         level = self.expect("num")
         self.expect(",")
@@ -435,6 +454,8 @@ def eval_form(text: str, precision: int) -> tuple[QSeries, int | None]:
 
 
 def cmd_basis(args) -> int:
+    from .quasimodular import assemble_basis
+
     parts = ("eis", "new", "old") if args.part == "all" else (args.part,)
     atoms = assemble_basis(args.level, args.maxweight, parts)
     if args.prec is None:
@@ -468,6 +489,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .quasimodular import decompose
+
     with open(args.series) as fh:
         series, headers = load_qseries(fh)
     maxweight = args.maxweight
@@ -486,6 +509,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    validate_detect(args.level, args.xmax)
     series, _ = eval_form(args.form, args.xmax + 1)
     report = prime_detect_verdict(series, args.level, args.xmax)
     print(report.report_text())
@@ -493,6 +517,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_census(args) -> int:
+    validate_census(args.level, args.xmax, args.delta)
     series, _ = eval_form(args.form, args.xmax + 1)
     report = census(series, args.level, args.xmax, args.delta)
     print(report.report_text())
@@ -507,6 +532,8 @@ def cmd_macmahon(args) -> int:
 
 
 def cmd_newforms(args) -> int:
+    from .newforms import ingest, newforms_for
+
     if args.ingest:
         record = ingest(args.ingest)
         print(f"ingested {record.name()}")

@@ -12,12 +12,10 @@ informational density bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import factorize, primes_upto
-from .qseries import QSeries, _convolve
-from .quasimodular import InsufficientPrecisionError
+from .qseries import InsufficientPrecisionError, QSeries, _convolve
 
 __all__ = [
     "CensusReport",
@@ -30,16 +28,33 @@ __all__ = [
     "macmahon",
     "macmahon_prime_test",
     "prime_detect_verdict",
+    "validate_census",
+    "validate_detect",
 ]
 
 
-@dataclass(frozen=True)
 class MacMahonTable:
-    """Exact values M_a(n) for 0 <= n < precision."""
+    """Exact values M_a(n) for 0 <= n < precision; immutable."""
 
-    a: int
-    precision: int
-    values: tuple[int, ...]
+    __slots__ = ("a", "precision", "values")
+
+    def __init__(self, a: int, precision: int, values: tuple[int, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MacMahonTable is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MacMahonTable):
+            return NotImplemented
+        return (self.a, self.precision, self.values) == (
+            other.a, other.precision, other.values
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.precision, self.values))
 
     def value(self, n: int) -> int:
         if not 0 <= n < self.precision:
@@ -84,10 +99,25 @@ def macmahon(a: int, precision: int) -> MacMahonTable:
     return MacMahonTable(a, P, tuple(vals))
 
 
-@dataclass(frozen=True)
 class PrimeTestResult:
-    n: int
-    value: int
+    """The value of the prime test at n; immutable."""
+
+    __slots__ = ("n", "value")
+
+    def __init__(self, n: int, value: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrimeTestResult is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PrimeTestResult):
+            return NotImplemented
+        return (self.n, self.value) == (other.n, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.value))
 
     @property
     def prime(self) -> bool:
@@ -150,14 +180,22 @@ def f_kl(k: int, l: int, N: int, precision: int) -> QSeries:
     return (gk.apply_D(l) + gk) - (gl.apply_D(k) + gl)
 
 
-@dataclass
 class DetectReport:
     """Both directions of the prime-detecting check up to a bound."""
 
-    level: int
-    bound: int
-    vanishing_failures: list[int]
-    nonvanishing_failures: list[int]
+    __slots__ = ("level", "bound", "vanishing_failures", "nonvanishing_failures")
+
+    def __init__(
+        self,
+        level: int,
+        bound: int,
+        vanishing_failures: list[int],
+        nonvanishing_failures: list[int],
+    ):
+        self.level = level
+        self.bound = bound
+        self.vanishing_failures = vanishing_failures
+        self.nonvanishing_failures = nonvanishing_failures
 
     @property
     def ok(self) -> bool:
@@ -182,10 +220,17 @@ class DetectReport:
         return "\n".join(lines)
 
 
-def prime_detect_verdict(f: QSeries, N: int, X: int) -> DetectReport:
-    """Is a_f(n) = 0 exactly at the primes not dividing N, for 2 <= n <= X?"""
+def validate_detect(N: int, X: int) -> None:
+    """Raise ValueError unless (N, X) is a level and a non-vacuous bound."""
     if N < 1:
         raise ValueError("level must be positive")
+    if X < 2:
+        raise ValueError("detect bound X must be at least 2")
+
+
+def prime_detect_verdict(f: QSeries, N: int, X: int) -> DetectReport:
+    """Is a_f(n) = 0 exactly at the primes not dividing N, for 2 <= n <= X?"""
+    validate_detect(N, X)
     if f.precision <= X:
         raise InsufficientPrecisionError(X + 1, f.precision, "input series")
     prime_set = set(primes_upto(X))
@@ -201,7 +246,6 @@ def prime_detect_verdict(f: QSeries, N: int, X: int) -> DetectReport:
     return DetectReport(N, X, vanishing, nonvanishing)
 
 
-@dataclass
 class CensusReport:
     """Exhaustive tally of vanishing prime coefficients up to X.
 
@@ -211,14 +255,36 @@ class CensusReport:
     nonvanishing hypothesis behind the density statement.
     """
 
-    x: int
-    level: int
-    delta_text: str
-    zero_primes: list[int]
-    nonzero_count: int
-    eligible_count: int
-    epsilon_value: float
-    bound_value: float
+    __slots__ = (
+        "x",
+        "level",
+        "delta_text",
+        "zero_primes",
+        "nonzero_count",
+        "eligible_count",
+        "epsilon_value",
+        "bound_value",
+    )
+
+    def __init__(
+        self,
+        x: int,
+        level: int,
+        delta_text: str,
+        zero_primes: list[int],
+        nonzero_count: int,
+        eligible_count: int,
+        epsilon_value: float,
+        bound_value: float,
+    ):
+        self.x = x
+        self.level = level
+        self.delta_text = delta_text
+        self.zero_primes = zero_primes
+        self.nonzero_count = nonzero_count
+        self.eligible_count = eligible_count
+        self.epsilon_value = epsilon_value
+        self.bound_value = bound_value
 
     @property
     def zero_count(self) -> int:
@@ -264,17 +330,24 @@ def epsilon_bound(X: int) -> float:
     return lx / (llx * llx * lllx)
 
 
-def census(f: QSeries, N: int, X: int, delta) -> CensusReport:
-    """Count primes p <= X, p coprime to N, with a_f(p) = 0, exactly."""
+def validate_census(N: int, X: int, delta) -> Fraction:
+    """Raise ValueError unless (N, X, delta) are valid census parameters;
+    returns delta as a Fraction."""
     if N < 1:
         raise ValueError("level must be positive")
     if X < 100:
         raise ValueError("census bound X must be at least 100")
-    if f.precision <= X:
-        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
     delta_fraction = Fraction(str(delta))
     if delta_fraction <= 0:
         raise ValueError("delta must be positive")
+    return delta_fraction
+
+
+def census(f: QSeries, N: int, X: int, delta) -> CensusReport:
+    """Count primes p <= X, p coprime to N, with a_f(p) = 0, exactly."""
+    delta_fraction = validate_census(N, X, delta)
+    if f.precision <= X:
+        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
     level_primes = {p for p in factorize(N)}
     zero_primes = []
     nonzero = 0
@@ -288,7 +361,13 @@ def census(f: QSeries, N: int, X: int, delta) -> CensusReport:
         else:
             nonzero += 1
     eps = epsilon_bound(X)
-    bound = (X / math.log(X)) / (eps ** float(delta_fraction))
+    # eps ** delta in log space: a huge delta underflows the bound to 0
+    # instead of overflowing the power (or the float of delta itself)
+    try:
+        log_power = float(delta_fraction) * math.log(eps)
+    except OverflowError:
+        log_power = math.inf
+    bound = X / math.log(X) * math.exp(-log_power)
     return CensusReport(
         X, N, str(delta), zero_primes, nonzero, eligible, eps, bound
     )

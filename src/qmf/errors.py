@@ -1,0 +1,31 @@
+"""Exceptions shared across layers.
+
+They live here, below every module that raises them, so that `cli.main`
+can map each one to its one-line message without importing the newform
+and decomposition layers.  `newforms` and `quasimodular` re-export them
+under their old names.
+"""
+from __future__ import annotations
+
+__all__ = ["CatalogIncompleteError", "DerivationError", "RankDeficientError"]
+
+
+class CatalogIncompleteError(LookupError):
+    """A needed newform space is not covered by catalog, ingested, or
+    derivable records.  Carries the missing (level, weight)."""
+
+    def __init__(self, level: int, weight: int, detail: str = ""):
+        self.level = level
+        self.weight = weight
+        msg = f"newform space (level {level}, weight {weight}) is not available"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+
+
+class DerivationError(RuntimeError):
+    """Exact derivation of a newform space failed (span or splitting)."""
+
+
+class RankDeficientError(RuntimeError):
+    """Basis matrix stayed rank-deficient through the escalation cap."""

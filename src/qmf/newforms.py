@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .characters import DirichletCharacter
 from .eisenstein import EisensteinAtom, eisenstein_basis
+from .errors import CatalogIncompleteError, DerivationError
 from .exact import (
     CycNumber,
     LinearSolver,
@@ -57,23 +58,6 @@ __all__ = [
     "sturm_bound",
     "verify_hecke",
 ]
-
-
-class CatalogIncompleteError(LookupError):
-    """A needed newform space is not covered by catalog, ingested, or
-    derivable records.  Carries the missing (level, weight)."""
-
-    def __init__(self, level: int, weight: int, detail: str = ""):
-        self.level = level
-        self.weight = weight
-        msg = f"newform space (level {level}, weight {weight}) is not available"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
-class DerivationError(RuntimeError):
-    """Exact derivation of a newform space failed (span or splitting)."""
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +466,8 @@ def newforms_for(level: int, weight: int) -> list[NewformRecord]:
     Raises CatalogIncompleteError when records cannot be completed to the
     dimension of the new subspace.
     """
+    if level < 1:
+        raise ValueError("level must be positive")
     expected = dim_cusp_new(level, weight)
     merged: dict[str, NewformRecord] = {
         r.label: r for r in _builtin_records(level, weight)

@@ -32,6 +32,7 @@ from .exact import ConductorMismatchError, CycNumber, cyclotomic_polynomial, for
 
 __all__ = [
     "EtaProduct",
+    "InsufficientPrecisionError",
     "QSeries",
     "delta_eta",
     "dump_qseries",
@@ -40,9 +41,13 @@ __all__ = [
 
 # Crossovers measured on Python 3.11 (numbers in CHANGES.md).  A product
 # whose sparser operand has fewer nonzero terms than _KRONECKER_MIN_TERMS
-# is a schoolbook convolution.  A Kronecker product packs into decimal once
-# the shorter operand packs to _DECIMAL_MIN_BITS, into an int below.
+# is a schoolbook convolution.  Otherwise, when both operands are so sparse
+# that they make at most _SPARSE_MAX_PAIRS_PER_SLOT nonzero pairs per
+# product slot, the pairs are multiplied one by one.  A Kronecker product
+# packs into decimal once the shorter operand packs to _DECIMAL_MIN_BITS,
+# into an int below.
 _KRONECKER_MIN_TERMS = 20
+_SPARSE_MAX_PAIRS_PER_SLOT = 8
 _DECIMAL_MIN_BITS = 100_000
 # Wider slots stay in int packing: each decimal slot goes through int <-> str,
 # which must stay under Python's default 4300-digit limit.
@@ -51,6 +56,18 @@ _DECIMAL_MAX_SLOT_BITS = 13_000
 _ETA_SQUARING_MIN = 256
 
 _ZERO = CycNumber.zero()
+
+
+class InsufficientPrecisionError(ValueError):
+    """Input series is too short; .required says how many coefficients the
+    operation needs."""
+
+    def __init__(self, required: int, have: int, what: str = "series"):
+        self.required = required
+        self.have = have
+        super().__init__(
+            f"{what} has {have} coefficients; need at least {required}"
+        )
 
 
 def _wrap(value) -> CycNumber:
@@ -81,6 +98,8 @@ def _convolve(a: Sequence[int], b: Sequence[int], precision: int) -> list[int]:
     nnz_b = nnz_a if square else len(b) - b.count(0)
     if min(nnz_a, nnz_b) < _KRONECKER_MIN_TERMS:
         body = _schoolbook(a, b, count) if nnz_a <= nnz_b else _schoolbook(b, a, count)
+    elif nnz_a * nnz_b <= _SPARSE_MAX_PAIRS_PER_SLOT * count:
+        body = _sparse_pairs(a, b, count)
     else:
         top_a = max(max(a), -min(a))
         top_b = top_a if square else max(max(b), -min(b))
@@ -101,6 +120,20 @@ def _schoolbook(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
             seg = b[: count - i]
             end = i + len(seg)
             out[i:end] = [u + x * y for u, y in zip(out[i:end], seg)]
+    return out
+
+
+def _sparse_pairs(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
+    # one product per pair of nonzero terms whose exponents sum below count
+    out = [0] * count
+    terms_b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            room = count - i
+            for j, y in terms_b:
+                if j >= room:
+                    break
+                out[i + j] += x * y
     return out
 
 

@@ -15,16 +15,16 @@ import threading
 from dataclasses import dataclass
 
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
+from .errors import CatalogIncompleteError, RankDeficientError
 from .exact import CycNumber, LinearSolver, divisors, format_cyc, primes_upto
 from .newforms import (
-    CatalogIncompleteError,
     CuspAtom,
     catalog_generation,
     cusp_basis,
     dim_cusp,
     sturm_bound,
 )
-from .qseries import QSeries
+from .qseries import InsufficientPrecisionError, QSeries
 
 __all__ = [
     "BasisAtom",
@@ -41,22 +41,6 @@ __all__ = [
 ]
 
 ALL_PARTS = ("eis", "new", "old")
-
-
-class InsufficientPrecisionError(ValueError):
-    """Input series is too short; .required says how many coefficients the
-    operation needs."""
-
-    def __init__(self, required: int, have: int, what: str = "series"):
-        self.required = required
-        self.have = have
-        super().__init__(
-            f"{what} has {have} coefficients; need at least {required}"
-        )
-
-
-class RankDeficientError(RuntimeError):
-    """Basis matrix stayed rank-deficient through the escalation cap."""
 
 
 @dataclass(frozen=True)

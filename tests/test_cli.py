@@ -1,11 +1,14 @@
 """Command-line surface: parsing, outputs, exit codes."""
 
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qmf
 from qmf.cli import FormSpecError, eval_form, main
 from qmf.newforms import reset_caches
 from qmf.qseries import load_qseries
@@ -311,11 +314,36 @@ def test_nonpositive_level_gets_no_verdict(capsys):
         ("detect", "--form", "E2", "--level", "-3", "--xmax", "20"),
         ("census", "--form", "Delta", "--level", "0", "--xmax", "200",
          "--delta", "0.05"),
+        ("newforms", "--level", "0", "--weight", "4"),
+        ("newforms", "--level", "-5", "--weight", "4"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 1, argv
         assert out == ""
         assert err == "error: level must be positive\n"
+
+
+def test_scan_bounds_are_checked_before_the_form_expands(capsys):
+    for argv, line in (
+        (("census", "--form", "Delta", "--level", "1", "--xmax", "0",
+          "--delta", "0.05"), "error: census bound X must be at least 100\n"),
+        (("detect", "--form", "Delta", "--level", "1", "--xmax", "1"),
+         "error: detect bound X must be at least 2\n"),
+        # the form is never parsed, so its error does not show
+        (("census", "--form", "E[", "--level", "1", "--xmax", "200",
+          "--delta", "0"), "error: delta must be positive\n"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, "", line), argv
+
+
+def test_census_huge_delta_bound_underflows_to_zero(capsys):
+    for delta in ("100", "1000", "1e400"):
+        rc, out, err = run(capsys, "census", "--form", "Delta", "--level", "1",
+                           "--xmax", "100", "--delta", delta)
+        assert (rc, err) == (0, ""), delta
+        assert out.splitlines()[0] == f"X=100 N=1 delta={delta}"
+        assert out.splitlines()[-1] == "bound: 0.000000"
 
 
 def test_zero_dilation_is_a_parse_error(capsys):
@@ -377,6 +405,95 @@ def test_internal_error_is_one_line(capsys, monkeypatch):
     assert rc == 1
     assert out == ""
     assert err == "internal error: RuntimeError: simulated defect\n"
+
+
+def test_moved_exceptions_keep_their_old_import_paths():
+    import qmf.errors
+    import qmf.newforms
+    import qmf.qseries
+    import qmf.quasimodular
+
+    assert qmf.quasimodular.InsufficientPrecisionError is qmf.qseries.InsufficientPrecisionError
+    assert qmf.quasimodular.RankDeficientError is qmf.errors.RankDeficientError
+    assert qmf.quasimodular.CatalogIncompleteError is qmf.errors.CatalogIncompleteError
+    assert qmf.newforms.CatalogIncompleteError is qmf.errors.CatalogIncompleteError
+    assert qmf.newforms.DerivationError is qmf.errors.DerivationError
+
+
+def test_insufficient_precision_error_line_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "short.qs"
+    run(capsys, "expand", "--form", "Delta", "--prec", "10", "--out", str(path))
+    rc, out, err = run(capsys, "decompose", "--series", str(path),
+                       "--level", "1", "--maxweight", "12")
+    assert (rc, out, err) == (1, "", "insufficient precision: need 26 coefficients, have 10\n")
+
+
+def test_catalog_incomplete_error_line_is_unchanged(capsys):
+    rc, out, err = run(capsys, "newforms", "--level", "26", "--weight", "2")
+    assert (rc, out, err) == (1, "", "catalog incomplete: no newform table for level 26, weight 2\n")
+
+
+@pytest.mark.parametrize("old_home, name", [
+    ("qmf.newforms", "DerivationError"),
+    ("qmf.quasimodular", "RankDeficientError"),
+])
+def test_derivation_and_rank_error_lines_are_unchanged(capsys, monkeypatch, old_home, name):
+    # no small input reaches these two, so a command raises them directly
+    import importlib
+
+    import qmf.cli
+
+    exc = getattr(importlib.import_module(old_home), name)("simulated failure")
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(qmf.cli, "cmd_macmahon", broken)
+    rc, out, err = run(capsys, "macmahon", "--a", "2", "--nmax", "8")
+    assert (rc, out, err) == (1, "", "error: simulated failure\n")
+
+
+_HEAVY_MODULES = ("qmf.newforms", "qmf.quasimodular", "qmf.eisenstein",
+                  "qmf.characters", "dataclasses")
+
+
+def heavy_modules_loaded(tmp_path, *commands):
+    """Which of _HEAVY_MODULES a fresh interpreter holds after importing
+    qmf.cli and running each command through main."""
+    script = (
+        "import sys\n"
+        "import qmf.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert qmf.cli.main(list(argv)) in (0, 2), argv\n"
+        f"print('loaded:', *(m for m in {_HEAVY_MODULES!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ, QMF_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=str(Path(qmf.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, check=True, timeout=120)
+    *_, last = proc.stdout.splitlines()
+    marker, *loaded = last.split()
+    assert marker == "loaded:"
+    return loaded
+
+
+def test_scan_commands_load_only_the_layers_they_run(tmp_path):
+    assert heavy_modules_loaded(tmp_path) == []
+    assert heavy_modules_loaded(
+        tmp_path,
+        ("census", "--form=-37/41*Delta", "--level", "1", "--xmax", "300",
+         "--delta", "0.05"),
+        ("detect", "--form", "(D^2)(U[1]) - 3*(D^1)(U[1]) + 2*U[1] - 8*U[2]",
+         "--level", "1", "--xmax", "100"),
+        ("macmahon", "--a", "3", "--nmax", "100"),
+    ) == []
+
+
+def test_newform_expansion_does_not_load_decomposition(tmp_path):
+    loaded = heavy_modules_loaded(
+        tmp_path, ("expand", "--form", "newform[11,2,a]", "--prec", "20"))
+    assert "qmf.newforms" in loaded
+    assert "qmf.quasimodular" not in loaded
 
 
 def test_decompose_level9_newform_outside_ambient_field(tmp_path, capsys):

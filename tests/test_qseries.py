@@ -275,6 +275,46 @@ def test_product_paths_match_fraction_oracle(monkeypatch, length, bits, packs_de
     assert bool(packed) == packs_decimal
 
 
+def spy_on_sparse_pairs(monkeypatch):
+    calls = []
+    real = qseries._sparse_pairs
+    monkeypatch.setattr(qseries, "_sparse_pairs",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def random_sparse_fractions(rng, length, nonzeros, bits):
+    out = [Fraction(0)] * length
+    for k in rng.sample(range(length), nonzeros):
+        out[k] = Fraction((rng.getrandbits(bits) | 1) * rng.choice((-1, 1)),
+                          rng.randint(1, 60))
+    return out
+
+
+@pytest.mark.parametrize("length, nonzeros, bits", [(1500, 50, 30), (2500, 90, 300)])
+def test_sparse_products_match_fraction_oracle(monkeypatch, length, nonzeros, bits):
+    calls = spy_on_sparse_pairs(monkeypatch)
+    rng = random.Random(length + bits)
+    xs = random_sparse_fractions(rng, length, nonzeros, bits)
+    ys = random_sparse_fractions(rng, length, nonzeros, bits)
+    got = QSeries(xs) * QSeries(ys)
+    assert [c.as_rational() for c in got.coefficients()] == fraction_product_oracle(xs, ys, length)
+    square = QSeries(xs) * QSeries(xs)
+    assert [c.as_rational() for c in square.coefficients()] == fraction_product_oracle(xs, xs, length)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("step", [1, 2, 7])
+def test_sparse_eta_cube_squares_match_miller(monkeypatch, step):
+    # Jacobi's eta^3 has about sqrt(2P/step) nonzero terms, so its square
+    # is a sparse product
+    calls = spy_on_sparse_pairs(monkeypatch)
+    P = 3000
+    cube = qseries._jacobi_cube(step, P)
+    assert qseries._convolve(cube, cube, P) == _euler_power(step, 6, P)
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("length, bits", [(60, 64), (300, 400)])
 def test_kronecker_slot_holds_the_extreme_bound(length, bits):
     # equal extreme coefficients make the last product slot reach the bound
