@@ -303,6 +303,8 @@ class _FormParser:
         self.expect("]")
         if k < 2 or k % 2:
             raise FormSpecError(where, "Eisenstein weight must be even, >= 2")
+        if u < 1:
+            raise FormSpecError(where, "character modulus must be positive")
         if u == 1:
             if j != 1:
                 raise FormSpecError(where, "modulus 1 has only the character 1.1")

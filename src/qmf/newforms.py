@@ -4,9 +4,13 @@ Dimension formulas for Gamma0(L) make newform availability checkable: the
 number of weight-k newforms equals the new-subspace dimension obtained by
 Moebius inversion over levels.  Seven classical eta products are built in;
 every other desk-scale space is derived exactly on demand by spanning the
-cusp space with products of known forms, then splitting into Hecke
-eigenlines with exact linear algebra.  Spaces that cannot be derived stay
-unavailable and operations that need them fail loudly.
+cusp space with products of known forms, then splitting it into Hecke
+eigenlines.  Each piece splits by the kernels of g(T_p), one for each
+rational factor g of the characteristic polynomial of T_p on the piece, so
+no elimination works over an eigenvalue field; a quadratic factor's
+eigenlines are (T_p - lam')w for w in its kernel and lam' the other root.
+Spaces that cannot be derived stay unavailable and operations that need
+them fail loudly.
 
 All derived records keep a symbolic construction recipe, so they re-expand
 exactly at any precision.  Ingested records are truncated coefficient
@@ -454,10 +458,16 @@ def catalog_lookup(level: int, weight: int) -> list[NewformRecord]:
     try:
         return newforms_for(level, weight)
     except CatalogIncompleteError:
-        merged = {r.label: r for r in _builtin_records(level, weight)}
-        for rec in _ingested_records(level, weight):
-            merged.setdefault(rec.label, rec)
+        merged = _known_records(level, weight)
         return [merged[label] for label in sorted(merged)]
+
+
+def _known_records(level: int, weight: int) -> dict[str, NewformRecord]:
+    """Built-in and ingested records by label; a built-in label wins."""
+    merged = {r.label: r for r in _builtin_records(level, weight)}
+    for rec in _ingested_records(level, weight):
+        merged.setdefault(rec.label, rec)
+    return merged
 
 
 def newforms_for(level: int, weight: int) -> list[NewformRecord]:
@@ -469,11 +479,7 @@ def newforms_for(level: int, weight: int) -> list[NewformRecord]:
     if level < 1:
         raise ValueError("level must be positive")
     expected = dim_cusp_new(level, weight)
-    merged: dict[str, NewformRecord] = {
-        r.label: r for r in _builtin_records(level, weight)
-    }
-    for rec in _ingested_records(level, weight):
-        merged.setdefault(rec.label, rec)
+    merged = _known_records(level, weight)
     if len(merged) < expected:
         for rec in _derived(level, weight):
             if rec.label not in merged:
@@ -536,10 +542,8 @@ def _derive_space(level: int, weight: int) -> list[NewformRecord]:
 
     dim_total = dim_cusp(level, weight)
     R = sturm_bound(weight, level)
-    basis_exprs, basis_vecs, coord_solver = _span_cusp_space(
-        level, weight, dim_total, R
-    )
-    eigen = _split_eigenlines(level, weight, basis_exprs, basis_vecs, coord_solver, R)
+    basis_exprs, coord_solver = _span_cusp_space(level, weight, dim_total, R)
+    eigen = _split_eigenlines(level, weight, basis_exprs, coord_solver, R)
     if len(eigen) != dim_new:
         raise DerivationError(
             f"found {len(eigen)} eigenlines, expected {dim_new} newforms"
@@ -582,7 +586,7 @@ def _index_label(i: int) -> str:
 
 def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
     """Linearly independent expressions spanning S_weight(Gamma0(level)),
-    their expansions to q^R, and the solver factorizing those columns.
+    and the solver factorizing their expansions to q^R.
 
     Candidates, in order: dilated lower-level newforms, products of known
     cusp forms with modular forms of complementary weight, and Eisenstein
@@ -590,7 +594,6 @@ def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
     """
     rows_precision = R + 1
     picked_exprs: list[_Expr] = []
-    picked_vecs: list[QSeries] = []
     solver = LinearSolver([[]] * rows_precision)
 
     def try_add(expr: _Expr) -> bool:
@@ -600,7 +603,6 @@ def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
         if not solver.add_column([vec.coefficient(n) for n in range(rows_precision)]):
             return False
         picked_exprs.append(expr)
-        picked_vecs.append(vec)
         return True
 
     # 1. oldforms: dilations of lower-level newforms
@@ -658,7 +660,7 @@ def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
         raise DerivationError(
             f"spanned only {len(picked_exprs)} of {dim_total} cusp dimensions"
         )
-    return picked_exprs, picked_vecs, solver
+    return picked_exprs, solver
 
 
 def _eisenstein_annihilator(expr: _Expr, level: int, weight: int, p: int) -> _Expr:
@@ -680,50 +682,43 @@ def _eisenstein_annihilator(expr: _Expr, level: int, weight: int, p: int) -> _Ex
     return out
 
 
-def _split_eigenlines(level, weight, basis_exprs, basis_vecs, coord_solver, R):
+def _split_eigenlines(level, weight, basis_exprs, coord_solver, R):
     """Split span(basis) into T_p eigenlines; return the 1-dimensional
-    pieces as (expression, series) pairs.  coord_solver factorizes the
-    basis expansions to q^R, one column per basis element."""
-    dim = len(basis_exprs)
+    pieces as (expression, series to q^R) pairs.  coord_solver factorizes
+    the basis expansions to q^R, one column per basis element."""
     rows_precision = R + 1
     expected = dim_cusp_new(level, weight)
     split_primes = [p for p in primes_upto(max(30, R)) if level % p]
-    pieces = [_identity_piece(dim)]
+    pieces = [_identity_piece(len(basis_exprs))]
     for p in split_primes:
         # dilation spans of one old newform stay glued under every T_p with
         # p coprime to the level, so each 1-dimensional piece is new; stop
         # once all expected new lines have separated
-        if sum(1 for c, _ in pieces if len(c) == 1) >= expected:
+        if sum(1 for piece in pieces if len(piece) == 1) >= expected:
             break
         tp_cols = _hecke_matrix(basis_exprs, coord_solver, p, weight, rows_precision)
         pieces = _refine_pieces(pieces, tp_cols, p, weight)
 
-    ones = [piece for piece in pieces if len(piece[0]) == 1]
-    if len(ones) != expected:
+    lines = [piece[0] for piece in pieces if len(piece) == 1]
+    if len(lines) != expected:
         raise DerivationError(
-            f"eigenline splitting found {len(ones)} lines, expected {expected}"
+            f"eigenline splitting found {len(lines)} lines, expected {expected}"
         )
     out = []
-    for (coords_list, _) in ones:
-        coords = coords_list[0]
+    for coords in lines:
         expr = _Linear(
             [(c, e) for c, e in zip(coords, basis_exprs) if not c.is_zero()]
         )
-        series = QSeries.zero(rows_precision)
-        for c, vec in zip(coords, basis_vecs):
-            if not c.is_zero():
-                series = series + vec.truncate(rows_precision).scale(c)
-        out.append((expr, series))
+        # truncates the basis memos that _hecke_matrix filled
+        out.append((expr, expr.expand(rows_precision)))
     return out
 
 
 def _identity_piece(dim: int):
-    coords = []
-    for i in range(dim):
-        v = [CycNumber.zero()] * dim
-        v[i] = CycNumber.one()
-        coords.append(v)
-    return (coords, None)
+    return [
+        [CycNumber.one() if i == j else CycNumber.zero() for j in range(dim)]
+        for i in range(dim)
+    ]
 
 
 def _hecke_matrix(basis_exprs, coord_solver, p, weight, rows_precision):
@@ -742,30 +737,26 @@ def _hecke_matrix(basis_exprs, coord_solver, p, weight, rows_precision):
 
 
 def _refine_pieces(pieces, tp_cols, p, weight):
+    """Split each piece (a list of coordinate vectors) by T_p."""
     out = []
-    for coords_list, _ in pieces:
-        s = len(coords_list)
+    for piece in pieces:
+        s = len(piece)
         if s == 1:
-            out.append((coords_list, None))
+            out.append(piece)
             continue
         # restrict T_p to the piece: T * S = S * A
-        span_rows = [
-            [coords_list[j][i] for j in range(s)] for i in range(len(tp_cols))
-        ]
+        span_rows = [[piece[j][i] for j in range(s)] for i in range(len(tp_cols))]
         span_solver = LinearSolver(span_rows)
         a_cols = []
         for j in range(s):
-            image = _vec_combination(tp_cols, coords_list[j])
+            image = _vec_combination(tp_cols, piece[j])
             col = span_solver.solve(image)
             if col is None:
                 raise DerivationError("piece is not Hecke stable")
             a_cols.append(col)
         A = [[a_cols[j][i] for j in range(s)] for i in range(s)]
         for sub in _eigen_split_matrix(A, p, weight):
-            mapped = [
-                _vec_combination(coords_list, sub_vec) for sub_vec in sub
-            ]
-            out.append((mapped, None))
+            out.append([_vec_combination(piece, v) for v in sub])
     return out
 
 
@@ -890,59 +881,64 @@ def _integer_roots(poly: list[Fraction], bound: int) -> list[int]:
 
 
 def _eigen_split_matrix(A, p, weight):
-    """Split the space acted on by the small matrix A into eigenspaces.
+    """Split the space acted on by the small matrix A into the kernels of
+    g(A), one for each rational factor g of the characteristic polynomial.
 
-    Integer eigenvalues are isolated inside the coefficient bound
-    |a_p| <= 2 p^((k-1)/2); a leftover quadratic factor is handled through
-    an exact cyclotomic square root.  Returns coordinate bases of the
-    invariant pieces (eigenspaces, plus one kernel piece for any factor of
-    degree >= 3 left unsplit)."""
-    s = len(A)
+    The factors are x - r for each integer eigenvalue r inside the
+    coefficient bound |a_p| <= 2 p^((k-1)/2), then the leftover, if any.  A
+    leftover quadratic splits its kernel into two eigenlines; a leftover of
+    degree >= 3 stays one piece for later primes.  Returns the coordinate
+    bases of the pieces."""
     poly = _char_poly(A)
     if not all(c.is_rational() for c in poly):
         raise DerivationError("characteristic polynomial left the rationals")
     rat = [c.as_rational() for c in poly]
     window = 2 * math.isqrt(p ** (weight - 1)) + 2
-    roots: list[tuple[CycNumber, int]] = []
+    factors = []
     for cand in _integer_roots(rat, window):
         mult = 0
         while len(rat) > 1 and _poly_eval_int(rat, cand) == 0:
             rat = _deflate(rat, Fraction(cand))
             mult += 1
-        if mult:
-            roots.append((CycNumber.from_rational(cand), mult))
-    if len(rat) - 1 == 2:
-        b, c0 = rat[1] / rat[2], rat[0] / rat[2]
-        disc = b * b - 4 * c0
-        if disc <= 0:
-            raise DerivationError("non-real quadratic eigenvalue factor")
-        sq = _sqrt_cyclotomic(disc)
-        half = Fraction(1, 2)
-        roots.append(((sq - b) * half, 1))
-        roots.append(((-sq - b) * half, 1))
-        rat = [Fraction(1)]
+        factors.append(([Fraction(-cand), Fraction(1)], mult))
+    if len(rat) > 1:
+        factors.append((rat, 1))
     pieces = []
-    covered = 0
-    for lam, mult in roots:
-        shifted = [
-            [A[i][j] - lam if i == j else A[i][j] for j in range(s)] for i in range(s)
-        ]
-        kern = null_space(shifted)
-        if len(kern) != mult:
-            raise DerivationError("eigenspace dimension mismatch (not semisimple?)")
-        pieces.append(kern)
-        covered += mult
-    if len(rat) - 1 > 0 and covered < s:
-        # unsplit factor of degree >= 3: keep its kernel piece for later primes
-        residual = _poly_matrix_eval(rat, A)
-        kern = null_space(residual)
-        if len(kern) != len(rat) - 1:
-            raise DerivationError("residual factor kernel has wrong dimension")
-        pieces.append(kern)
-        covered += len(kern)
-    if covered != s:
-        raise DerivationError("eigen decomposition does not fill the space")
+    for g, mult in factors:
+        kern = null_space(_poly_matrix_eval(g, A))
+        if len(kern) != mult * (len(g) - 1):
+            raise DerivationError("factor kernel has wrong dimension (not semisimple?)")
+        if len(g) == 3:
+            pieces.extend([v] for v in _quadratic_eigenlines(A, g, kern[0]))
+        else:
+            pieces.append(kern)
     return pieces
+
+
+def _quadratic_eigenlines(A, g, w):
+    """The eigenvectors (A - lam')w, one per root lam of the monic quadratic
+    g, where lam' is the other root and w lies in the kernel of g(A).  Each
+    is checked to be nonzero with A v == lam v."""
+    b, c0 = g[1], g[0]
+    disc = b * b - 4 * c0
+    if disc <= 0:
+        raise DerivationError("non-real quadratic eigenvalue factor")
+    sq = _sqrt_cyclotomic(disc)
+    half = Fraction(1, 2)
+    lam, conj = (sq - b) * half, (-sq - b) * half
+    cols = list(zip(*A))
+    aw = _vec_combination(cols, w)
+    norm = lam * conj
+    lines = []
+    for root, other in ((lam, conj), (conj, lam)):
+        v = [x - other * y for x, y in zip(aw, w)]
+        # root * v as root * Aw - (lam lam') w, so that no product has two
+        # irrational factors when A is rational
+        root_v = [root * x - norm * y for x, y in zip(aw, w)]
+        if all(x.is_zero() for x in v) or _vec_combination(cols, v) != root_v:
+            raise DerivationError("quadratic factor kernel holds no eigenline")
+        lines.append(v)
+    return lines
 
 
 def _deflate(poly: list[Fraction], root: Fraction) -> list[Fraction]:
@@ -955,13 +951,12 @@ def _deflate(poly: list[Fraction], root: Fraction) -> list[Fraction]:
 
 
 def _poly_matrix_eval(poly: list[Fraction], A):
-    s = len(A)
-    out = [[CycNumber.zero()] * s for _ in range(s)]
-    for i in range(s):
-        out[i][i] = CycNumber.from_rational(poly[-1])
+    """g(A) by Horner's rule for the monic g = poly, listed from the
+    constant term up; degree d costs d - 1 matrix products."""
+    out = None
     for c in reversed(poly[:-1]):
-        out = _mat_mul(A, out)
-        for i in range(s):
+        out = [list(row) for row in A] if out is None else _mat_mul(A, out)
+        for i in range(len(A)):
             out[i][i] = out[i][i] + c
     return out
 

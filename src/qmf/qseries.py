@@ -701,18 +701,19 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
-        if key in _HEADER_KEYS:
-            headers[key] = rest if key == "label" else int(rest)
-            continue
         try:
-            n = int(key)
-        except ValueError:
+            if key in _HEADER_KEYS:
+                headers[key] = rest if key == "label" else int(rest)
+            else:
+                body[int(key)] = [Fraction(tok) for tok in rest.split()]
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"unparseable line in q-series file: {raw!r}") from None
-        body[n] = [Fraction(tok) for tok in rest.split()]
     if "conductor" not in headers or "precision" not in headers:
         raise ValueError("q-series file must declare conductor and precision")
-    conductor = int(headers.pop("conductor"))
-    precision = int(headers.pop("precision"))
+    conductor = headers.pop("conductor")
+    precision = headers.pop("precision")
+    if conductor < 1:
+        raise ValueError(f"q-series file declares conductor {conductor}; it must be positive")
     from .exact import euler_phi
 
     width = euler_phi(conductor)

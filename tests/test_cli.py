@@ -279,6 +279,43 @@ def test_newforms_ingest(tmp_path, capsys, monkeypatch):
         reset_caches()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("level,weight", [(8, 12), (9, 12), (10, 8)])
+def test_newforms_expansion_matches_golden(capsys, level, weight):
+    # 8.12 holds a conductor-109 pair split off a rational T_p, 9.12 a
+    # conductor-280 pair, and 10.8 a T_p over Q(zeta_76) from the 5.8 oldforms
+    golden = GOLDEN / f"newforms_{level}_{weight}_prec30.txt"
+    rc, out, err = run(capsys, "newforms", "--level", str(level),
+                       "--weight", str(weight), "--prec", "30")
+    assert (rc, err) == (0, "")
+    assert out.encode() == golden.read_bytes()
+
+
+CORRUPT_QS = (
+    "# qseries v1\nconductor: 1\nprecision: 5\n"
+    "level: 1\nweight: 12\nlabel: z\n1: 1/0\n"
+)
+
+
+def test_corrupt_cache_file_is_skipped(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    bad = cache / "1.12.z.qs"
+    bad.write_text(CORRUPT_QS)
+    monkeypatch.setenv("QMF_CACHE_DIR", str(cache))
+    rc, out, err = run(capsys, "newforms", "--level", "1", "--weight", "12")
+    assert (rc, out, err) == (0, "1.12.delta eta[1^24]\n", "")
+    for argv in (
+        ("decompose", "--series", str(bad), "--level", "1"),
+        ("newforms", "--ingest", str(bad)),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: unparseable line in q-series file: '1: 1/0'\n"
+
+
 # ------------------------------------------------------------------- errors
 
 
@@ -289,6 +326,12 @@ def test_parse_error_positions(capsys):
     rc, _, err = run(capsys, "expand", "--form", "nosuch[3]", "--prec", "5")
     assert rc == 1
     assert "unknown atom 'nosuch'" in err
+
+
+def test_eisenstein_character_modulus_must_be_positive(capsys):
+    rc, out, err = run(capsys, "expand", "--form", "E[4,0.1,1]", "--prec", "5")
+    assert (rc, out) == (1, "")
+    assert err == "parse error at position 0: character modulus must be positive\n"
 
 
 def test_parse_misuse_errors(capsys):

@@ -2,14 +2,17 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qmf
-from qmf.exact import divisors, primes_upto
+import qmf.newforms as nf
+from qmf.exact import CycNumber, divisors, primes_upto
 from qmf.newforms import (
     CatalogIncompleteError,
+    DerivationError,
     NewformRecord,
     catalog_lookup,
     cusp_basis,
@@ -257,6 +260,92 @@ def test_full_cusp_basis_at_level6_weight12():
     assert texts[0] == "newform[1,12,delta]"
     assert "dilate[6](newform[1,12,delta])" in texts
     assert sum(1 for t in texts if "newform[6,12," in t) == 3
+
+
+def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
+    # T_p is rational on every piece at 8.12 and 9.12; only the final
+    # eigenlines (T_p - lam')w leave Q, so no elimination in the split sees
+    # an irrational entry
+    inside = []
+    conductors = []
+
+    def note(entries):
+        if inside:
+            conductors.extend(c.conductor for c in entries)
+
+    class SpySolver(nf.LinearSolver):
+        def __init__(self, rows):
+            note(c for row in rows for c in row)
+            super().__init__(rows)
+
+        def add_column(self, column):
+            note(column)
+            return super().add_column(column)
+
+        def solve(self, target):
+            note(target)
+            return super().solve(target)
+
+    real_null_space, real_split = nf.null_space, nf._split_eigenlines
+
+    def spy_null_space(rows):
+        note(c for row in rows for c in row)
+        return real_null_space(rows)
+
+    def spy_split(*args):
+        inside.append(True)
+        try:
+            return real_split(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(nf, "LinearSolver", SpySolver)
+    monkeypatch.setattr(nf, "null_space", spy_null_space)
+    monkeypatch.setattr(nf, "_split_eigenlines", spy_split)
+    for key in ((8, 12), (9, 12)):
+        nf._derived_cache.pop(key, None)  # derive these two again
+    assert len(newforms_for(8, 12)) == 3
+    assert len(newforms_for(9, 12)) == 4
+    assert conductors and set(conductors) == {1}
+
+
+def _companion_109():
+    # characteristic polynomial x^2 - x - 27, discriminant 109
+    return [
+        [CycNumber.zero(), CycNumber.from_rational(27)],
+        [CycNumber.one(), CycNumber.one()],
+    ]
+
+
+def test_quadratic_factor_splits_into_eigenlines():
+    A = _companion_109()
+    pieces = nf._eigen_split_matrix(A, 2, 12)
+    assert [len(piece) for piece in pieces] == [1, 1]
+    sq = nf._sqrt_cyclotomic(Fraction(109))
+    roots = [(1 + sq) * Fraction(1, 2), (1 - sq) * Fraction(1, 2)]
+    matched = []
+    for (v,) in pieces:
+        assert {c.conductor for c in v} == {109}
+        assert not all(c.is_zero() for c in v)
+        av = [A[i][0] * v[0] + A[i][1] * v[1] for i in range(2)]
+        matched += [
+            k for k, lam in enumerate(roots)
+            if all(av[j] == lam * v[j] for j in range(2))
+        ]
+    assert sorted(matched) == [0, 1]  # one line for each root
+
+
+def test_quadratic_eigenline_check_rejects_vectors_outside_the_kernel():
+    g = [Fraction(-27), Fraction(-1), Fraction(1)]
+    zero, one = CycNumber.zero(), CycNumber.one()
+    with pytest.raises(DerivationError, match="no eigenline"):
+        nf._quadratic_eigenlines(_companion_109(), g, [zero, zero])
+    # the companion block plus the eigenvalue 5: (A - lam')w = (5 - lam')w
+    # is nonzero for w = e_3, but A v = 5 v, not lam v
+    A = [row + [zero] for row in _companion_109()]
+    A.append([zero, zero, CycNumber.from_rational(5)])
+    with pytest.raises(DerivationError, match="no eigenline"):
+        nf._quadratic_eigenlines(A, g, [zero, zero, one])
 
 
 def test_weight2_derivation_refuses():

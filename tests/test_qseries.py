@@ -201,6 +201,20 @@ def test_file_headers_and_errors():
         load_qseries("# qseries v1\nconductor: 4\nprecision: 4\n1: 1\n")
 
 
+@pytest.mark.parametrize("bad_line", ["1: 1/0", "precision: 4.5", "weight: twelve"])
+def test_file_with_unparseable_value_names_the_line(bad_line):
+    text = f"# qseries v1\nconductor: 1\nprecision: 4\n{bad_line}\n"
+    with pytest.raises(ValueError, match=f"unparseable line in q-series file: '{bad_line}'"):
+        load_qseries(text)
+
+
+@pytest.mark.parametrize("conductor", [0, -3])
+def test_file_with_nonpositive_conductor_names_it(conductor):
+    text = f"# qseries v1\nconductor: {conductor}\nprecision: 4\n1: 1\n"
+    with pytest.raises(ValueError, match=f"conductor {conductor}; it must be positive"):
+        load_qseries(text)
+
+
 def test_agrees_with():
     a = QSeries([1, 2, 3, 4])
     b = QSeries([1, 2, 3])
