@@ -6,13 +6,14 @@ reduced modulo the M-th cyclotomic polynomial.  M = 1 gives plain rationals
 and is the fast path almost everywhere.  No floating point enters any
 computation; floats appear only in human-readable reports.
 
-LinearSolver solves exactly.  A rational matrix whose rank modulo the prime
-2^61 - 1 equals its column count (which proves full column rank over Q) is
-solved by Dixon p-adic lifting with rational reconstruction, and an answer
-is returned only after A*x == b holds in integers on every row.  Any other
-matrix, or a case the modular path cannot certify, uses the replay
-eliminator, an exact reduced-row-echelon factorization recorded as row
-operations; it is also the oracle the modular path is tested against.
+LinearSolver solves exactly.  Matrices come as CycNumber rows or, rational,
+as integer columns with a scale each; targets as CycNumbers or as integer
+numerators over one scale.  A rational matrix whose rank modulo the prime
+2^61 - 1 equals its column count (proving full column rank over Q) is solved
+in integers by Dixon p-adic lifting with rational reconstruction, and an
+answer is returned only after A*x == b holds on every row.  Other matrices,
+and cases the modular path cannot certify, use the replay eliminator (exact
+row-echelon operations), which is also the modular path's test oracle.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 __all__ = [
     "ConductorMismatchError",
@@ -507,21 +508,19 @@ def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | No
     return r1, s1
 
 
-def _modular_factor(rows: list[list[CycNumber]]) -> "_DixonFactor | None":
-    """Certify full column rank of a rational matrix modulo _MODULUS.
+def _modular_factor(columns, scales: Sequence[int]) -> "_DixonFactor | None":
+    """Certify full column rank modulo _MODULUS of the rational matrix with
+    columns columns[j] / scales[j], each column a sequence of ints.
 
-    Each column is scaled to integers by its denominator lcm.  Pivot rows
-    are found mod p by the eliminator's rule (for each column the first
-    unused row with a nonzero entry), keeping the multipliers and reduced
-    pivot rows as an LU factorisation of the pivot square.  Returns None
-    when some column has no pivot mod p.
+    Pivot rows are found mod p by the eliminator's rule (for each column the
+    first unused row with a nonzero entry), keeping the multipliers and
+    reduced pivot rows as an LU factorisation of the pivot square.  Returns
+    None when some column has no pivot mod p.
     """
     p = _MODULUS
-    scales, columns = zip(*(_integer_scale([row[j].coords[0] for row in rows])
-                            for j in range(len(rows[0]))))
     ints = [list(row) for row in zip(*columns)]
     work = [[a % p for a in row] for row in ints]
-    unused = list(range(len(rows)))
+    unused = list(range(len(ints)))
     multipliers: dict[int, list[int]] = {i: [] for i in unused}
     pivot_rows, lower, upper, inv_diag = [], [], [], []
     for j in range(len(scales)):
@@ -550,23 +549,13 @@ class _DixonFactor:
     Math. 1982) built on the square's LU factorisation mod p."""
 
     def __init__(self, p, scales, rows, pivot_rows, lower, upper, inv_diag):
-        self.p = p
-        self.scales = scales
-        self.rows = rows
-        self.pivot_rows = pivot_rows
+        self.p, self.scales, self.rows, self.pivot_rows = p, scales, rows, pivot_rows
         # lower[k]: multipliers of pivots 0..k-1 in pivot row k; upper[k]:
         # pivot row k right of its pivot; inv_diag[k]: inverse of the pivot
-        self.lower = lower
-        self.upper = upper
-        self.inv_diag = inv_diag
+        self.lower, self.upper, self.inv_diag = lower, upper, inv_diag
         self.square = [rows[i] for i in pivot_rows]
+        self.others = sorted(set(range(len(rows))).difference(pivot_rows))
         self.col_norms = [sum(a * a for a in col) for col in zip(*self.square)]
-
-    def columns(self) -> list[list[Fraction]]:
-        """The matrix as it was given, one list per column."""
-        return [
-            [Fraction(a, s) for a in col] for s, col in zip(self.scales, zip(*self.rows))
-        ]
 
     def _solve_mod_p(self, rhs: list[int]) -> list[int]:
         # pivot square * x = rhs (mod p) by forward and back substitution
@@ -579,9 +568,8 @@ class _DixonFactor:
             x[k] = (c[k] - _dot(self.upper[k], x[k + 1 :])) * self.inv_diag[k] % p
         return x
 
-    def solve(self, target: list[Fraction]) -> list[Fraction] | None:
-        """Exact x with A*x == target, or None when there is none."""
-        t, b = _integer_scale(target)
+    def solve(self, t: int, b: Sequence[int]) -> list[Fraction] | None:
+        """Exact x with A*x == b / t for ints b, or None when there is none."""
         p, square = self.p, self.square
         rhs = [b[i] for i in self.pivot_rows]
         # Cramer and Hadamard: the pivot solution has numerators and common
@@ -594,7 +582,6 @@ class _DixonFactor:
             digit = self._solve_mod_p([v % p for v in residual])
             lifted = [a + modulus * x for a, x in zip(lifted, digit)]
             modulus *= p
-            residual = [(v - _dot(row, digit)) // p for v, row in zip(residual, square)]
             got = _reconstruct(lifted, modulus)
             if got is not None:
                 y, d = got
@@ -602,9 +589,10 @@ class _DixonFactor:
                     break
             if modulus > bound:
                 raise ArithmeticError("p-adic lifting passed the Hadamard bound")
+            residual = [(v - _dot(row, digit)) // p for v, row in zip(residual, square)]
         # y/d solves the pivot rows exactly and uniquely; the target is in
         # the span exactly when every other row holds too
-        if any(_dot(row, y) != d * v for row, v in zip(self.rows, b)):
+        if any(_dot(self.rows[i], y) != d * b[i] for i in self.others):
             return None
         return [Fraction(v * s, d * t) for v, s in zip(y, self.scales)]
 
@@ -684,49 +672,57 @@ class LinearSolver:
     """Exact factorization of a matrix over Q(zeta_M), reusable for many
     right-hand sides and grown one column at a time.
 
+    The matrix is CycNumber rows, or, with scales, int columns: column j
+    stands for matrix[j] / scales[j].  A target is one CycNumber per row,
+    or, with scale, int numerators over it, one sequence per power-basis
+    coordinate of Q(zeta_conductor).  Coordinates come back as CycNumbers.
+
     A rational matrix whose rank modulo the prime _MODULUS equals its column
     count has full column rank over Q (a nonzero minor mod p is nonzero).
-    It keeps its integer-scaled rows and a mod-p LU factorisation of its
-    pivot square, and solve() lifts the pivot system p-adically with
-    rational reconstruction (Dixon), stopping at the Hadamard bound at the
-    latest.  Coordinates are returned only after A*x == b holds exactly on
-    every row; None only when x solves the pivot rows exactly and another
-    row fails, which certifies that b is outside the span.  A target whose
-    entries share one conductor is solved one power-basis coordinate at a
-    time, and its coordinates keep that conductor.
+    solve() lifts each power-basis coordinate of a target of one conductor
+    p-adically (Dixon) on a mod-p LU factorisation of the pivot square, with
+    rational reconstruction, stopping at the Hadamard bound at the latest.
+    Coordinates are returned only after A*x == b holds exactly on every row;
+    None only when x solves the pivot rows exactly and another row fails,
+    which certifies that b is outside the span.
 
     Everything else uses the replay eliminator (_ReplayEliminator), the
-    reference the modular path is tested against: rank mod p below the
-    column count (an unlucky prime or a deficient matrix, so rank stays
-    exact), cyclotomic entries, add_column growth and targets of mixed
-    conductor.  A certified matrix records the replay on first need.
-    Coordinates of a cyclotomic matrix live in Q(zeta_M), M the lcm of the
-    entries' conductors.
+    modular path's test oracle: rank mod p below the column count (an
+    unlucky prime or a deficient matrix, so rank stays exact), cyclotomic
+    entries, add_column growth and targets of mixed conductor.  A certified
+    matrix records the replay on first need.  Coordinates live in Q(zeta_M),
+    M the lcm of the conductors of the matrix and of the target.
     """
 
-    def __init__(self, rows: list[list[CycNumber]]):
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self._conductor = math.lcm(1, *(c.conductor for row in rows for c in row))
-        self._modular = None
-        self._replay = None
+    def __init__(self, matrix, scales: Sequence[int] | None = None):
+        if scales is None:
+            self.nrows = len(matrix)
+            self._conductor = math.lcm(1, *(c.conductor for row in matrix for c in row))
+            columns = [[_plain(c) for c in col] for col in zip(*matrix)]
+        else:
+            self.nrows, self._conductor, columns = len(matrix[0]), 1, matrix
+        self.ncols = len(columns)
+        self._modular = self._replay = None
         if self._conductor == 1 and 0 < self.ncols <= self.nrows:
-            self._modular = _modular_factor(rows)
+            if scales is None:
+                scales, columns = zip(*map(_integer_scale, columns))
+            self._modular = _modular_factor(columns, scales)
         if self._modular is not None:
             self.rank = self.ncols
             return
+        if scales is not None:
+            columns = [[Fraction(a, s) for a in col] for s, col in zip(scales, columns)]
         replay = self._replay = _ReplayEliminator(self.nrows)
-        self.rank = sum(
-            replay.pivot([_plain(row[j]) for row in rows], j) for j in range(self.ncols)
-        )
+        self.rank = sum(replay.pivot(col, j) for j, col in enumerate(columns))
 
     def _replay_eliminator(self) -> _ReplayEliminator:
         replay = self._replay
         if replay is None:
             # published whole, so a concurrent solve never sees it half built
             replay = _ReplayEliminator(self.nrows)
-            for j, column in enumerate(self._modular.columns()):
-                replay.pivot(column, j)
+            modular = self._modular
+            for j, (s, col) in enumerate(zip(modular.scales, zip(*modular.rows))):
+                replay.pivot([Fraction(a, s) for a in col], j)
             self._replay = replay
         return replay
 
@@ -743,13 +739,28 @@ class LinearSolver:
         self.rank += 1
         return True
 
-    def solve(self, target: list[CycNumber]) -> list[CycNumber] | None:
+    def solve(self, target, scale: int | None = None, conductor: int = 1) -> list[CycNumber] | None:
+        modular = self._modular
+        if scale is None and modular is not None and target:
+            conductor = target[0].conductor
+            if all(c.conductor == conductor for c in target):
+                width = euler_phi(conductor)
+                scale, flat = _integer_scale([x for c in target for x in c.coords])
+                target = [flat[k::width] for k in range(width)]
+        if scale is not None:
+            if any(len(t) != self.nrows for t in target):
+                raise ValueError("target length does not match row count")
+            if modular is not None:
+                # the matrix is rational, so each power-basis coordinate of
+                # the target is a rational system of its own
+                parts = [modular.solve(scale, t) for t in target]
+                if None in parts:
+                    return None
+                return [CycNumber._trusted(conductor, coords) for coords in zip(*parts)]
+            target = [CycNumber._trusted(conductor, tuple(Fraction(v, scale) for v in xs))
+                      for xs in zip(*target)]
         if len(target) != self.nrows:
             raise ValueError("target length does not match row count")
-        if self._modular is not None:
-            M = target[0].conductor
-            if all(c.conductor == M for c in target):
-                return self._solve_modular(target, M)
         replay = self._replay_eliminator()
         vec = replay.replay([_plain(c) for c in target])
         if any(v for v, used in zip(vec, replay.used) if not used):
@@ -761,17 +772,6 @@ class LinearSolver:
                 v = CycNumber.from_rational(v)
             out[col] = v.embed(math.lcm(self._conductor, v.conductor))
         return out
-
-    def _solve_modular(self, target: list[CycNumber], M: int) -> list[CycNumber] | None:
-        # the matrix is rational, so each power-basis coordinate of the
-        # target is a rational system of its own
-        parts = []
-        for k in range(euler_phi(M)):
-            x = self._modular.solve([c.coords[k] for c in target])
-            if x is None:
-                return None
-            parts.append(x)
-        return [CycNumber._trusted(M, coords) for coords in zip(*parts)]
 
     def free_columns(self) -> list[int]:
         if self._modular is not None:

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .exact import ConductorMismatchError, CycNumber, cyclotomic_polynomial, format_cyc
+from .exact import ConductorMismatchError, CycNumber, cyclotomic_polynomial, euler_phi, format_cyc
 
 __all__ = [
     "EtaProduct",
@@ -208,28 +208,28 @@ def _pack_decimal(seq: Sequence[int], digits: int, ctx) -> decimal.Decimal:
     return ctx.subtract(pos, decimal.Decimal(neg))
 
 
-def _reduce_zeta(raw: list, conductor: int, precision: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coordinates of sum_i raw[i] zeta^i (raw[i] an int
-    sequence, or None for zero) modulo the conductor's cyclotomic polynomial."""
+def _reduce_zeta(terms, conductor: int, precision: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis coordinates of the sum of c * zeta^k over the pairs (k, c)
+    of terms, each c an int sequence, modulo the conductor's cyclotomic
+    polynomial."""
     phi = cyclotomic_polynomial(conductor)
     deg = len(phi) - 1
-    raw = list(raw) + [None] * (deg - len(raw))
-    for i in range(len(raw) - 1, deg - 1, -1):
-        c = raw[i]
+    raw: dict[int, list] = {}
+    for k, c in terms:
+        cur = raw.get(k)
+        raw[k] = c if cur is None else [u + v for u, v in zip(cur, c)]
+    for i in range(max(raw, default=0), deg - 1, -1):
+        c = raw.pop(i, None)
         if c is None:
             continue
         # phi is monic: z^deg = -(phi[0] + ... + phi[deg-1] z^(deg-1))
         for j, f in enumerate(phi[:deg]):
             if f:
                 k = i - deg + j
-                cur = raw[k]
-                raw[k] = (
-                    [-f * v for v in c]
-                    if cur is None
-                    else [u - f * v for u, v in zip(cur, c)]
-                )
+                cur = raw.get(k)
+                raw[k] = [-f * v for v in c] if cur is None else [u - f * v for u, v in zip(cur, c)]
     zero = (0,) * precision
-    return tuple(zero if c is None else tuple(c) for c in raw[:deg])
+    return tuple(tuple(raw[k]) if k in raw else zero for k in range(deg))
 
 
 def _embed_nums(nums, source: int, target: int, precision: int):
@@ -239,27 +239,19 @@ def _embed_nums(nums, source: int, target: int, precision: int):
     if target % source:
         raise ConductorMismatchError(f"cannot embed conductor {source} into {target}")
     step = target // source
-    raw: list = [None] * ((len(nums) - 1) * step + 1)
-    for i, t in enumerate(nums):
-        if any(t):
-            raw[i * step] = t
-    return _reduce_zeta(raw, target, precision)
+    return _reduce_zeta(((i * step, t) for i, t in enumerate(nums) if any(t)), target, precision)
 
 
 def _zeta_product(xs, ys, conductor: int, precision: int):
     """Coordinates of (sum_i xs[i] zeta^i) * (sum_j ys[j] zeta^j), each xs[i]
     and ys[j] an int series: convolve coordinate pairs, then reduce modulo
     the conductor's cyclotomic polynomial once."""
-    raw: list = [None] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        if not any(x):
-            continue
-        for j, y in enumerate(ys):
-            if any(y):
-                c = _convolve(x, y, precision)
-                cur = raw[i + j]
-                raw[i + j] = c if cur is None else [u + v for u, v in zip(cur, c)]
-    return _reduce_zeta(raw, conductor, precision)
+    terms = (
+        (i + j, _convolve(x, y, precision))
+        for i, x in enumerate(xs) if any(x)
+        for j, y in enumerate(ys) if any(y)
+    )
+    return _reduce_zeta(terms, conductor, precision)
 
 
 class QSeries:
@@ -308,6 +300,8 @@ class QSeries:
     def _make(cls, precision: int, conductor: int, den: int, nums) -> "QSeries":
         """Series from int coordinate sequences over den; reduces them to the
         canonical form."""
+        if precision < 1:
+            raise ValueError("precision must be at least 1")
         if den != 1:
             g = math.gcd(den, *(x for t in nums for x in t if x))
             if g != 1:
@@ -374,6 +368,11 @@ class QSeries:
         """Lowest exponent with nonzero coefficient, None for the zero truncation."""
         return next(self._support(), None)
 
+    def numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, nums), the q^n coefficient being sum_k nums[k][n] zeta^k / d:
+        the canonical integers, one tuple per power-basis coordinate."""
+        return self._den, self._nums
+
     def _coords(self, conductor: int, precision: int):
         # numerators truncated to precision and seen in Q(zeta_conductor)
         nums = self._nums
@@ -412,13 +411,16 @@ class QSeries:
 
     def scale(self, factor) -> "QSeries":
         factor = _wrap(factor)
-        M = math.lcm(self.conductor, factor.conductor)
+        M, p = math.lcm(self.conductor, factor.conductor), self.precision
         coords = factor.embed(M).coords
         fden = math.lcm(*(c.denominator for c in coords))
-        # each coordinate of the factor acts as a one-term series
-        scalars = [(c.numerator * (fden // c.denominator),) for c in coords]
-        nums = _zeta_product(scalars, self._coords(M, self.precision), M, self.precision)
-        return QSeries._make(self.precision, M, self._den * fden, nums)
+        # multiply the numerators by the factor's integer coordinates, then
+        # reduce modulo the cyclotomic polynomial once
+        ints = [c.numerator * (fden // c.denominator) for c in coords]
+        ys = self._coords(M, p)
+        terms = ((i + j, [a * v for v in y])
+                 for i, a in enumerate(ints) if a for j, y in enumerate(ys))
+        return QSeries._make(p, M, self._den * fden, _reduce_zeta(terms, M, p))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
@@ -714,8 +716,6 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
     precision = headers.pop("precision")
     if conductor < 1:
         raise ValueError(f"q-series file declares conductor {conductor}; it must be positive")
-    from .exact import euler_phi
-
     width = euler_phi(conductor)
     entries: dict[int, CycNumber] = {}
     for n, coords in body.items():

@@ -210,10 +210,16 @@ def _cached(table: dict, key, build):
 
 
 def _basis_solver(atoms: list[BasisAtom], rows: int) -> LinearSolver:
-    # derived newforms may need a field beyond the level's character values
-    # (the 9.8 newforms have conductor 40); the solver works over the lcm
-    columns = [atom.expand(rows).coefficients() for atom in atoms]
-    return LinearSolver([[col[n] for col in columns] for n in range(rows)])
+    # a rational basis goes in as integer columns, each atom's numerators
+    # over its denominator; derived newforms may need a field beyond the
+    # level's character values (the 9.8 newforms have conductor 40), and
+    # then the columns go in as CycNumbers and the solver works over the lcm
+    series = [atom.expand(rows) for atom in atoms]
+    if any(s.conductor != 1 for s in series):
+        columns = [s.coefficients() for s in series]
+        return LinearSolver([[col[n] for col in columns] for n in range(rows)])
+    dens, nums = zip(*(s.numerators() for s in series))
+    return LinearSolver([t for (t,) in nums], dens)
 
 
 def decompose(
@@ -250,8 +256,8 @@ def decompose(
             raise InsufficientPrecisionError(rows * 2, f.precision, "input series")
         rows = min(rows * 2, f.precision)
         escalations += 1
-    target = [f.coefficient(n) for n in range(rows)]
-    coords = solver.solve(target)
+    den, nums = f.numerators()
+    coords = solver.solve([t[:rows] for t in nums], den, f.conductor)
     if coords is None:
         return Decomposition(atoms, None, True, rows, escalations)
     return Decomposition(atoms, coords, False, rows, escalations)

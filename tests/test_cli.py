@@ -380,6 +380,14 @@ def test_scan_bounds_are_checked_before_the_form_expands(capsys):
         assert (rc, out, err) == (1, "", line), argv
 
 
+@pytest.mark.parametrize("level,weight", [(2, 10), (1, 12)])
+def test_newforms_zero_precision_is_an_error(capsys, level, weight):
+    # 2.10 is derived and 1.12 built in; neither prints a precision-0 table
+    rc, out, err = run(capsys, "newforms", "--level", str(level),
+                       "--weight", str(weight), "--prec", "0")
+    assert (rc, out, err) == (1, "", "error: precision must be at least 1\n")
+
+
 def test_census_huge_delta_bound_underflows_to_zero(capsys):
     for delta in ("100", "1000", "1e400"):
         rc, out, err = run(capsys, "census", "--form", "Delta", "--level", "1",

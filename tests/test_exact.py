@@ -307,7 +307,7 @@ def test_solve_keeps_the_target_field_through_zero_entries():
 
 def replay_solver(rows):
     """The replay eliminator alone: the oracle for the modular path."""
-    with mock.patch.object(exact, "_modular_factor", lambda rows: None):
+    with mock.patch.object(exact, "_modular_factor", lambda *matrix: None):
         return LinearSolver(rows)
 
 
@@ -459,3 +459,63 @@ def test_small_prime_lifts_over_many_steps(monkeypatch):
     assert [c.as_rational() for c in solver.solve(target)] == coeffs
     target[-1] = target[-1] + 1
     assert solver.solve(target) is None
+
+
+# -- integer columns and integer targets -------------------------------------
+
+def integer_form(vector):
+    """(scale, ints) of a rational CycNumber vector."""
+    return exact._integer_scale([c.as_rational() for c in vector])
+
+
+@pytest.mark.parametrize("shape,rank", [((9, 4), 4), ((6, 4), 2), ((3, 6), 3), ((5, 5), 5)])
+def test_integer_columns_match_the_replay(shape, rank):
+    # the integer entry certifies exactly when the CycNumber entry does, and
+    # every solve, integer target or CycNumber target, agrees with the replay
+    rng = random.Random(f"integer-{shape}")
+    rows, columns = rational_rows(rng, *shape, rank=rank)
+    scales, ints = zip(*map(integer_form, columns))
+    solver = LinearSolver(list(ints), list(scales))
+    oracle = replay_solver(rows)
+    assert (solver._modular is None) == (LinearSolver(rows)._modular is None)
+    assert (solver.ncols, solver.rank, solver.free_columns()) == (
+        oracle.ncols, oracle.rank, oracle.free_columns())
+    units = SOLVER_UNITS["rational"]
+    targets = [combine(columns, [random_entry(rng, units) for _ in columns]),
+               random_columns(rng, units, shape[0], 1)[0], [CycNumber.zero()] * shape[0]]
+    for target in targets:
+        scale, b = integer_form(target)
+        want = exact_keys(oracle.solve(target))
+        assert exact_keys(solver.solve([b], scale)) == want
+        assert exact_keys(solver.solve(target)) == want
+
+
+def test_integer_target_of_one_conductor_keeps_it():
+    # a Q(zeta_5) target as numerators over one scale, one sequence per
+    # power-basis coordinate, on the modular path and on the replay
+    rng = random.Random("integer-conductor")
+    rows, columns = rational_rows(rng, 8, 5)
+    units = SOLVER_UNITS["cyclotomic"]
+    coeffs = [random_entry(rng, units) for _ in columns]
+    target = [c if c else CycNumber.zero(5) for c in combine(columns, coeffs)]
+    scale, flat = exact._integer_scale([x for c in target for x in c.coords])
+    numerators = [flat[k::4] for k in range(4)]
+    for solver in (LinearSolver(rows), replay_solver(rows)):
+        assert solver.solve(numerators, scale, 5) == coeffs
+        assert [c.conductor for c in solver.solve(numerators, scale, 5)] == [5] * 5
+    with pytest.raises(ValueError):
+        LinearSolver(rows).solve([t[:-1] for t in numerators], scale, 5)
+
+
+def test_each_dixon_dot_product_runs_once():
+    # a one-digit lift: forward and back substitution mod p take one dot per
+    # pivot each, the exact check of the pivot rows one more, and then only
+    # the other rows are checked; no residual is formed for a next digit
+    rng = random.Random("dots")
+    rows, columns = rational_rows(rng, 12, 5)
+    target = combine(columns, [Fraction(k, 3) for k in range(1, 6)])
+    solver = LinearSolver(rows)
+    with mock.patch.object(exact, "_dot", wraps=exact._dot) as dots:
+        assert [c.as_rational() for c in solver.solve(target)] == [
+            Fraction(k, 3) for k in range(1, 6)]
+    assert dots.call_count == 3 * 5 + (12 - 5)

@@ -5,6 +5,7 @@ runs without it."""
 
 import contextlib
 import io
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -80,6 +81,31 @@ def test_cyclotomic_products_match_schoolbook(pair3, pair4):
         precision,
     )
     assert all(got.coefficient(n) == want[n] for n in range(precision))
+
+
+# a series over Q(zeta_M) for M in 1, 3, 4, 5, and a factor that is zero,
+# rational, or cyclotomic of conductor 3, 4 or 5
+scaled_series = st.sampled_from([1, 3, 4, 5]).flatmap(
+    lambda M: st.lists(rationals if M == 1 else _cyclotomic(M), min_size=1, max_size=40)
+)
+factors = st.one_of(
+    st.sampled_from([0, CycNumber.zero(), CycNumber.zero(5)]),
+    rationals,
+    st.builds(CycNumber.from_rational, rationals),
+    *(_cyclotomic(M) for M in (3, 4, 5)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_series, factors)
+def test_scale_matches_coefficientwise_products(coeffs, factor):
+    series = QSeries(coeffs)
+    got = series.scale(factor)
+    assert all(got.coefficient(n) == series.coefficient(n) * factor
+               for n in range(series.precision))
+    # canonical: a positive denominator sharing no factor with all numerators
+    den, nums = got.numerators()
+    assert den > 0 and math.gcd(den, *(x for t in nums for x in t)) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,7 +186,7 @@ def test_modular_solver_matches_replay(case, modulus):
     with mock.patch.object(exact, "_MODULUS", modulus):
         solver = LinearSolver(rows)
         got = [_keys(solver.solve(t)) for t in targets]
-    with mock.patch.object(exact, "_modular_factor", lambda rows: None):
+    with mock.patch.object(exact, "_modular_factor", lambda *matrix: None):
         oracle = LinearSolver(rows)
     assert (solver.rank, solver.free_columns()) == (oracle.rank, oracle.free_columns())
     assert got == [_keys(oracle.solve(t)) for t in targets]

@@ -1,9 +1,12 @@
 """Graded basis assembly and exact decomposition."""
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from qmf import exact, quasimodular
 from qmf.exact import CycNumber
 from qmf.eisenstein import e2_series, raw_e2_atom
 from qmf.newforms import CatalogIncompleteError, ingest, newforms_for, reset_caches
@@ -195,6 +198,76 @@ def test_not_in_span():
     assert dec.residual
     assert dec.items() == []
     assert dec.report_text() == "residual: present"
+
+
+# the spaces the benchmark's session workload decomposes in
+SESSION_SPACES = [(1, 12), (2, 12), (3, 10), (4, 8), (6, 8)]
+
+
+def solve_series(solver, f, rows):
+    """Sort keys of the solver's coordinates for f's first rows, or None."""
+    den, nums = f.numerators()
+    got = solver.solve([t[:rows] for t in nums], den, f.conductor)
+    return None if got is None else [c.sort_key() for c in got]
+
+
+@pytest.mark.parametrize("level,maxweight", SESSION_SPACES)
+def test_integer_basis_solves_match_the_replay(level, maxweight):
+    atoms = assemble_basis(level, maxweight)
+    rows = PrecisionPolicy(level, maxweight, len(atoms)).p_req
+    solver = quasimodular._basis_solver(atoms, rows)
+    with mock.patch.object(exact, "_modular_factor", lambda *matrix: None):
+        oracle = quasimodular._basis_solver(atoms, rows)
+    assert solver._modular is not None and oracle._modular is None
+    assert solver.rank == oracle.rank == len(atoms)
+    rng = random.Random(f"integer-basis-{level}-{maxweight}")
+    series = [a.expand(rows) for a in atoms]
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in atoms]
+    inside = sum((s.scale(c) for s, c in zip(series, coeffs)), QSeries.zero(rows))
+    z3 = CycNumber.root_of_unity(3)
+    cyclo = [z3 * c + rng.randint(-3, 3) for c in coeffs]
+    third = sum((s.scale(c) for s, c in zip(series, cyclo)), QSeries.zero(rows))
+    assert third.conductor == 3
+    # the pivot rows of `inside` fix its coordinates; a changed other row
+    # leaves the span
+    outside = inside + QSeries.from_dict({solver._modular.others[0]: 1}, rows)
+    targets = [inside, third, outside, QSeries.zero(rows)]
+    got = [solve_series(solver, f, rows) for f in targets]
+    assert got == [solve_series(oracle, f, rows) for f in targets]
+    assert got[0] == [CycNumber.from_rational(c).sort_key() for c in coeffs]
+    assert got[1] == [c.sort_key() for c in cyclo]
+    assert got[2] is None
+    assert decompose(outside, level, maxweight).residual
+    # a basis of rank below its column count mod p takes the replay
+    with mock.patch.object(exact, "_MODULUS", 7):
+        deficient = quasimodular._basis_solver(atoms, rows)
+    assert deficient._modular is None and deficient.rank == len(atoms)
+    assert [solve_series(deficient, f, rows) for f in targets] == got
+
+
+def test_rational_decompose_builds_no_cell_numbers():
+    # the basis columns and the target go to the solver as integers: no
+    # coefficient is read and a CycNumber is built only per coordinate
+    atoms = assemble_basis(6, 8)
+    rows = PrecisionPolicy(6, 8, len(atoms)).p_req
+    f = atoms[3].expand(rows).scale(2) + atoms[40].expand(rows)
+    decompose(f, 6, 8)
+    for _, solvers in quasimodular._solver_cache.values():
+        solvers.clear()
+    for warm in (False, True):
+        with mock.patch.object(QSeries, "coefficient", autospec=True,
+                               side_effect=QSeries.coefficient) as reads, \
+             mock.patch.object(CycNumber, "__init__", autospec=True,
+                               side_effect=CycNumber.__init__) as inits, \
+             mock.patch.object(CycNumber, "_trusted", wraps=CycNumber._trusted) as trusted:
+            dec = decompose(f, 6, 8)
+        assert reads.call_count == 0
+        # one per coordinate; building the basis adds the constant atom's 1
+        assert inits.call_count + trusted.call_count == len(atoms) + (0 if warm else 1)
+    assert {a.spec_text(): c for a, c in dec.nonzero()} == {
+        atoms[3].spec_text(): CycNumber.from_rational(2),
+        atoms[40].spec_text(): CycNumber.from_rational(1),
+    }
 
 
 def test_insufficient_precision():
