@@ -212,6 +212,17 @@ def character_group(u: int) -> list[DirichletCharacter]:
     return chars
 
 
+_PRIMITIVE: dict[int, tuple[DirichletCharacter, ...]] = {}
+
+
 def enumerate_primitive(u: int) -> list[DirichletCharacter]:
-    """Primitive characters mod u in canonical (lexicographic) order."""
-    return [chi for chi in character_group(u) if chi.is_primitive()]
+    """Primitive characters mod u in canonical (lexicographic) order.
+
+    The characters are found once per modulus; each call returns a fresh
+    list of the same character objects."""
+    got = _PRIMITIVE.get(u)
+    if got is None:
+        got = _PRIMITIVE.setdefault(
+            u, tuple(chi for chi in character_group(u) if chi.is_primitive())
+        )
+    return list(got)

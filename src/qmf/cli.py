@@ -88,14 +88,9 @@ def _tokenize(text: str):
     return out
 
 
-class _Num:
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        self.value = value
-
-
 class _Op:
+    """A derivative polynomial; a scalar c is c*D^0 with no D token."""
+
     __slots__ = ("terms", "where")
 
     def __init__(self, terms: dict[int, Fraction], where: int | None):
@@ -110,12 +105,6 @@ class _Form:
         self.series = series
         self.weight = weight  # max weight across atoms, None once untagged
         self.order = order  # largest total derivative order along a nested chain
-
-
-def _as_op(v):
-    if isinstance(v, _Num):
-        return _Op({0: v.value}, None)
-    return v
 
 
 class _FormParser:
@@ -205,8 +194,8 @@ class _FormParser:
                 den = self.expect("num")
                 if den == 0:
                     raise FormSpecError(where, "zero denominator")
-                return _Num(Fraction(value, den))
-            return _Num(Fraction(value))
+                return _Op({0: Fraction(value, den)}, None)
+            return _Op({0: Fraction(value)}, None)
         if kind == "(":
             self.next()
             inner = self.expr()
@@ -375,47 +364,38 @@ class _FormParser:
 
     # -- arithmetic over parse values -------------------------------------
     def add(self, a, b):
-        if isinstance(a, _Num) and isinstance(b, _Num):
-            return _Num(a.value + b.value)
-        if isinstance(a, (_Num, _Op)) and isinstance(b, (_Num, _Op)):
-            left, right = _as_op(a), _as_op(b)
-            terms = dict(left.terms)
-            for r, c in right.terms.items():
+        if isinstance(a, _Op) and isinstance(b, _Op):
+            terms = dict(a.terms)
+            for r, c in b.terms.items():
                 terms[r] = terms.get(r, Fraction(0)) + c
-            where = left.where if left.where is not None else right.where
-            return _Op(terms, where)
+            return _Op(terms, a.where if a.where is not None else b.where)
         if isinstance(a, _Form) and isinstance(b, _Form):
             weight = None
             if a.weight is not None and b.weight is not None:
                 weight = max(a.weight, b.weight)
             return _Form(a.series + b.series, weight, max(a.order, b.order))
-        if isinstance(a, _Num) and isinstance(b, _Form):
+        # a series and a scalar (c*D^0 with no D token): a constant series
+        if isinstance(a, _Op):
             a, b = b, a
-        if isinstance(a, _Form) and isinstance(b, _Num):
-            const = QSeries.constant(b.value, a.series.precision)
-            return _Form(a.series + const, a.weight, a.order)
-        self.fail("cannot add an operator to a series")
+        if b.where is not None:
+            self.fail("cannot add an operator to a series")
+        const = QSeries.constant(b.terms[0], a.series.precision)
+        return _Form(a.series + const, a.weight, a.order)
 
     def neg(self, a):
-        if isinstance(a, _Num):
-            return _Num(-a.value)
         if isinstance(a, _Op):
             return _Op({r: -c for r, c in a.terms.items()}, a.where)
         return _Form(a.series.scale(-1), a.weight, a.order)
 
     def mul(self, a, b):
-        if isinstance(a, _Num) and isinstance(b, _Num):
-            return _Num(a.value * b.value)
-        if isinstance(a, _Num) and isinstance(b, _Op):
+        # a scalar operand goes first: it scales an operator, or is applied
+        # to a series as c*D^0
+        if isinstance(b, _Op) and b.where is None:
             a, b = b, a
-        if isinstance(a, _Op) and isinstance(b, _Num):
-            return _Op({r: c * b.value for r, c in a.terms.items()}, a.where)
-        if isinstance(a, _Num) and isinstance(b, _Form):
-            a, b = b, a
-        if isinstance(a, _Form) and isinstance(b, _Num):
-            return _Form(a.series.scale(b.value), a.weight, a.order)
         if isinstance(a, _Op) and isinstance(b, _Form):
             return self.apply(a, b)
+        if isinstance(a, _Op) and a.where is None:
+            return _Op({r: c * a.terms[0] for r, c in b.terms.items()}, b.where)
         if isinstance(a, _Form) and isinstance(b, _Form):
             self.fail("products of series are not supported")
         self.fail("operators compose by application, e.g. D^2(f)")
@@ -428,27 +408,19 @@ class _FormParser:
                 f"total derivative order {order} along one nested chain "
                 f"is above the cap {MAX_DERIVATIVE_ORDER}",
             )
-        total = QSeries.zero(form.series.precision)
-        weight = form.weight
-        top = None
-        for r, c in op.terms.items():
-            total = total + form.series.apply_D(r).scale(c)
-            if weight is not None:
-                lifted = weight + 2 * r
-                top = lifted if top is None else max(top, lifted)
-        return _Form(total, top, order)
+        first, *rest = (form.series.apply_D(r).scale(c) for r, c in op.terms.items())
+        weight = None if form.weight is None else form.weight + 2 * max(op.terms)
+        return _Form(sum(rest, first), weight, order)
 
 
 def eval_form(text: str, precision: int) -> tuple[QSeries, int | None]:
     """Evaluate a form expression to (series, max weight or None)."""
     value = _FormParser(text, precision).parse()
-    if isinstance(value, _Num):
-        return QSeries.constant(value.value, precision), 0
-    if isinstance(value, _Op):
-        raise FormSpecError(
-            0, "form is a bare operator; apply it to a series"
-        )
-    return value.series, value.weight
+    if isinstance(value, _Form):
+        return value.series, value.weight
+    if value.where is not None:
+        raise FormSpecError(0, "form is a bare operator; apply it to a series")
+    return QSeries.constant(value.terms[0], precision), 0
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +624,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (RankDeficientError, DerivationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (RankDeficientError, DerivationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

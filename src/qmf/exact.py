@@ -14,6 +14,8 @@ in integers by Dixon p-adic lifting with rational reconstruction, and an
 answer is returned only after A*x == b holds on every row.  Other matrices,
 and cases the modular path cannot certify, use the replay eliminator (exact
 row-echelon operations), which is also the modular path's test oracle.
+Inverting a cyclotomic number is one such certified solve: x*y = 1 is a
+rational system in the coordinates of y.
 """
 from __future__ import annotations
 
@@ -334,23 +336,27 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm on
-        the power-basis polynomial and the cyclotomic polynomial."""
+        """Multiplicative inverse by one certified LinearSolver solve of
+        self*y == 1 for the coordinates of y.  Column j of the matrix is
+        self*zeta^j as ints over self's denominator, the target is
+        (1, 0, ..., 0); y comes back only once the product holds exactly on
+        every coordinate (see LinearSolver)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.conductor == 1:
+        M = self.conductor
+        if M == 1:
             return CycNumber(1, (1 / self.coords[0],))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi, list(self.coords)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant multiple of gcd = 1
-        lead = next(c for c in r0 if c)
-        inv = [c / lead for c in s0]
-        return CycNumber(self.conductor, _reduce_mod_cyclotomic(inv, self.conductor))
+        phi = cyclotomic_polynomial(M)
+        scale, col = _integer_scale(self.coords)
+        columns = [col]
+        for _ in range(1, len(col)):
+            # times zeta: shift up one power, then fold zeta^deg back by Phi_M
+            top, col = col[-1], [0] + col[:-1]
+            col = [a - top * c for a, c in zip(col, phi)]
+            columns.append(col)
+        unit = [[1] + [0] * (len(col) - 1)]
+        coords = LinearSolver(columns, [scale] * len(columns)).solve(unit, 1)
+        return CycNumber._trusted(M, tuple(c.coords[0] for c in coords))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -392,39 +398,6 @@ class CycNumber:
         if self.is_rational():
             return f"CycNumber({self.coords[0]})"
         return f"CycNumber(M={self.conductor}, {format_cyc(self)})"
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    lead = b[db]
-    q = [_ZERO] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = c / lead
-            q[i - db] = f
-            for j in range(db + 1):
-                if b[j]:
-                    a[i - db + j] -= f * b[j]
-    return q, a[:db] if db else [_ZERO]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def format_cyc(x: CycNumber) -> str:
@@ -483,7 +456,7 @@ def _plain(c: CycNumber):
     return c.coords[0] if c.conductor == 1 else c
 
 
-def _integer_scale(values: list[Fraction]) -> tuple[int, list[int]]:
+def _integer_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(s, [s*v for v in values]) with s the lcm of the denominators."""
     s = math.lcm(*(v.denominator for v in values))
     return s, [v.numerator * (s // v.denominator) for v in values]

@@ -1,11 +1,13 @@
 import math
 import random
 
+from qmf import characters
 from qmf.characters import (
     character_group,
     enumerate_primitive,
     trivial_character,
 )
+from qmf.eisenstein import eisenstein_basis
 from qmf.exact import CycNumber, euler_phi, moebius, divisors
 
 
@@ -100,3 +102,22 @@ def test_enumeration_is_deterministic():
     b = [chi.exponents for chi in enumerate_primitive(25)]
     assert a == b
     assert a == sorted(a)
+
+
+def test_primitive_characters_are_found_once_per_modulus(monkeypatch):
+    atoms = eisenstein_basis(25, 4)
+    assert {atom.chi.modulus for atom in atoms} == {1, 5}
+    want = [atom.spec_text() for atom in atoms]
+    monkeypatch.setattr(characters, "_PRIMITIVE", {})
+    built = []
+    group = characters.character_group
+    monkeypatch.setattr(characters, "character_group", lambda u: built.append(u) or group(u))
+    got = [atoms[i % len(atoms)].spec_text() for i in range(100)]
+    assert got == [want[i % len(atoms)] for i in range(100)]
+    assert built.count(5) == 1
+    # same characters, same order, and a fresh list on each call
+    first, second = enumerate_primitive(5), enumerate_primitive(5)
+    assert type(first) is list and first is not second
+    assert first == [chi for chi in group(5) if chi.is_primitive()]
+    first.clear()
+    assert enumerate_primitive(5) == second

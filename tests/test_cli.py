@@ -1,5 +1,6 @@
 """Command-line surface: parsing, outputs, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -282,15 +283,26 @@ def test_newforms_ingest(tmp_path, capsys, monkeypatch):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("level,weight", [(8, 12), (9, 12), (10, 8)])
+@pytest.mark.parametrize("level,weight", [(8, 12), (9, 12), (10, 8), (14, 6)])
 def test_newforms_expansion_matches_golden(capsys, level, weight):
     # 8.12 holds a conductor-109 pair split off a rational T_p, 9.12 a
-    # conductor-280 pair, and 10.8 a T_p over Q(zeta_76) from the 5.8 oldforms
+    # conductor-280 pair, 10.8 a T_p over Q(zeta_76) from the 5.8 oldforms,
+    # and 14.6 a replay that inverts conductor-57 pivots
     golden = GOLDEN / f"newforms_{level}_{weight}_prec30.txt"
     rc, out, err = run(capsys, "newforms", "--level", str(level),
                        "--weight", str(weight), "--prec", "30")
     assert (rc, err) == (0, "")
     assert out.encode() == golden.read_bytes()
+
+
+def test_expand_form_corpus_is_unchanged(capsys):
+    # exit code, stdout and stderr of `qmf expand --prec 4` for scalars,
+    # derivative polynomials, their products and sums with series, and
+    # their misuse, recorded when scalars were a parse value of their own
+    corpus = json.loads((GOLDEN / "expand_forms_prec4.json").read_text())
+    for form, want in corpus.items():
+        got = run(capsys, "expand", f"--form={form}", "--prec", "4")
+        assert list(got) == want, form
 
 
 CORRUPT_QS = (

@@ -111,6 +111,113 @@ def test_inverse_example():
     assert inv == (1 - z4) * Fraction(1, 2)
 
 
+def random_cyc(rng, M, density=1.0, top=9):
+    """A nonzero element of Q(zeta_M) with about density * phi(M) nonzero
+    coordinates, numerators in [-top, top] and denominators in [1, top]."""
+    coords = [Fraction(rng.randint(-top, top), rng.randint(1, top))
+              if rng.random() < density else 0 for _ in range(euler_phi(M))]
+    if not any(coords):
+        coords[rng.randrange(len(coords))] = Fraction(rng.randint(1, top), rng.randint(1, top))
+    return CycNumber(M, coords)
+
+
+INVERSE_CONDUCTORS = [2, 3, 4, 5, 8, 12, 40, 57, 76, 280]
+
+
+@pytest.mark.parametrize("M", INVERSE_CONDUCTORS)
+def test_inverse_times_element_is_one(M):
+    rng = random.Random(f"inverse-{M}")
+    zeta = CycNumber.root_of_unity(M).embed(M)
+    elements = [random_cyc(rng, M), random_cyc(rng, M, 0.1), zeta**(M - 1),
+                (2 + zeta) * Fraction(-3, 7), CycNumber(M, [Fraction(5, 3)] + [0] * (euler_phi(M) - 1))]
+    if M <= 12:
+        elements += [random_cyc(rng, M, top=10**30) for _ in range(5)]
+        elements += [random_cyc(rng, M, 0.5, top=10**30) for _ in range(5)]
+    for x in elements:
+        y = x.inverse()
+        assert y.conductor == M
+        assert x * y == 1
+        assert (x * y).coords == CycNumber.one(M).coords
+
+
+def test_division_and_negative_powers_invert():
+    rng = random.Random("division")
+    for M in (3, 5, 12, 40):
+        x, y = random_cyc(rng, M), random_cyc(rng, M, 0.5)
+        assert (x / y) * y == x
+        assert x**-3 * x**3 == 1
+        assert (x**-3).conductor == M
+
+
+def test_zero_and_rational_inverses():
+    with pytest.raises(ZeroDivisionError):
+        CycNumber.zero(5).inverse()
+    with pytest.raises(ZeroDivisionError):
+        CycNumber.zero().inverse()
+    assert CycNumber.from_rational(Fraction(-2, 3)).inverse() == Fraction(-3, 2)
+
+
+def test_cyclotomic_inverse_is_one_certified_solve(monkeypatch):
+    built, solves = [], []
+
+    class Spy(LinearSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+        def solve(self, *args):
+            solves.append(self._modular is not None)
+            return super().solve(*args)
+
+    monkeypatch.setattr(exact, "LinearSolver", Spy)
+    x = CycNumber(5, [Fraction(1, 2), 2, 0, Fraction(-3, 4)])
+    y = x.inverse()
+    assert x * y == 1
+    # one solver from int columns (x*zeta^j over x's denominator), one
+    # certified solve
+    assert len(built) == 1 and solves == [True]
+    columns, scales = built[0]
+    assert scales == [4] * 4
+    assert all(type(a) is int for col in columns for a in col)
+    assert columns[0] == [2, 8, 0, -3]
+    # conductor 1 keeps the plain rational inverse
+    CycNumber.from_rational(7).inverse()
+    assert len(built) == 1
+
+
+def test_dense_conductor_109_inverse():
+    # Q(zeta_109), the field of 8.12's eigenlines, with every coordinate set
+    rng = random.Random(109)
+    x = CycNumber(109, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(108)])
+    y = x.inverse()
+    assert y.conductor == 109
+    assert x * y == 1
+
+
+@pytest.mark.parametrize("x, prime", [
+    (CycNumber(5, [2, 1, 0, 0]), 11),               # 2 + zeta_5, norm Phi_5(-2) = 11
+    (CycNumber(7, [3, 1, 0, 0, 0, 0]), 547),         # 3 + zeta_7, norm Phi_7(-3) = 547
+    (CycNumber(12, [Fraction(1, 2), 0, 0, 1]), 5),   # (1 + 2i) / 2, norm 25/16
+])
+def test_unlucky_prime_inverse_takes_the_replay(monkeypatch, x, prime):
+    # the integer matrix of d*x, d the denominator of x, has determinant
+    # +-N(d*x), so it is singular modulo a prime dividing that norm
+    want = x.inverse()
+    factors = []
+    real_factor = exact._modular_factor
+
+    def spy(*args):
+        factors.append(real_factor(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(exact, "_modular_factor", spy)
+    monkeypatch.setattr(exact, "_MODULUS", prime)
+    got = x.inverse()
+    assert factors == [None]
+    assert got.conductor == x.conductor and got.coords == want.coords
+    assert x * got == 1
+
+
 def test_mixed_conductor_arithmetic():
     z4 = CycNumber.root_of_unity(4)
     z3 = CycNumber.root_of_unity(3)

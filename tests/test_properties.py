@@ -191,3 +191,28 @@ def test_modular_solver_matches_replay(case, modulus):
     assert (solver.rank, solver.free_columns()) == (oracle.rank, oracle.free_columns())
     assert got == [_keys(oracle.solve(t)) for t in targets]
     assert got[0] is not None
+
+
+HUGE = 10**30
+huge_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+)
+# a nonzero element of Q(zeta_M), M <= 12, dense or sparse, with numerators
+# and denominators up to 10^30
+cyclotomic_elements = st.sampled_from([2, 3, 4, 5, 8, 12]).flatmap(
+    lambda M: st.lists(huge_rationals, min_size=exact.euler_phi(M),
+                       max_size=exact.euler_phi(M)).map(lambda c: CycNumber(M, c))
+).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclotomic_elements, st.sampled_from([exact._MODULUS, 7, 101]))
+def test_inverse_is_exact_under_any_prime(x, modulus):
+    # a small modulus makes the singular-mod-p fallback and long lifts common
+    with mock.patch.object(exact, "_MODULUS", modulus):
+        y = x.inverse()
+    assert y.conductor == x.conductor
+    assert x * y == 1
+    assert x**-3 * x**3 == 1
