@@ -16,6 +16,16 @@ and cases the modular path cannot certify, use the replay eliminator (exact
 row-echelon operations), which is also the modular path's test oracle.
 Inverting a cyclotomic number is one such certified solve: x*y = 1 is a
 rational system in the coordinates of y.
+
+The modular path packs vectors into Python ints, one fixed-width bit slot
+per entry, so a row update or a matrix-vector product is a few big-int
+multiply-adds.  Rows mod p use unsigned slots of 8*ceil((2*bitlen(p) +
+bitlen(ncols) + 2) / 8) bits, which hold ncols updates of size below p^2
+without overflow.  The exact check packs the integer columns in signed
+slots of W bits with 2^(W-1) above the solve's bound on |(A*y)_i| +
+|d*b_i|; balanced base-2^W digits are unique, so the packed A*y - d*b is
+zero exactly when every row holds, and its pivot slots tell a failing
+pivot row from a failing other row.
 """
 from __future__ import annotations
 
@@ -23,6 +33,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -462,10 +473,6 @@ def _integer_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return s, [v.numerator * (s // v.denominator) for v in values]
 
 
-def _dot(xs, ys) -> int:
-    return sum(map(operator.mul, xs, ys))
-
-
 def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | None:
     """(a, b) with a = b*u mod m, |a| <= bound, 0 < b <= bound and
     gcd(a, b) = 1, or None.  Unique when 2*bound^2 < m (Wang)."""
@@ -481,6 +488,54 @@ def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | No
     return r1, s1
 
 
+# Packed vectors: entry k of a vector sits in bits [8*size*k, 8*size*(k+1))
+# of one int, so a row update or a matrix-vector product is a few big-int
+# multiply-adds (Kronecker substitution, as in qseries) instead of one
+# Python-level product per entry.
+
+def _pack(values: Iterable[int], size: int) -> int:
+    """One int holding values, each in [0, 2^(8*size)), in size-byte slots."""
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(size), repeat("little"))),
+                          "little")
+
+
+def _unpack(packed: int, size: int, count: int) -> list[int]:
+    """The count nonnegative slots of a packed int."""
+    end = size * count
+    data = packed.to_bytes(end, "little")
+    slots = map(data.__getitem__, map(slice, range(0, end, size), range(size, end + size, size)))
+    return list(map(int.from_bytes, slots, repeat("little")))
+
+
+def _signed_offset(size: int, count: int) -> int:
+    # 2^(W-1) in each of count slots, W = 8*size
+    return int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * count, "little")
+
+
+def _pack_signed(values: Sequence[int], size: int) -> int:
+    """sum(v_k * 2^(W*k)) with W = 8*size, for -2^(W-1) <= v_k < 2^(W-1).
+    Balanced base-2^W digits are unique, so such values are read back
+    exactly."""
+    half = 1 << 8 * size - 1
+    return _pack([v + half for v in values], size) - _signed_offset(size, len(values))
+
+
+def _unpack_signed(packed: int, size: int, count: int) -> list[int]:
+    half = 1 << 8 * size - 1
+    return [v - half for v in _unpack(packed + _signed_offset(size, count), size, count)]
+
+
+def _residue_slot_size(p: int, updates: int) -> int:
+    # bytes for a slot that starts below p and takes at most `updates`
+    # additions of a product of two residues: p + updates*(p-1)^2 < 2^(W-2)
+    return -(-(2 * p.bit_length() + updates.bit_length() + 2) // 8)
+
+
+def _signed_slot_size(bound: int) -> int:
+    # the fewest bytes with 2^(W-1) > bound, W = 8*size
+    return bound.bit_length() // 8 + 1
+
+
 def _modular_factor(columns, scales: Sequence[int]) -> "_DixonFactor | None":
     """Certify full column rank modulo _MODULUS of the rational matrix with
     columns columns[j] / scales[j], each column a sequence of ints.
@@ -489,85 +544,175 @@ def _modular_factor(columns, scales: Sequence[int]) -> "_DixonFactor | None":
     first unused row with a nonzero entry), keeping the multipliers and
     reduced pivot rows as an LU factorisation of the pivot square.  Returns
     None when some column has no pivot mod p.
+
+    Each row is reduced mod p and packed into one int, column j in slot 0
+    once columns 0..j-1 are eliminated.  A new pivot row's tail is reduced
+    mod p once, and every other unused row takes f times its negation mod p
+    in one multiply-add.  Slots stay nonnegative, so no update borrows, and
+    a row takes at most one update per column, each below p^2, which the
+    slot width (_residue_slot_size) holds without overflow.
     """
     p = _MODULUS
+    n = len(scales)
+    size = _residue_slot_size(p, n)
+    shift, low = 8 * size, (1 << 8 * size) - 1
     ints = [list(row) for row in zip(*columns)]
-    work = [[a % p for a in row] for row in ints]
+    work = [_pack([a % p for a in row], size) for row in ints]
     unused = list(range(len(ints)))
     multipliers: dict[int, list[int]] = {i: [] for i in unused}
     pivot_rows, lower, upper, inv_diag = [], [], [], []
-    for j in range(len(scales)):
-        pr = next((i for i in unused if work[i][j]), None)
-        if pr is None:
+    for j in range(n):
+        entries = [(work[i] & low) % p for i in unused]
+        k = next((k for k, e in enumerate(entries) if e), None)
+        if k is None:
             return None
-        unused.remove(pr)
+        pr = unused.pop(k)
+        inv = pow(entries.pop(k), -1, p)
         pivot_rows.append(pr)
         lower.append(multipliers.pop(pr))
-        tail = work[pr][j + 1 :]
-        upper.append(tail)
-        inv = pow(work[pr][j], -1, p)
         inv_diag.append(inv)
-        for i in unused:
-            row = work[i]
-            f = row[j] * inv % p
+        tail = [a % p for a in _unpack(work[pr] >> shift, size, n - j - 1)]
+        upper.append(tail)
+        neg_tail = _pack([-a % p for a in tail], size)
+        for i, e in zip(unused, entries):
+            f = e * inv % p
             multipliers[i].append(f)
-            if f:
-                row[j + 1 :] = [(a - f * b) % p for a, b in zip(row[j + 1 :], tail)]
+            work[i] = (work[i] >> shift) + f * neg_tail if f else work[i] >> shift
     return _DixonFactor(p, list(scales), ints, pivot_rows, lower, upper, inv_diag)
 
 
 class _DixonFactor:
     """A rational matrix of full column rank as integer rows with column
     scales, and a Dixon p-adic solver for its pivot square (Dixon, Numer.
-    Math. 1982) built on the square's LU factorisation mod p."""
+    Math. 1982) built on the square's LU factorisation mod p.
+
+    The triangular solves run on the columns of -L and -U packed mod p.  The
+    exact check packs the integer columns of the whole matrix, pivot rows
+    first, in signed slots wide enough for the solve at hand; the widest
+    packing any solve has needed is kept."""
 
     def __init__(self, p, scales, rows, pivot_rows, lower, upper, inv_diag):
         self.p, self.scales, self.rows, self.pivot_rows = p, scales, rows, pivot_rows
         # lower[k]: multipliers of pivots 0..k-1 in pivot row k; upper[k]:
         # pivot row k right of its pivot; inv_diag[k]: inverse of the pivot
         self.lower, self.upper, self.inv_diag = lower, upper, inv_diag
-        self.square = [rows[i] for i in pivot_rows]
+        n = len(pivot_rows)
+        size = self.slot_size = _residue_slot_size(p, n)
+        # neg_lower[m]: -L[m+1+s][m] mod p in slot s; neg_upper[k]: -U[i][k]
+        # mod p in slot i < k.  A substitution step adds at most one product
+        # of residues to a slot, so slot_size holds n steps.
+        self.neg_lower = [_pack([-lower[k][m] % p for k in range(m + 1, n)], size)
+                          for m in range(n)]
+        self.neg_upper = [_pack([-upper[i][k - i - 1] % p for i in range(k)], size)
+                          for k in range(n)]
         self.others = sorted(set(range(len(rows))).difference(pivot_rows))
-        self.col_norms = [sum(a * a for a in col) for col in zip(*self.square)]
+        self.order = pivot_rows + self.others
+        square = [rows[i] for i in pivot_rows]
+        self.col_norms = [sum(a * a for a in col) for col in zip(*square)]
+        self.col_max = [max(map(abs, col)) for col in zip(*rows)]
+        self.entry_max = max(self.col_max)
+        self.row_sum = max(sum(map(abs, row)) for row in square)
+        self.packing = self.square_packing = None
 
     def _solve_mod_p(self, rhs: list[int]) -> list[int]:
-        # pivot square * x = rhs (mod p) by forward and back substitution
-        p = self.p
-        c: list[int] = []
-        for row, v in zip(self.lower, rhs):
-            c.append((v - _dot(row, c)) % p)
+        # pivot square * x = rhs (mod p), rhs reduced, by forward and back
+        # substitution: each step reads one slot and adds a multiple of one
+        # packed column to the slots still to come
+        p, size = self.p, self.slot_size
+        shift, low = 8 * size, (1 << 8 * size) - 1
+        acc = _pack(rhs, size)
+        c = []
+        for col in self.neg_lower:
+            v = (acc & low) % p
+            c.append(v)
+            acc = (acc >> shift) + v * col
+        acc = _pack(c, size)
         x = [0] * len(c)
         for k in range(len(c) - 1, -1, -1):
-            x[k] = (c[k] - _dot(self.upper[k], x[k + 1 :])) * self.inv_diag[k] % p
+            top = acc >> shift * k
+            acc ^= top << shift * k
+            v = x[k] = top % p * self.inv_diag[k] % p
+            acc += v * self.neg_upper[k]
         return x
+
+    def _packing(self, bound: int) -> tuple[int, list[int], int]:
+        """(size, columns, pivot mask): the integer columns of all rows,
+        pivot rows first, packed signed in slots of size bytes with
+        2^(8*size-1) above bound and every entry; the mask covers the pivot
+        rows' slots.  The widest packing any solve has needed is kept."""
+        packing = self.packing
+        size = _signed_slot_size(max(bound, self.entry_max))
+        if packing is None or packing[0] < size:
+            columns = zip(*(self.rows[i] for i in self.order))
+            packing = (size, [_pack_signed(col, size) for col in columns],
+                       (1 << 8 * size * len(self.pivot_rows)) - 1)
+            self.packing = packing
+        return packing
+
+    def _square_columns(self) -> tuple[int, list[int]]:
+        """(size, columns): the pivot square's columns packed signed in
+        slots of size bytes, which hold square*digit for every digit vector
+        with entries in [0, p)."""
+        square = self.square_packing
+        if square is None:
+            size = _signed_slot_size(self.row_sum * (self.p - 1))
+            columns = zip(*(self.rows[i] for i in self.pivot_rows))
+            square = self.square_packing = (size, [_pack_signed(col, size) for col in columns])
+        return square
+
+    def _mismatch(self, y: list[int], d: int, b: Sequence[int]) -> tuple[int, int]:
+        """A*y - d*b packed over all rows, and the pivot rows' slot mask.
+        Each signed slot has 2^(W-1) above |(A*y)_i| + |d*b_i|, so the
+        packed int is zero exactly when A*y == d*b holds on every row, and
+        its low (pivot) slots are zero exactly when the pivot rows hold."""
+        bound = sum(map(operator.mul, self.col_max, map(abs, y))) + d * max(map(abs, b))
+        size, columns, pivot_mask = self._packing(bound)
+        target = _pack_signed([b[i] for i in self.order], size)
+        return sum(map(operator.mul, y, columns)) - d * target, pivot_mask
 
     def solve(self, t: int, b: Sequence[int]) -> list[Fraction] | None:
         """Exact x with A*x == b / t for ints b, or None when there is none."""
-        p, square = self.p, self.square
+        p, n = self.p, len(self.pivot_rows)
         rhs = [b[i] for i in self.pivot_rows]
-        # Cramer and Hadamard: the pivot solution has numerators and common
-        # denominator at most sqrt(bound / 2), so it is recovered once the
-        # modulus exceeds bound
-        nb = sum(v * v for v in rhs)
-        bound = 2 * math.prod(max(n, nb) for n in self.col_norms)
-        residual, lifted, modulus = rhs, [0] * len(rhs), 1
+        digit = self._solve_mod_p([v % p for v in rhs])
+        lifted, modulus, digits = digit, p, 1
+        hadamard_bits = residual = None
         while True:
+            # reconstruction is tried after 1, 2, 4, 8, ... digits and once
+            # more at the Hadamard bound, so its cost stays near linear in
+            # the number of digits
+            last = hadamard_bits is not None and modulus.bit_length() > hadamard_bits
+            if last or digits & (digits - 1) == 0:
+                got = _reconstruct(lifted, modulus)
+                if got is not None:
+                    y, d = got
+                    mismatch, pivot_mask = self._mismatch(y, d, b)
+                    if not mismatch:
+                        return [Fraction(v * s, d * t) for v, s in zip(y, self.scales)]
+                    if not mismatch & pivot_mask:
+                        # y/d solves the pivot rows exactly and uniquely and
+                        # another row fails: b is outside the span
+                        return None
+            if hadamard_bits is None:
+                # Cramer and Hadamard: the pivot solution has numerators and
+                # common denominator at most sqrt(bound / 2), bound =
+                # 2 * prod(max(c, nb)) < 2^hadamard_bits, so it is recovered
+                # once the modulus reaches 2^hadamard_bits
+                nb = sum(v * v for v in rhs)
+                hadamard_bits = 1 + sum(max(c, nb).bit_length() for c in self.col_norms)
+                last = modulus.bit_length() > hadamard_bits
+            if last:
+                raise ArithmeticError("p-adic lifting passed the Hadamard bound")
+            if residual is None:
+                residual = rhs
+                size, square = self._square_columns()
+            # (residual - square*digit) / p, exact in every row
+            product = _unpack_signed(sum(map(operator.mul, digit, square)), size, n)
+            residual = [(v - s) // p for v, s in zip(residual, product)]
             digit = self._solve_mod_p([v % p for v in residual])
             lifted = [a + modulus * x for a, x in zip(lifted, digit)]
             modulus *= p
-            got = _reconstruct(lifted, modulus)
-            if got is not None:
-                y, d = got
-                if all(_dot(row, y) == d * v for row, v in zip(square, rhs)):
-                    break
-            if modulus > bound:
-                raise ArithmeticError("p-adic lifting passed the Hadamard bound")
-            residual = [(v - _dot(row, digit)) // p for v, row in zip(residual, square)]
-        # y/d solves the pivot rows exactly and uniquely; the target is in
-        # the span exactly when every other row holds too
-        if any(_dot(self.rows[i], y) != d * b[i] for i in self.others):
-            return None
-        return [Fraction(v * s, d * t) for v, s in zip(y, self.scales)]
+            digits += 1
 
 
 def _reconstruct(residues: list[int], m: int) -> tuple[list[int], int] | None:
@@ -654,10 +799,19 @@ class LinearSolver:
     count has full column rank over Q (a nonzero minor mod p is nonzero).
     solve() lifts each power-basis coordinate of a target of one conductor
     p-adically (Dixon) on a mod-p LU factorisation of the pivot square, with
-    rational reconstruction, stopping at the Hadamard bound at the latest.
-    Coordinates are returned only after A*x == b holds exactly on every row;
-    None only when x solves the pivot rows exactly and another row fails,
-    which certifies that b is outside the span.
+    rational reconstruction after 1, 2, 4, ... digits, stopping at the
+    Hadamard bound at the latest.  Coordinates are returned only after
+    A*x == b holds exactly on every row; None only when x solves the pivot
+    rows exactly and another row fails, which certifies that b is outside
+    the span.
+
+    The factorisation and the triangular solves work on rows and columns
+    packed mod p into one int each, in unsigned slots wide enough for ncols
+    updates below p^2.  The check packs the integer columns in signed slots
+    of W bits, repacked wider whenever a solve's bound on |(A*x)_i| +
+    |d*b_i| reaches 2^(W-1); below that bound the balanced base-2^W digits
+    of the packed A*x - d*b are unique, so it is zero exactly when every row
+    holds.
 
     Everything else uses the replay eliminator (_ReplayEliminator), the
     modular path's test oracle: rank mod p below the column count (an

@@ -24,6 +24,7 @@ floating point enters any computation.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -303,7 +304,7 @@ class QSeries:
         if precision < 1:
             raise ValueError("precision must be at least 1")
         if den != 1:
-            g = math.gcd(den, *(x for t in nums for x in t if x))
+            g = math.gcd(den, *itertools.chain.from_iterable(nums))
             if g != 1:
                 den //= g
                 nums = [[x // g for x in t] for t in nums]

@@ -19,6 +19,7 @@ from qmf.exact import (
     primes_upto,
     zeta_at_negative,
 )
+from qmf.quasimodular import assemble_basis
 
 
 def test_elementary_helpers():
@@ -614,15 +615,263 @@ def test_integer_target_of_one_conductor_keeps_it():
         LinearSolver(rows).solve([t[:-1] for t in numerators], scale, 5)
 
 
-def test_each_dixon_dot_product_runs_once():
-    # a one-digit lift: forward and back substitution mod p take one dot per
-    # pivot each, the exact check of the pivot rows one more, and then only
-    # the other rows are checked; no residual is formed for a next digit
+def spy_method(cls, name):
+    """Patch cls.name with a mock that records calls and runs the original."""
+    return mock.patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
+
+
+def test_one_digit_lift_makes_one_pass_and_one_packed_check():
+    # a one-digit lift: one forward and one back substitution mod p (one
+    # _solve_mod_p), one reconstruction, one packed check over all rows
+    # (the first solve also packs the 5 columns), and no residual is formed
+    # for a next digit
     rng = random.Random("dots")
     rows, columns = rational_rows(rng, 12, 5)
     target = combine(columns, [Fraction(k, 3) for k in range(1, 6)])
     solver = LinearSolver(rows)
-    with mock.patch.object(exact, "_dot", wraps=exact._dot) as dots:
+    with spy_method(exact._DixonFactor, "_solve_mod_p") as passes, \
+            spy_method(exact._DixonFactor, "_mismatch") as checks, \
+            spy_method(exact._DixonFactor, "_square_columns") as squares, \
+            mock.patch.object(exact, "_reconstruct", wraps=exact._reconstruct) as tries, \
+            mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs, \
+            mock.patch.object(exact, "_unpack_signed", wraps=exact._unpack_signed) as unpacks:
         assert [c.as_rational() for c in solver.solve(target)] == [
             Fraction(k, 3) for k in range(1, 6)]
-    assert dots.call_count == 3 * 5 + (12 - 5)
+    assert (passes.call_count, tries.call_count, checks.call_count) == (1, 1, 1)
+    assert [len(call.args[0]) for call in packs.call_args_list] == [12] * 6
+    assert squares.call_count == unpacks.call_count == 0
+
+
+# -- the packed factorisation against the list-based one it replaced --------
+
+def list_modular_factor(columns, p):
+    """LU factorisation mod p of the int matrix with these columns, one
+    Python-level product per entry: (pivot rows, multipliers, upper rows,
+    inverse diagonal), or None when some column has no pivot mod p."""
+    work = [[a % p for a in row] for row in zip(*columns)]
+    unused = list(range(len(work)))
+    multipliers = {i: [] for i in unused}
+    pivot_rows, lower, upper, inv_diag = [], [], [], []
+    for j in range(len(columns)):
+        pr = next((i for i in unused if work[i][j]), None)
+        if pr is None:
+            return None
+        unused.remove(pr)
+        pivot_rows.append(pr)
+        lower.append(multipliers.pop(pr))
+        tail = work[pr][j + 1 :]
+        upper.append(tail)
+        inv = pow(work[pr][j], -1, p)
+        inv_diag.append(inv)
+        for i in unused:
+            row = work[i]
+            f = row[j] * inv % p
+            multipliers[i].append(f)
+            if f:
+                row[j + 1 :] = [(a - f * b) % p for a, b in zip(row[j + 1 :], tail)]
+    return pivot_rows, lower, upper, inv_diag
+
+
+def list_solve_mod_p(lower, upper, inv_diag, rhs, p):
+    """pivot square * x = rhs (mod p) by list-based forward and back
+    substitution on the factors of list_modular_factor."""
+    c = []
+    for row, v in zip(lower, rhs):
+        c.append((v - sum(a * b for a, b in zip(row, c))) % p)
+    x = [0] * len(c)
+    for k in range(len(c) - 1, -1, -1):
+        x[k] = (c[k] - sum(a * b for a, b in zip(upper[k], x[k + 1 :]))) * inv_diag[k] % p
+    return x
+
+
+def assert_factor_matches_lists(columns, p, rng, rhs_count=3):
+    """The packed factorisation mod p equals the list-based one: None or
+    not, pivot rows, multipliers, upper rows, inverse diagonal, and the
+    triangular solves on random right-hand sides."""
+    with mock.patch.object(exact, "_MODULUS", p):
+        got = exact._modular_factor(columns, [1] * len(columns))
+    want = list_modular_factor(columns, p)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert (got.pivot_rows, got.lower, got.upper, got.inv_diag) == want
+    for _ in range(rhs_count):
+        rhs = [rng.randrange(p) for _ in want[0]]
+        assert got._solve_mod_p(rhs) == list_solve_mod_p(*want[1:], rhs, p)
+
+
+def level6_columns(rows):
+    """(atom expansions, int columns, scales) of the level-6 weight-8 basis
+    to the given depth."""
+    series = [atom.expand(rows) for atom in assemble_basis(6, 8)]
+    scales, nums = zip(*(s.numerators() for s in series))
+    return series, [list(t) for (t,) in nums], list(scales)
+
+
+@pytest.mark.parametrize("p", [exact._MODULUS, 101, 7])
+def test_packed_factor_matches_the_lists_on_the_level6_basis(p):
+    _, columns, _ = level6_columns(92)
+    assert_factor_matches_lists(columns, p, random.Random(p))
+
+
+# -- the packed exact check ---------------------------------------------------
+
+def int_system(rng, nrows, ncols):
+    """A random int matrix (as columns) of full column rank mod p, and a
+    rational vector x with its exact image."""
+    columns = [[rng.randint(-50, 50) for _ in range(nrows)] for _ in range(ncols)]
+    x = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(ncols)]
+    image = [sum((c[i] * v for c, v in zip(columns, x)), Fraction(0)) for i in range(nrows)]
+    return columns, x, image
+
+
+def int_target(values):
+    """(scale, ints) of a rational vector."""
+    return exact._integer_scale(values)
+
+
+def test_mismatch_tells_a_pivot_row_from_another_row():
+    # A*y - d*b packed over all rows is zero only when every row holds, and
+    # its pivot slots are zero exactly when the pivot rows hold
+    rng = random.Random("mismatch")
+    columns, x, image = int_system(rng, 9, 4)
+    solver = LinearSolver(columns, [1] * 4)
+    factor = solver._modular
+    d = math.lcm(*(v.denominator for v in x))
+    y = [int(v * d) for v in x]
+    b = [int(v * d) for v in image]
+    assert factor._mismatch(y, 1, b)[0] == 0
+    assert factor._mismatch([2 * v for v in y], 2, b)[0] == 0
+    for row in factor.pivot_rows + factor.others:
+        for delta in (1, -1, 2**70, -(2**200)):
+            off = list(b)
+            off[row] += delta
+            mismatch, pivot_mask = factor._mismatch(y, 1, off)
+            assert mismatch != 0
+            assert bool(mismatch & pivot_mask) == (row in factor.pivot_rows)
+
+
+def test_target_off_in_one_other_row_is_outside_the_span():
+    # the pivot rows give x back after one digit, and the one failing other
+    # row certifies that the target is outside the span
+    rng = random.Random("off-other")
+    columns, x, image = int_system(rng, 10, 4)
+    solver = LinearSolver(columns, [1] * 4)
+    factor = solver._modular
+    assert factor.others
+    scale, b = int_target(image)
+    assert [c.as_rational() for c in solver.solve([b], scale)] == x
+    for row in factor.others:
+        for delta in (1, -(3**90)):
+            off = list(b)
+            off[row] += delta
+            with spy_method(exact._DixonFactor, "_solve_mod_p") as passes:
+                assert solver.solve([off], scale) is None
+            assert passes.call_count == 1
+
+
+def test_target_off_in_one_pivot_row():
+    # the pivot rows alone then have another solution, of larger height: a
+    # check on the way can fail in a pivot row, and lifting goes on; the last
+    # check fails only in other rows (outside the span) or, for a square
+    # matrix, passes with the answer the replay gives
+    rng = random.Random("off-pivot")
+    real_mismatch = exact._DixonFactor._mismatch
+    pivot_failures = 0
+    for nrows in (10, 5):
+        columns, x, image = int_system(rng, nrows, 5)
+        solver = LinearSolver(columns, [1] * 5)
+        factor = solver._modular
+        rows = [[CycNumber.from_rational(c[i]) for c in columns] for i in range(nrows)]
+        oracle = replay_solver(rows)
+        scale, b = int_target(image)
+        for row in factor.pivot_rows:
+            off = list(b)
+            off[row] += 1
+            results = []
+
+            def recording(self, *args):
+                results.append(real_mismatch(self, *args))
+                return results[-1]
+
+            with mock.patch.object(exact._DixonFactor, "_mismatch", recording):
+                got = solver.solve([off], scale)
+            want = oracle.solve([CycNumber.from_rational(Fraction(v, scale)) for v in off])
+            assert exact_keys(got) == exact_keys(want)
+            assert (got is None) == bool(factor.others)
+            mismatch, pivot_mask = results[-1]
+            assert bool(mismatch) == bool(factor.others) and not mismatch & pivot_mask
+            pivot_failures += sum(bool(m & mask) for m, mask in results[:-1])
+    assert pivot_failures
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64, 127, 128])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_check_holds_targets_at_slot_width_edges(bits, sign):
+    # one pivot row over one zero row; targets of magnitude 2^bits - 1,
+    # 2^bits and 2^bits + 1 land next to the byte edges of the signed
+    # slots.  Each solver is fresh, so no earlier solve has widened its
+    # packing.
+    for value in (sign * (2**bits - 1), sign * 2**bits, sign * (2**bits + 1)):
+        for target, scale, want in (([0, value], 1, None), ([value, 0], 1, value),
+                                    ([value, value], 1, None), ([value, 0], value, 1)):
+            solver = LinearSolver([[1, 0]], [1])
+            got = solver.solve([target], scale)
+            assert got == (None if want is None else [CycNumber.from_rational(want)])
+
+
+def test_large_height_solve_repacks_wider_and_keeps_the_widest():
+    # sum_j 3^(40+j) / (7^(20+j) + 1) * atom_j at level 6, weight 8: its y
+    # and d*b overflow the packing the small solve left, so the check
+    # repacks wider; the wider packing is kept and still serves small solves
+    series, columns, scales = level6_columns(92)
+    solver = LinearSolver(columns, scales)
+    factor = solver._modular
+    small = series[0] * Fraction(-3, 4) + series[7] * 5
+    den, nums = small.numerators()
+    small_coords = solver.solve([list(nums[0])], den)
+    narrow = factor.packing[0]
+    want = [Fraction(3 ** (40 + j), 7 ** (20 + j) + 1) for j in range(len(series))]
+    big = sum((s * c for s, c in zip(series[1:], want[1:])), series[0] * want[0])
+    den, nums = big.numerators()
+    with mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs:
+        assert [c.as_rational() for c in solver.solve([list(nums[0])], den)] == want
+    wide = factor.packing[0]
+    assert wide > narrow
+    assert len(packs.call_args_list) > len(columns)
+    off = list(nums[0])
+    off[factor.others[0]] += 1
+    assert solver.solve([off], den) is None
+    assert factor.packing[0] == wide
+    den, nums = small.numerators()
+    assert solver.solve([list(nums[0])], den) == small_coords
+    assert factor.packing[0] == wide
+
+
+def test_reconstruction_runs_at_doubling_digit_counts(monkeypatch):
+    # p = 10007 and coordinates near 10^30 / 10^25 need many digits; the
+    # reconstruction is tried at 1, 2, 4, ... digits and at the Hadamard
+    # bound, not after every digit
+    p = 10007
+    monkeypatch.setattr(exact, "_MODULUS", p)
+    rng = random.Random("doubling")
+    columns = [[rng.randint(-50, 50) for _ in range(10)] for _ in range(6)]
+    x = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)) for _ in range(6)]
+    scale, b = int_target(
+        [sum((c[i] * v for c, v in zip(columns, x)), Fraction(0)) for i in range(10)])
+    solver = LinearSolver(columns, [1] * 6)
+    # the digits needed: the first count at which the p-adic expansion of
+    # the pivot solution scale*x reconstructs to it
+    pivot_solution = [v * scale for v in x]
+    needed, modulus = 1, p
+    while True:
+        residues = [v.numerator * pow(v.denominator, -1, modulus) % modulus
+                    for v in pivot_solution]
+        got = exact._reconstruct(residues, modulus)
+        if got is not None and [Fraction(a, got[1]) for a in got[0]] == pivot_solution:
+            break
+        needed, modulus = needed + 1, modulus * p
+    assert needed >= 16
+    with mock.patch.object(exact, "_reconstruct", wraps=exact._reconstruct) as tries:
+        assert [c.as_rational() for c in solver.solve([b], scale)] == x
+    assert tries.call_count <= math.ceil(math.log2(needed)) + 2

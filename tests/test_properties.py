@@ -6,6 +6,7 @@ runs without it."""
 import contextlib
 import io
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +22,7 @@ from qmf.detect import macmahon  # noqa: E402
 from qmf.qseries import QSeries  # noqa: E402
 
 from test_detect import brute_macmahon, dp_macmahon  # noqa: E402
+from test_exact import assert_factor_matches_lists  # noqa: E402
 from test_qseries import cyc_product_oracle, fraction_product_oracle  # noqa: E402
 
 BIG = 2**200
@@ -191,6 +193,47 @@ def test_modular_solver_matches_replay(case, modulus):
     assert (solver.rank, solver.free_columns()) == (oracle.rank, oracle.free_columns())
     assert got == [_keys(oracle.solve(t)) for t in targets]
     assert got[0] is not None
+
+
+@st.composite
+def int_matrices(draw):
+    """Int columns of a matrix up to 70 x 60 with signed entries up to
+    2^200, some rows and columns zero, and some columns sums of two earlier
+    ones (rank-deficient).  Hypothesis draws the shape and structure; a
+    seeded generator fills in the entries, which would overrun its buffer."""
+    ncols = draw(st.integers(1, 60))
+    nrows = draw(st.integers(max(1, ncols - 3), 70))
+    bits = draw(st.sampled_from([1, 3, 20, 61, 64, 199]))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0, 1.0]))
+    zero_rows = min(nrows, draw(st.sampled_from([0, 0, 0, 1, 5, nrows])))
+    zero_cols = draw(st.sampled_from([0, 0, 0, 0, 1, ncols]))
+    dependent = draw(st.sampled_from([0, 0, 0, 1, ncols // 2]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = 2**bits
+
+    def entry():
+        return rng.randint(-top, top) if rng.random() < density else 0
+
+    columns = [[entry() for _ in range(nrows)] for _ in range(ncols)]
+    for j in rng.sample(range(1, ncols), min(dependent, ncols - 1)):
+        a, b = columns[rng.randrange(j)], columns[rng.randrange(j)]
+        columns[j] = [x + y for x, y in zip(a, b)]
+    for i in rng.sample(range(nrows), zero_rows):
+        for col in columns:
+            col[i] = 0
+    for j in rng.sample(range(ncols), zero_cols):
+        columns[j] = [0] * nrows
+    return columns, rng.random()
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices(), st.sampled_from([exact._MODULUS, 7, 101]))
+def test_packed_factor_matches_the_list_factor(case, modulus):
+    # the packed rows give the list-based factorisation exactly: None or
+    # not, pivot rows, multipliers, upper rows, inverse diagonal and the
+    # triangular solves on random right-hand sides
+    columns, seed = case
+    assert_factor_matches_lists(columns, modulus, random.Random(seed))
 
 
 HUGE = 10**30
