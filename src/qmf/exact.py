@@ -1,21 +1,22 @@
 """Exact scalar arithmetic over cyclotomic fields.
 
 Every coefficient in this package is an element of some Q(zeta_M), stored on
-the power basis 1, zeta, ..., zeta^(phi(M)-1) with Fraction coordinates and
+the power basis 1, zeta, ..., zeta^(phi(M)-1) as one positive denominator
+and int coordinates with gcd 1, the shape of a QSeries coefficient, and
 reduced modulo the M-th cyclotomic polynomial.  M = 1 gives plain rationals
 and is the fast path almost everywhere.  No floating point enters any
 computation; floats appear only in human-readable reports.
 
-LinearSolver solves exactly.  Matrices come as CycNumber rows or, rational,
-as integer columns with a scale each; targets as CycNumbers or as integer
-numerators over one scale.  A rational matrix whose rank modulo the prime
-2^61 - 1 equals its column count (proving full column rank over Q) is solved
-in integers by Dixon p-adic lifting with rational reconstruction, and an
-answer is returned only after A*x == b holds on every row.  Other matrices,
-and cases the modular path cannot certify, use the replay eliminator (exact
-row-echelon operations), which is also the modular path's test oracle.
-Inverting a cyclotomic number is one such certified solve: x*y = 1 is a
-rational system in the coordinates of y.
+LinearSolver solves exactly, with one eliminator per kind of matrix.  A
+rational matrix comes as integer columns with a scale each and takes
+targets as integer numerators over one scale.  When its rank modulo the
+prime 2^61 - 1 equals its column count (proving full column rank over Q) it
+is solved in integers by Dixon p-adic lifting with rational
+reconstruction, and an answer is returned only after A*x == b holds on
+every row; otherwise it goes to the replay eliminator (exact row-echelon
+operations).  A matrix of CycNumber rows always goes to the replay, which
+is also the Dixon path's test oracle.  Inverting a cyclotomic number is one
+certified solve: x*y = 1 is a rational system in the coordinates of y.
 
 The modular path packs vectors into Python ints, one fixed-width bit slot
 per entry, so a row update or a matrix-vector product is a few big-int
@@ -51,10 +52,6 @@ __all__ = [
     "primes_upto",
     "zeta_at_negative",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class ConductorMismatchError(ValueError):
     """Raised when an element of Q(zeta_M) is asked to live in a field
@@ -186,8 +183,8 @@ def _cyclotomic_polynomial_locked(M: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # cyclotomic field elements
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], M: int) -> list[Fraction]:
-    """Reduce a polynomial in zeta_M (low degree first) to the power basis."""
+def _reduce_mod_cyclotomic(coeffs: list[int], M: int) -> list[int]:
+    """Reduce an int polynomial in zeta_M (low degree first) to the power basis."""
     phi = cyclotomic_polynomial(M)
     deg = len(phi) - 1
     coeffs = list(coeffs)
@@ -199,56 +196,67 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], M: int) -> list[Fraction]:
                 if phi[j]:
                     coeffs[i - deg + j] -= c * phi[j]
         coeffs.pop()
-    coeffs.extend([_ZERO] * (deg - len(coeffs)))
+    coeffs.extend([0] * (deg - len(coeffs)))
     return coeffs
 
 
 class CycNumber:
-    """An element of Q(zeta_M), immutable.
-
-    coords has length phi(M) and holds power-basis coordinates.  Arithmetic
-    between different conductors embeds both operands into Q(zeta_lcm).
-    Equality is mathematical (embedding-aware); instances are not hashable.
+    """An element of Q(zeta_M), immutable: sum_k nums[k] zeta^k / den with
+    phi(M) int nums, canonical (den > 0, gcd(den, *nums) = 1) like a QSeries
+    coefficient; coords views it as Fractions.  Arithmetic between different
+    conductors embeds both operands into Q(zeta_lcm).  Equality is
+    mathematical (embedding-aware); instances are not hashable.
     """
 
-    __slots__ = ("conductor", "coords")
+    __slots__ = ("conductor", "den", "nums")
 
     def __init__(self, conductor: int, coords: Iterable[Fraction | int]):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if conductor < 1:
             raise ValueError("conductor must be positive")
         if len(coords) != euler_phi(conductor):
             raise ValueError(
                 f"need {euler_phi(conductor)} coordinates for conductor {conductor}, got {len(coords)}"
             )
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coords", coords)
+        # lcm of reduced denominators: the canonical form needs no gcd pass
+        den = math.lcm(*(c.denominator for c in coords))
+        self._set(conductor, den, tuple(c.numerator * (den // c.denominator) for c in coords))
+
+    def _set(self, conductor: int, den: int, nums: tuple[int, ...]) -> None:
+        setter = object.__setattr__
+        setter(self, "conductor", conductor)
+        setter(self, "den", den)
+        setter(self, "nums", nums)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("CycNumber is immutable")
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def _trusted(cls, conductor: int, coords: tuple[Fraction, ...]) -> "CycNumber":
-        # skips validation: coords must be a tuple of phi(conductor) Fractions
+    def _make(cls, conductor: int, den: int, nums) -> "CycNumber":
+        """Element from phi(conductor) ints over den > 0; reduces them to the
+        canonical form."""
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [x // g for x in nums]
         self = object.__new__(cls)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coords", coords)
+        self._set(conductor, den, tuple(nums))
         return self
 
     @staticmethod
     def from_rational(value: Fraction | int) -> "CycNumber":
-        return CycNumber(1, (Fraction(value),))
+        value = Fraction(value)
+        return CycNumber._make(1, value.denominator, (value.numerator,))
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycNumber":
-        return CycNumber(conductor, [_ZERO] * euler_phi(conductor))
+        return CycNumber._make(conductor, 1, (0,) * euler_phi(conductor))
 
     @staticmethod
     def one(conductor: int = 1) -> "CycNumber":
-        c = [_ZERO] * euler_phi(conductor)
-        c[0] = _ONE
-        return CycNumber(conductor, c)
+        return CycNumber._make(conductor, 1, (1,) + (0,) * (euler_phi(conductor) - 1))
 
     @staticmethod
     def root_of_unity(M: int, exponent: int = 1) -> "CycNumber":
@@ -256,24 +264,30 @@ class CycNumber:
         exponent %= M
         if M <= 2:
             return CycNumber.from_rational(1 if M == 1 or exponent == 0 else -1)
-        raw = [_ZERO] * (exponent + 1)
-        raw[exponent] = _ONE
-        return CycNumber(M, _reduce_mod_cyclotomic(raw, M))
+        raw = [0] * (exponent + 1)
+        raw[exponent] = 1
+        return CycNumber._make(M, 1, _reduce_mod_cyclotomic(raw, M))
 
     # -- basic predicates -------------------------------------------------
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return self.conductor == 1 or not any(self.coords[1:])
+        return self.conductor == 1 or not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- embeddings -------------------------------------------------------
     def embed(self, target: int) -> "CycNumber":
@@ -284,15 +298,10 @@ class CycNumber:
             raise ConductorMismatchError(
                 f"cannot embed conductor {self.conductor} into {target}"
             )
-        if self.conductor == 1:
-            raw = [self.coords[0]]
-        else:
-            step = target // self.conductor
-            raw = [_ZERO] * ((len(self.coords) - 1) * step + 1)
-            for i, c in enumerate(self.coords):
-                if c:
-                    raw[i * step] = c
-        return CycNumber(target, _reduce_mod_cyclotomic(raw, target))
+        nums, step = self.nums, target // self.conductor
+        raw = [0] * ((len(nums) - 1) * step + 1)
+        raw[::step] = nums
+        return CycNumber._make(target, self.den, _reduce_mod_cyclotomic(raw, target))
 
     # -- arithmetic -------------------------------------------------------
     def _pair(self, other) -> tuple["CycNumber", "CycNumber"] | None:
@@ -305,44 +314,49 @@ class CycNumber:
         M = math.lcm(self.conductor, other.conductor)
         return self.embed(M), other.embed(M)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        # self + sign * other over the lcm of the denominators
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycNumber(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        return CycNumber._make(a.conductor, den, [fa * x + fb * y for x, y in zip(a.nums, b.nums)])
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.conductor, [-c for c in self.coords])
+        return CycNumber._make(self.conductor, self.den, [-x for x in self.nums])
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CycNumber(a.conductor, [x - y for x, y in zip(a.coords, b.coords)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNumber(self.conductor, [c * other for c in self.coords])
+            n = other.numerator
+            return CycNumber._make(self.conductor, self.den * other.denominator,
+                                   [x * n for x in self.nums])
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._pair(other)
+        den = a.den * b.den
         if a.conductor == 1:
-            return CycNumber(1, (a.coords[0] * b.coords[0],))
-        xs, ys = a.coords, b.coords
-        raw = [_ZERO] * (len(xs) + len(ys) - 1)
+            return CycNumber._make(1, den, (a.nums[0] * b.nums[0],))
+        xs, ys = a.nums, b.nums
+        raw = [0] * (len(xs) + len(ys) - 1)
         for i, x in enumerate(xs):
             if x:
                 for j, y in enumerate(ys):
                     if y:
                         raw[i + j] += x * y
-        return CycNumber(a.conductor, _reduce_mod_cyclotomic(raw, a.conductor))
+        return CycNumber._make(a.conductor, den, _reduce_mod_cyclotomic(raw, a.conductor))
 
     __rmul__ = __mul__
 
@@ -354,11 +368,10 @@ class CycNumber:
         every coordinate (see LinearSolver)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        M = self.conductor
+        M, col = self.conductor, list(self.nums)
         if M == 1:
-            return CycNumber(1, (1 / self.coords[0],))
+            return CycNumber.from_rational(Fraction(self.den, col[0]))
         phi = cyclotomic_polynomial(M)
-        scale, col = _integer_scale(self.coords)
         columns = [col]
         for _ in range(1, len(col)):
             # times zeta: shift up one power, then fold zeta^deg back by Phi_M
@@ -366,12 +379,13 @@ class CycNumber:
             col = [a - top * c for a, c in zip(col, phi)]
             columns.append(col)
         unit = [[1] + [0] * (len(col) - 1)]
-        coords = LinearSolver(columns, [scale] * len(columns)).solve(unit, 1)
-        return CycNumber._trusted(M, tuple(c.coords[0] for c in coords))
+        coords = LinearSolver(columns, [self.den] * len(columns)).solve(unit, 1)
+        den = math.lcm(*(c.den for c in coords))
+        return CycNumber._make(M, den, [c.nums[0] * (den // c.den) for c in coords])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNumber(self.conductor, [c / other for c in self.coords])
+            return self * (1 / Fraction(other))
         if not isinstance(other, CycNumber):
             return NotImplemented
         return self * other.inverse()
@@ -397,17 +411,17 @@ class CycNumber:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a.coords == b.coords
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # mathematical equality across conductors; keep unhashable
 
     def sort_key(self) -> tuple:
-        """Deterministic total order key (conductor, then coordinates)."""
+        """Deterministic total order key (conductor, then Fraction coordinates)."""
         return (self.conductor, self.coords)
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"CycNumber({self.coords[0]})"
+            return f"CycNumber({self.as_rational()})"
         return f"CycNumber(M={self.conductor}, {format_cyc(self)})"
 
 
@@ -419,7 +433,7 @@ def format_cyc(x: CycNumber) -> str:
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
 
-_BERNOULLI_CACHE: dict[int, Fraction] = {0: _ONE, 1: Fraction(-1, 2)}
+_BERNOULLI_CACHE: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
 _BERNOULLI_LOCK = threading.Lock()
 
 
@@ -438,11 +452,11 @@ def bernoulli(k: int) -> Fraction:
         top = max(_BERNOULLI_CACHE)
         for m in range(top + 1, k + 1):
             if m % 2 and m > 1:
-                _BERNOULLI_CACHE[m] = _ZERO
+                _BERNOULLI_CACHE[m] = Fraction(0)
                 continue
             acc = sum(
                 (Fraction(math.comb(m + 1, j)) * _BERNOULLI_CACHE[j] for j in range(m)),
-                _ZERO,
+                Fraction(0),
             )
             _BERNOULLI_CACHE[m] = -acc / (m + 1)
         return _BERNOULLI_CACHE[k]
@@ -464,13 +478,7 @@ _MODULUS = 2**61 - 1
 def _plain(c: CycNumber):
     # conductor-1 entries work as bare Fractions; mixed Fraction/CycNumber
     # arithmetic embeds on demand, and both test zero by truthiness
-    return c.coords[0] if c.conductor == 1 else c
-
-
-def _integer_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(s, [s*v for v in values]) with s the lcm of the denominators."""
-    s = math.lcm(*(v.denominator for v in values))
-    return s, [v.numerator * (s // v.denominator) for v in values]
+    return Fraction(c.nums[0], c.den) if c.conductor == 1 else c
 
 
 def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -588,8 +596,10 @@ class _DixonFactor:
 
     The triangular solves run on the columns of -L and -U packed mod p.  The
     exact check packs the integer columns of the whole matrix, pivot rows
-    first, in signed slots wide enough for the solve at hand; the widest
-    packing any solve has needed is kept."""
+    first, in signed slots wide enough for the solve at hand.  The kept
+    packing serves every solve it is wide enough for; a solve that needs
+    wider slots packs for itself, and its packing is kept in place of the
+    old one only if at most twice as wide."""
 
     def __init__(self, p, scales, rows, pivot_rows, lower, upper, inv_diag):
         self.p, self.scales, self.rows, self.pivot_rows = p, scales, rows, pivot_rows
@@ -639,13 +649,17 @@ class _DixonFactor:
         """(size, columns, pivot mask): the integer columns of all rows,
         pivot rows first, packed signed in slots of size bytes with
         2^(8*size-1) above bound and every entry; the mask covers the pivot
-        rows' slots.  The widest packing any solve has needed is kept."""
-        packing = self.packing
+        rows' slots.  Solves of similar height share the kept packing,
+        which grows at most twofold per solve, so one large-height solve
+        does not widen the check of the small solves after it."""
+        kept = self.packing
         size = _signed_slot_size(max(bound, self.entry_max))
-        if packing is None or packing[0] < size:
-            columns = zip(*(self.rows[i] for i in self.order))
-            packing = (size, [_pack_signed(col, size) for col in columns],
-                       (1 << 8 * size * len(self.pivot_rows)) - 1)
+        if kept is not None and kept[0] >= size:
+            return kept
+        columns = zip(*(self.rows[i] for i in self.order))
+        packing = (size, [_pack_signed(col, size) for col in columns],
+                   (1 << 8 * size * len(self.pivot_rows)) - 1)
+        if kept is None or size <= 2 * kept[0]:
             self.packing = packing
         return packing
 
@@ -670,8 +684,9 @@ class _DixonFactor:
         target = _pack_signed([b[i] for i in self.order], size)
         return sum(map(operator.mul, y, columns)) - d * target, pivot_mask
 
-    def solve(self, t: int, b: Sequence[int]) -> list[Fraction] | None:
-        """Exact x with A*x == b / t for ints b, or None when there is none."""
+    def solve(self, b: Sequence[int]) -> tuple[list[int], int] | None:
+        """(nums, d) with A*x == b for x = nums / d and ints b, or None when
+        there is no such x."""
         p, n = self.p, len(self.pivot_rows)
         rhs = [b[i] for i in self.pivot_rows]
         digit = self._solve_mod_p([v % p for v in rhs])
@@ -688,7 +703,7 @@ class _DixonFactor:
                     y, d = got
                     mismatch, pivot_mask = self._mismatch(y, d, b)
                     if not mismatch:
-                        return [Fraction(v * s, d * t) for v, s in zip(y, self.scales)]
+                        return list(map(operator.mul, y, self.scales)), d
                     if not mismatch & pivot_mask:
                         # y/d solves the pivot rows exactly and uniquely and
                         # another row fails: b is outside the span
@@ -788,107 +803,91 @@ class _ReplayEliminator:
 
 class LinearSolver:
     """Exact factorization of a matrix over Q(zeta_M), reusable for many
-    right-hand sides and grown one column at a time.
+    right-hand sides.  Each kind of matrix has one eliminator:
 
-    The matrix is CycNumber rows, or, with scales, int columns: column j
-    stands for matrix[j] / scales[j].  A target is one CycNumber per row,
-    or, with scale, int numerators over it, one sequence per power-basis
-    coordinate of Q(zeta_conductor).  Coordinates come back as CycNumbers.
+      int columns with scales   Dixon lifting mod _MODULUS, certified; the
+                                replay when rank mod p < ncols
+      CycNumber rows            the replay, grown by add_column
 
-    A rational matrix whose rank modulo the prime _MODULUS equals its column
-    count has full column rank over Q (a nonzero minor mod p is nonzero).
-    solve() lifts each power-basis coordinate of a target of one conductor
-    p-adically (Dixon) on a mod-p LU factorisation of the pivot square, with
-    rational reconstruction after 1, 2, 4, ... digits, stopping at the
-    Hadamard bound at the latest.  Coordinates are returned only after
-    A*x == b holds exactly on every row; None only when x solves the pivot
-    rows exactly and another row fails, which certifies that b is outside
-    the span.
+    With scales, column j of the matrix stands for matrix[j] / scales[j].
+    A target is, with scale, int numerators over it, one sequence per
+    power-basis coordinate of Q(zeta_conductor); a solver of CycNumber rows
+    also takes one CycNumber per row.  Coordinates come back as CycNumbers.
 
-    The factorisation and the triangular solves work on rows and columns
-    packed mod p into one int each, in unsigned slots wide enough for ncols
-    updates below p^2.  The check packs the integer columns in signed slots
-    of W bits, repacked wider whenever a solve's bound on |(A*x)_i| +
-    |d*b_i| reaches 2^(W-1); below that bound the balanced base-2^W digits
-    of the packed A*x - d*b are unique, so it is zero exactly when every row
-    holds.
+    Rank mod p equal to the column count proves full column rank over Q (a
+    nonzero minor mod p is nonzero).  solve() then lifts each power-basis
+    coordinate of the target p-adically on a mod-p LU factorisation of the
+    pivot square, tries rational reconstruction after 1, 2, 4, ... digits
+    and at the Hadamard bound, and builds each coordinate from the lifted
+    numerators with one gcd.  Coordinates are returned only after A*x == b
+    holds exactly on every row, by the packed check; None only when x
+    solves the pivot rows exactly and another row fails, which certifies
+    that b is outside the span.
 
-    Everything else uses the replay eliminator (_ReplayEliminator), the
-    modular path's test oracle: rank mod p below the column count (an
-    unlucky prime or a deficient matrix, so rank stays exact), cyclotomic
-    entries, add_column growth and targets of mixed conductor.  A certified
-    matrix records the replay on first need.  Coordinates live in Q(zeta_M),
-    M the lcm of the conductors of the matrix and of the target.
+    The replay (_ReplayEliminator) records exact row-echelon operations on
+    Fractions and CycNumbers, so its rank is exact for any matrix; it is
+    the Dixon path's test oracle.  Its coordinates live in Q(zeta_M), M the
+    lcm of the conductors of the matrix and of the target.
     """
 
     def __init__(self, matrix, scales: Sequence[int] | None = None):
+        self._int_columns = scales is not None
+        self._modular = self._replay = None
         if scales is None:
             self.nrows = len(matrix)
             self._conductor = math.lcm(1, *(c.conductor for row in matrix for c in row))
             columns = [[_plain(c) for c in col] for col in zip(*matrix)]
         else:
-            self.nrows, self._conductor, columns = len(matrix[0]), 1, matrix
+            self.nrows, self._conductor = len(matrix[0]), 1
+            if len(matrix) <= self.nrows:
+                self._modular = _modular_factor(matrix, scales)
+            if self._modular is not None:
+                self.ncols = self.rank = len(matrix)
+                return
+            columns = [[Fraction(a, s) for a in col] for s, col in zip(scales, matrix)]
         self.ncols = len(columns)
-        self._modular = self._replay = None
-        if self._conductor == 1 and 0 < self.ncols <= self.nrows:
-            if scales is None:
-                scales, columns = zip(*map(_integer_scale, columns))
-            self._modular = _modular_factor(columns, scales)
-        if self._modular is not None:
-            self.rank = self.ncols
-            return
-        if scales is not None:
-            columns = [[Fraction(a, s) for a in col] for s, col in zip(scales, columns)]
         replay = self._replay = _ReplayEliminator(self.nrows)
         self.rank = sum(replay.pivot(col, j) for j, col in enumerate(columns))
 
-    def _replay_eliminator(self) -> _ReplayEliminator:
-        replay = self._replay
-        if replay is None:
-            # published whole, so a concurrent solve never sees it half built
-            replay = _ReplayEliminator(self.nrows)
-            modular = self._modular
-            for j, (s, col) in enumerate(zip(modular.scales, zip(*modular.rows))):
-                replay.pivot([Fraction(a, s) for a in col], j)
-            self._replay = replay
-        return replay
-
     def add_column(self, column: list[CycNumber]) -> bool:
-        """Append column if it is independent of the current ones; a
-        dependent column leaves the solver unchanged and returns False."""
+        """Append column to a solver built from CycNumber rows if it is
+        independent of the current ones; a dependent column leaves the
+        solver unchanged and returns False."""
+        if self._int_columns:
+            raise TypeError("add_column grows a solver built from CycNumber rows")
         if len(column) != self.nrows:
             raise ValueError("column length does not match row count")
-        if not self._replay_eliminator().pivot([_plain(c) for c in column], self.ncols):
+        if not self._replay.pivot([_plain(c) for c in column], self.ncols):
             return False
-        self._modular = None
         self._conductor = math.lcm(self._conductor, *(c.conductor for c in column))
         self.ncols += 1
         self.rank += 1
         return True
 
     def solve(self, target, scale: int | None = None, conductor: int = 1) -> list[CycNumber] | None:
-        modular = self._modular
-        if scale is None and modular is not None and target:
-            conductor = target[0].conductor
-            if all(c.conductor == conductor for c in target):
-                width = euler_phi(conductor)
-                scale, flat = _integer_scale([x for c in target for x in c.coords])
-                target = [flat[k::width] for k in range(width)]
         if scale is not None:
             if any(len(t) != self.nrows for t in target):
                 raise ValueError("target length does not match row count")
-            if modular is not None:
-                # the matrix is rational, so each power-basis coordinate of
-                # the target is a rational system of its own
-                parts = [modular.solve(scale, t) for t in target]
-                if None in parts:
-                    return None
-                return [CycNumber._trusted(conductor, coords) for coords in zip(*parts)]
-            target = [CycNumber._trusted(conductor, tuple(Fraction(v, scale) for v in xs))
-                      for xs in zip(*target)]
+            if scale < 0:
+                scale, target = -scale, [[-v for v in t] for t in target]
+        elif self._int_columns:
+            raise TypeError("a solver built from int columns takes int targets over a scale")
+        modular = self._modular
+        if modular is not None:
+            # the matrix is rational, so each power-basis coordinate of the
+            # target is a rational system of its own
+            parts = [modular.solve(t) for t in target]
+            if None in parts:
+                return None
+            den = math.lcm(*(d for _, d in parts))
+            coords = zip(*([v * (den // d) for v in nums] for nums, d in parts))
+            den *= scale
+            return [CycNumber._make(conductor, den, xs) for xs in coords]
+        if scale is not None:
+            target = [CycNumber._make(conductor, scale, xs) for xs in zip(*target)]
         if len(target) != self.nrows:
             raise ValueError("target length does not match row count")
-        replay = self._replay_eliminator()
+        replay = self._replay
         vec = replay.replay([_plain(c) for c in target])
         if any(v for v, used in zip(vec, replay.used) if not used):
             return None

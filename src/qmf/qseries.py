@@ -345,10 +345,7 @@ class QSeries:
             object.__setattr__(self, "_memo", memo)
         c = memo[n]
         if c is None:
-            den = self._den
-            c = memo[n] = CycNumber._trusted(
-                self.conductor, tuple(Fraction(t[n], den) for t in self._nums)
-            )
+            c = memo[n] = CycNumber._make(self.conductor, self._den, [t[n] for t in self._nums])
         return c
 
     def coefficients(self) -> tuple[CycNumber, ...]:
@@ -413,15 +410,14 @@ class QSeries:
     def scale(self, factor) -> "QSeries":
         factor = _wrap(factor)
         M, p = math.lcm(self.conductor, factor.conductor), self.precision
-        coords = factor.embed(M).coords
-        fden = math.lcm(*(c.denominator for c in coords))
+        factor = factor.embed(M)
         # multiply the numerators by the factor's integer coordinates, then
-        # reduce modulo the cyclotomic polynomial once
-        ints = [c.numerator * (fden // c.denominator) for c in coords]
-        ys = self._coords(M, p)
+        # reduce modulo the cyclotomic polynomial once; a rational series
+        # seen in a large field has one nonzero coordinate of phi(M)
+        ys = [(j, y) for j, y in enumerate(self._coords(M, p)) if any(y)]
         terms = ((i + j, [a * v for v in y])
-                 for i, a in enumerate(ints) if a for j, y in enumerate(ys))
-        return QSeries._make(p, M, self._den * fden, _reduce_zeta(terms, M, p))
+                 for i, a in enumerate(factor.nums) if a for j, y in ys)
+        return QSeries._make(p, M, self._den * factor.den, _reduce_zeta(terms, M, p))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
@@ -505,7 +501,7 @@ class QSeries:
 
 def _rational(value) -> Fraction | int:
     if isinstance(value, CycNumber):
-        return value.coords[0]
+        return value.as_rational()
     if isinstance(value, (int, Fraction)):
         return value
     return Fraction(value)

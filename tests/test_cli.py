@@ -295,6 +295,19 @@ def test_newforms_expansion_matches_golden(capsys, level, weight):
     assert out.encode() == golden.read_bytes()
 
 
+def test_newforms_7_10_fails_in_one_line(tmp_path):
+    # 7.10's eigenline split finds 0 of its 5 lines, so the derivation
+    # fails; a cold process reports it in one line, exit 1, no traceback
+    env = dict(os.environ, QMF_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=str(Path(qmf.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmf.cli", "newforms", "--level", "7", "--weight", "10",
+         "--prec", "30"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "catalog incomplete: no newform table for level 7, weight 10\n"
+
+
 def test_expand_form_corpus_is_unchanged(capsys):
     # exit code, stdout and stderr of `qmf expand --prec 4` for scalars,
     # derivative polynomials, their products and sums with series, and

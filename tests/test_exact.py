@@ -228,6 +228,87 @@ def test_mixed_conductor_arithmetic():
     assert (z4 + z3) - z3 == z4
 
 
+# -- Fraction coordinates: the oracle for the int form ------------------------
+
+def fraction_reduce(coeffs, M):
+    """Reduce a polynomial in zeta_M with Fraction coefficients (low degree
+    first) to the power basis."""
+    phi = cyclotomic_polynomial(M)
+    deg = len(phi) - 1
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs.pop()
+        if c:
+            # phi is monic: z^deg = -(phi[0] + ... + phi[deg-1] z^(deg-1))
+            for j in range(deg):
+                if phi[j]:
+                    coeffs[i - deg + j] -= c * phi[j]
+    return coeffs + [Fraction(0)] * (deg - len(coeffs))
+
+
+class FractionCyc:
+    """An element of Q(zeta_M) as a tuple of phi(M) Fraction power-basis
+    coordinates, with the arithmetic CycNumber had before it stored one
+    denominator and int coordinates: the oracle for that arithmetic.
+    Inverses are checked through products, which this arithmetic makes."""
+
+    def __init__(self, conductor, coords):
+        self.conductor = conductor
+        self.coords = tuple(map(Fraction, coords))
+        assert len(self.coords) == euler_phi(conductor)
+
+    def embed(self, target):
+        if target % self.conductor:
+            raise ConductorMismatchError(f"cannot embed {self.conductor} into {target}")
+        step = target // self.conductor
+        raw = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
+        raw[::step] = self.coords
+        return FractionCyc(target, fraction_reduce(raw, target))
+
+    def _pair(self, other):
+        if not isinstance(other, FractionCyc):
+            other = FractionCyc(1, [other])
+        M = math.lcm(self.conductor, other.conductor)
+        return self.embed(M), other.embed(M)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return FractionCyc(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+
+    def __neg__(self):
+        return FractionCyc(self.conductor, [-x for x in self.coords])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        raw = [Fraction(0)] * (2 * len(a.coords) - 1)
+        for i, x in enumerate(a.coords):
+            for j, y in enumerate(b.coords):
+                raw[i + j] += x * y
+        return FractionCyc(a.conductor, fraction_reduce(raw, a.conductor))
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.coords == b.coords
+
+    def sort_key(self):
+        return (self.conductor, self.coords)
+
+    def format(self):
+        return " ".join(str(c) for c in self.coords)
+
+
+def assert_canonical_as(x, want):
+    """x is a canonical CycNumber (den > 0, gcd(den, *nums) = 1) with the
+    conductor and coordinates of the oracle value want."""
+    assert type(x.den) is int and all(type(v) is int for v in x.nums)
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    assert x.conductor == want.conductor
+    assert tuple(Fraction(v, x.den) for v in x.nums) == want.coords
+
+
 def test_rationality_predicates():
     z6 = CycNumber.root_of_unity(6)
     x = z6 + z6**5  # zeta_6 + conjugate = 1
@@ -413,14 +494,40 @@ def test_solve_keeps_the_target_field_through_zero_entries():
 
 # -- the modular path against the replay eliminator ------------------------
 
+def integer_form(values):
+    """(scale, ints) of rational values: scale is the lcm of the
+    denominators and ints[i] == values[i] * scale."""
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def int_solver(columns):
+    """The solver of rational CycNumber columns, as int columns with a
+    scale each: the input the modular path takes."""
+    scales, ints = zip(*(integer_form([c.as_rational() for c in col]) for col in columns))
+    return LinearSolver(list(ints), list(scales))
+
+
+def int_solve(solver, target):
+    """solver.solve of a CycNumber target as int numerators over one scale,
+    one sequence per power-basis coordinate of the lcm of its conductors."""
+    M = math.lcm(*(c.conductor for c in target))
+    width = euler_phi(M)
+    scale, flat = integer_form([x for c in target for x in c.embed(M).coords])
+    return solver.solve([flat[k::width] for k in range(width)], scale, M)
+
+
 def replay_solver(rows):
-    """The replay eliminator alone: the oracle for the modular path."""
-    with mock.patch.object(exact, "_modular_factor", lambda *matrix: None):
-        return LinearSolver(rows)
+    """The replay eliminator, which takes every CycNumber-row matrix: the
+    oracle for the modular path."""
+    solver = LinearSolver(rows)
+    assert solver._modular is None
+    return solver
 
 
 def replay_spy():
-    # counts the replay eliminators built: the fallback and the lazy replay
+    # counts the replay eliminators built
     return mock.patch.object(exact, "_ReplayEliminator", wraps=exact._ReplayEliminator)
 
 
@@ -438,12 +545,14 @@ def rational_rows(rng, nrows, ncols, rank=None):
 
 
 def assert_matches_replay(rows, targets, solver=None):
-    solver = LinearSolver(rows) if solver is None else solver
+    """The int-column solver of rows (or solver) against the replay, on
+    each target as ints and as CycNumbers respectively."""
+    solver = int_solver(list(zip(*rows))) if solver is None else solver
     oracle = replay_solver(rows)
     assert (solver.ncols, solver.rank) == (oracle.ncols, oracle.rank)
     assert solver.free_columns() == oracle.free_columns()
     for target in targets:
-        assert exact_keys(solver.solve(target)) == exact_keys(oracle.solve(target))
+        assert exact_keys(int_solve(solver, target)) == exact_keys(oracle.solve(target))
     return solver
 
 
@@ -459,15 +568,15 @@ def test_modular_path_matches_replay_on_full_rank_matrices(shape):
     zero = [CycNumber.zero()] * shape[0]
     targets = [inside, outside, big, zero]
     with replay_spy() as replays:
-        solver = LinearSolver(rows)
-        got = [exact_keys(solver.solve(t)) for t in targets]
-    # certified: the replay operations were never recorded
+        solver = int_solver(columns)
+        got = [exact_keys(int_solve(solver, t)) for t in targets]
+    # certified: no replay eliminator was built
     assert replays.call_count == 0
     assert got[0] is not None and got[2] is not None
     assert_matches_replay(rows, targets, solver)
     assert solver.rank == shape[1] and solver.free_columns() == []
     if shape[0] > shape[1]:
-        assert solver.solve(outside) is None
+        assert int_solve(solver, outside) is None
 
 
 @pytest.mark.parametrize("shape,rank", [((6, 4), 2), ((5, 5), 4), ((3, 6), 3), ((4, 3), 0)])
@@ -494,63 +603,31 @@ def test_modular_solve_keeps_a_shared_target_conductor():
     assert {c.conductor for c in target} == {5}
     outside = [random_entry(rng, units) for _ in range(8)]
     solver = assert_matches_replay(rows, [target, outside, [CycNumber.zero(5)] * 8])
-    sol = solver.solve(target)
+    sol = int_solve(solver, target)
     assert sol == coeffs
     assert [c.conductor for c in sol] == [5] * 5
     assert solver._modular is not None
-
-
-def test_mixed_conductor_target_falls_back_to_the_replay():
-    rng = random.Random("mixed-target")
-    rows, columns = rational_rows(rng, 6, 4)
-    z3 = CycNumber.root_of_unity(3)
-    target = combine(columns, [z3, Fraction(2), -z3, Fraction(1, 3)])
-    target[0] = target[0].embed(12)
-    assert len({c.conductor for c in target}) > 1
-    with replay_spy() as replays:
-        solver = LinearSolver(rows)
-        assert replays.call_count == 0
-        first = solver.solve(target)
-        assert exact_keys(solver.solve(target)) == exact_keys(first)
-    # the replay was recorded once, and the solver still certifies
-    assert replays.call_count == 1
-    assert solver._modular is not None and solver.free_columns() == []
-    assert_matches_replay(rows, [target], solver)
-
-
-def test_add_column_grows_a_certified_solver():
-    rng = random.Random("grow-certified")
-    rows, columns = rational_rows(rng, 8, 3)
-    solver = LinearSolver(rows)
-    assert solver._modular is not None
-    extra = random_columns(rng, SOLVER_UNITS["rational"], 8, 1)[0]
-    assert solver.add_column(combine(columns, [Fraction(1), Fraction(-2), Fraction(5)])) is False
-    assert solver._modular is not None
-    assert solver.add_column(extra)
-    grown = replay_solver([row + [x] for row, x in zip(rows, extra)])
-    target = combine(columns + [extra], [Fraction(k, 7) for k in range(1, 5)])
-    assert (solver.ncols, solver.rank) == (grown.ncols, grown.rank) == (4, 4)
-    assert exact_keys(solver.solve(target)) == exact_keys(grown.solve(target))
 
 
 def test_unlucky_prime_falls_back_with_identical_results(monkeypatch):
     # full rank over Q, singular mod 3: the modular path must not certify
     one = CycNumber.one()
     rows = [[one, one], [one, 4 * one], [one, 7 * one]]
+    columns = list(zip(*rows))
     targets = [[2 * one, 5 * one, 8 * one], [one, 2 * one, 4 * one],
                [CycNumber.zero()] * 3]
-    certified = LinearSolver(rows)
+    certified = int_solver(columns)
     assert certified._modular is not None
     monkeypatch.setattr(exact, "_MODULUS", 3)
     with replay_spy() as replays:
-        solver = LinearSolver(rows)
+        solver = int_solver(columns)
     assert replays.call_count == 1 and solver._modular is None
     assert_matches_replay(rows, targets, solver)
     assert (solver.rank, solver.free_columns()) == (certified.rank, certified.free_columns())
     for target in targets:
-        assert exact_keys(solver.solve(target)) == exact_keys(certified.solve(target))
-    assert solver.solve(targets[0]) == [one, one]
-    assert solver.solve(targets[1]) is None
+        assert exact_keys(int_solve(solver, target)) == exact_keys(int_solve(certified, target))
+    assert int_solve(solver, targets[0]) == [one, one]
+    assert int_solve(solver, targets[1]) is None
 
 
 def test_small_prime_lifts_over_many_steps(monkeypatch):
@@ -564,38 +641,35 @@ def test_small_prime_lifts_over_many_steps(monkeypatch):
     target = combine(columns, coeffs)
     solver = assert_matches_replay(rows, [target])
     assert solver._modular is not None
-    assert [c.as_rational() for c in solver.solve(target)] == coeffs
+    assert [c.as_rational() for c in int_solve(solver, target)] == coeffs
     target[-1] = target[-1] + 1
-    assert solver.solve(target) is None
+    assert int_solve(solver, target) is None
 
 
 # -- integer columns and integer targets -------------------------------------
 
-def integer_form(vector):
-    """(scale, ints) of a rational CycNumber vector."""
-    return exact._integer_scale([c.as_rational() for c in vector])
-
-
 @pytest.mark.parametrize("shape,rank", [((9, 4), 4), ((6, 4), 2), ((3, 6), 3), ((5, 5), 5)])
 def test_integer_columns_match_the_replay(shape, rank):
-    # the integer entry certifies exactly when the CycNumber entry does, and
-    # every solve, integer target or CycNumber target, agrees with the replay
+    # int columns certify exactly when the matrix has full column rank, and
+    # every int-target solve agrees with the replay of the CycNumber rows
     rng = random.Random(f"integer-{shape}")
     rows, columns = rational_rows(rng, *shape, rank=rank)
-    scales, ints = zip(*map(integer_form, columns))
-    solver = LinearSolver(list(ints), list(scales))
+    solver = int_solver(columns)
     oracle = replay_solver(rows)
-    assert (solver._modular is None) == (LinearSolver(rows)._modular is None)
+    assert (solver._modular is not None) == (rank == shape[1] <= shape[0])
     assert (solver.ncols, solver.rank, solver.free_columns()) == (
         oracle.ncols, oracle.rank, oracle.free_columns())
     units = SOLVER_UNITS["rational"]
     targets = [combine(columns, [random_entry(rng, units) for _ in columns]),
                random_columns(rng, units, shape[0], 1)[0], [CycNumber.zero()] * shape[0]]
     for target in targets:
-        scale, b = integer_form(target)
-        want = exact_keys(oracle.solve(target))
-        assert exact_keys(solver.solve([b], scale)) == want
-        assert exact_keys(solver.solve(target)) == want
+        scale, b = integer_form([c.as_rational() for c in target])
+        assert exact_keys(solver.solve([b], scale)) == exact_keys(oracle.solve(target))
+        # int columns take int targets only, and do not grow
+        with pytest.raises(TypeError):
+            solver.solve(target)
+    with pytest.raises(TypeError):
+        solver.add_column(targets[0])
 
 
 def test_integer_target_of_one_conductor_keeps_it():
@@ -606,13 +680,13 @@ def test_integer_target_of_one_conductor_keeps_it():
     units = SOLVER_UNITS["cyclotomic"]
     coeffs = [random_entry(rng, units) for _ in columns]
     target = [c if c else CycNumber.zero(5) for c in combine(columns, coeffs)]
-    scale, flat = exact._integer_scale([x for c in target for x in c.coords])
+    scale, flat = integer_form([x for c in target for x in c.coords])
     numerators = [flat[k::4] for k in range(4)]
-    for solver in (LinearSolver(rows), replay_solver(rows)):
+    for solver in (int_solver(columns), replay_solver(rows)):
         assert solver.solve(numerators, scale, 5) == coeffs
         assert [c.conductor for c in solver.solve(numerators, scale, 5)] == [5] * 5
-    with pytest.raises(ValueError):
-        LinearSolver(rows).solve([t[:-1] for t in numerators], scale, 5)
+        with pytest.raises(ValueError):
+            solver.solve([t[:-1] for t in numerators], scale, 5)
 
 
 def spy_method(cls, name):
@@ -626,16 +700,16 @@ def test_one_digit_lift_makes_one_pass_and_one_packed_check():
     # (the first solve also packs the 5 columns), and no residual is formed
     # for a next digit
     rng = random.Random("dots")
-    rows, columns = rational_rows(rng, 12, 5)
+    _, columns = rational_rows(rng, 12, 5)
     target = combine(columns, [Fraction(k, 3) for k in range(1, 6)])
-    solver = LinearSolver(rows)
+    solver = int_solver(columns)
     with spy_method(exact._DixonFactor, "_solve_mod_p") as passes, \
             spy_method(exact._DixonFactor, "_mismatch") as checks, \
             spy_method(exact._DixonFactor, "_square_columns") as squares, \
             mock.patch.object(exact, "_reconstruct", wraps=exact._reconstruct) as tries, \
             mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs, \
             mock.patch.object(exact, "_unpack_signed", wraps=exact._unpack_signed) as unpacks:
-        assert [c.as_rational() for c in solver.solve(target)] == [
+        assert [c.as_rational() for c in int_solve(solver, target)] == [
             Fraction(k, 3) for k in range(1, 6)]
     assert (passes.call_count, tries.call_count, checks.call_count) == (1, 1, 1)
     assert [len(call.args[0]) for call in packs.call_args_list] == [12] * 6
@@ -725,11 +799,6 @@ def int_system(rng, nrows, ncols):
     return columns, x, image
 
 
-def int_target(values):
-    """(scale, ints) of a rational vector."""
-    return exact._integer_scale(values)
-
-
 def test_mismatch_tells_a_pivot_row_from_another_row():
     # A*y - d*b packed over all rows is zero only when every row holds, and
     # its pivot slots are zero exactly when the pivot rows hold
@@ -759,7 +828,7 @@ def test_target_off_in_one_other_row_is_outside_the_span():
     solver = LinearSolver(columns, [1] * 4)
     factor = solver._modular
     assert factor.others
-    scale, b = int_target(image)
+    scale, b = integer_form(image)
     assert [c.as_rational() for c in solver.solve([b], scale)] == x
     for row in factor.others:
         for delta in (1, -(3**90)):
@@ -784,7 +853,7 @@ def test_target_off_in_one_pivot_row():
         factor = solver._modular
         rows = [[CycNumber.from_rational(c[i]) for c in columns] for i in range(nrows)]
         oracle = replay_solver(rows)
-        scale, b = int_target(image)
+        scale, b = integer_form(image)
         for row in factor.pivot_rows:
             off = list(b)
             off[row] += 1
@@ -820,32 +889,43 @@ def test_check_holds_targets_at_slot_width_edges(bits, sign):
             assert got == (None if want is None else [CycNumber.from_rational(want)])
 
 
-def test_large_height_solve_repacks_wider_and_keeps_the_widest():
+def test_large_height_solve_repacks_wider_and_keeps_the_narrow():
     # sum_j 3^(40+j) / (7^(20+j) + 1) * atom_j at level 6, weight 8: its y
-    # and d*b overflow the packing the small solve left, so the check
-    # repacks wider; the wider packing is kept and still serves small solves
+    # and d*b overflow the packing the small solves left by far, so the
+    # check packs wider for itself and keeps the narrow packing, and the
+    # small solves after the large one repack no column.  A solve needing
+    # at most twice the kept width replaces the kept packing instead.
     series, columns, scales = level6_columns(92)
     solver = LinearSolver(columns, scales)
     factor = solver._modular
     small = series[0] * Fraction(-3, 4) + series[7] * 5
     den, nums = small.numerators()
+    solver.solve([list(nums[0])], den)
+    first = factor.packing[0]
+    small = small * 2**40
+    den, nums = small.numerators()
     small_coords = solver.solve([list(nums[0])], den)
     narrow = factor.packing[0]
+    assert first < narrow <= 2 * first
     want = [Fraction(3 ** (40 + j), 7 ** (20 + j) + 1) for j in range(len(series))]
     big = sum((s * c for s, c in zip(series[1:], want[1:])), series[0] * want[0])
     den, nums = big.numerators()
     with mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs:
         assert [c.as_rational() for c in solver.solve([list(nums[0])], den)] == want
-    wide = factor.packing[0]
-    assert wide > narrow
     assert len(packs.call_args_list) > len(columns)
+    assert max(call.args[1] for call in packs.call_args_list) > 2 * narrow
+    assert factor.packing[0] == narrow
     off = list(nums[0])
     off[factor.others[0]] += 1
     assert solver.solve([off], den) is None
-    assert factor.packing[0] == wide
+    assert factor.packing[0] == narrow
     den, nums = small.numerators()
-    assert solver.solve([list(nums[0])], den) == small_coords
-    assert factor.packing[0] == wide
+    with mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs, \
+            spy_method(exact._DixonFactor, "_mismatch") as checks:
+        assert solver.solve([list(nums[0])], den) == small_coords
+    # each check packs the target alone
+    assert packs.call_count == checks.call_count
+    assert factor.packing[0] == narrow
 
 
 def test_reconstruction_runs_at_doubling_digit_counts(monkeypatch):
@@ -857,7 +937,7 @@ def test_reconstruction_runs_at_doubling_digit_counts(monkeypatch):
     rng = random.Random("doubling")
     columns = [[rng.randint(-50, 50) for _ in range(10)] for _ in range(6)]
     x = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)) for _ in range(6)]
-    scale, b = int_target(
+    scale, b = integer_form(
         [sum((c[i] * v for c, v in zip(columns, x)), Fraction(0)) for i in range(10)])
     solver = LinearSolver(columns, [1] * 6)
     # the digits needed: the first count at which the p-adic expansion of

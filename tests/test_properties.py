@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qmf.cli import main  # noqa: E402
 from qmf import exact  # noqa: E402
-from qmf.exact import CycNumber, LinearSolver  # noqa: E402
+from qmf.exact import CycNumber, LinearSolver, format_cyc  # noqa: E402
 from qmf.detect import macmahon  # noqa: E402
 from qmf.qseries import QSeries  # noqa: E402
 
 from test_detect import brute_macmahon, dp_macmahon  # noqa: E402
-from test_exact import assert_factor_matches_lists  # noqa: E402
+from test_exact import (  # noqa: E402
+    FractionCyc, assert_canonical_as, assert_factor_matches_lists, int_solve, int_solver)
 from test_qseries import cyc_product_oracle, fraction_product_oracle  # noqa: E402
 
 BIG = 2**200
@@ -186,10 +187,9 @@ def test_modular_solver_matches_replay(case, modulus):
     # a small modulus makes unlucky primes and long lifts common
     rows, targets = case
     with mock.patch.object(exact, "_MODULUS", modulus):
-        solver = LinearSolver(rows)
-        got = [_keys(solver.solve(t)) for t in targets]
-    with mock.patch.object(exact, "_modular_factor", lambda *matrix: None):
-        oracle = LinearSolver(rows)
+        solver = int_solver(list(zip(*rows)))
+        got = [_keys(int_solve(solver, t)) for t in targets]
+    oracle = LinearSolver(rows)
     assert (solver.rank, solver.free_columns()) == (oracle.rank, oracle.free_columns())
     assert got == [_keys(oracle.solve(t)) for t in targets]
     assert got[0] is not None
@@ -259,3 +259,56 @@ def test_inverse_is_exact_under_any_prime(x, modulus):
     assert y.conductor == x.conductor
     assert x * y == 1
     assert x**-3 * x**3 == 1
+
+
+# conductors of the arithmetic check; pairs whose lcm has phi above 72 (5
+# with 57, 40 with 57) are left out to keep the Fraction oracle quick
+CYC_CONDUCTORS = [1, 2, 3, 4, 5, 12, 40, 57]
+
+
+@st.composite
+def cyclotomic_coords(draw, M):
+    """phi(M) Fraction coordinates, dense or sparse: numerators up to 10^30
+    over one shared denominator up to 10^30 times a small one of their own.
+    (Dense Q(zeta_57) elements with independent 10^30 denominators take
+    about 20 s each to invert on Python 3.11.7, one vCPU.)"""
+    shared = draw(st.one_of(st.integers(1, 9), st.integers(1, HUGE)))
+    numerators = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-HUGE, HUGE))
+    return [Fraction(draw(numerators), shared * draw(st.integers(1, 9)))
+            for _ in range(exact.euler_phi(M))]
+
+
+@st.composite
+def cyclotomic_operands(draw):
+    """Coordinates of an element of Q(zeta_Ma) and one of Q(zeta_Mb), and a
+    rational."""
+    conductors = st.tuples(st.sampled_from(CYC_CONDUCTORS), st.sampled_from(CYC_CONDUCTORS))
+    Ma, Mb = draw(conductors.filter(lambda p: exact.euler_phi(math.lcm(*p)) <= 72))
+    a, b = draw(cyclotomic_coords(Ma)), draw(cyclotomic_coords(Mb))
+    return (Ma, a), (Mb, b), draw(huge_rationals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_operands())
+def test_cyclotomic_arithmetic_matches_the_fraction_oracle(operands):
+    # every result is canonical and equals the Fraction-coordinate result
+    (Ma, a), (Mb, b), q = operands
+    x, y = CycNumber(Ma, a), CycNumber(Mb, b)
+    ox, oy = FractionCyc(Ma, a), FractionCyc(Mb, b)
+    M = math.lcm(Ma, Mb)
+    for got, want in ((x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
+                      (-x, -ox), (x + q, ox + q), (q - x, -ox + q), (x * q, ox * q),
+                      (x.embed(M), ox.embed(M)), (y.embed(2 * M), oy.embed(2 * M))):
+        assert_canonical_as(got, want)
+    assert (x == y) == (ox == oy) and (x == q) == (ox == q)
+    assert x.sort_key() == ox.sort_key() and y.sort_key() == oy.sort_key()
+    assert format_cyc(x) == ox.format() and format_cyc(y) == oy.format()
+    if q:
+        assert_canonical_as(x / q, ox * (1 / q))
+    if y:
+        inv = y.inverse()
+        assert_canonical_as(inv, FractionCyc(inv.conductor, inv.coords))
+        assert inv.conductor == Mb and oy * FractionCyc(Mb, inv.coords) == 1
+        quotient = x / y
+        assert_canonical_as(quotient, FractionCyc(quotient.conductor, quotient.coords))
+        assert quotient.conductor == M and oy * FractionCyc(M, quotient.coords) == ox

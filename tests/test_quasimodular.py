@@ -259,11 +259,11 @@ def test_rational_decompose_builds_no_cell_numbers():
                                side_effect=QSeries.coefficient) as reads, \
              mock.patch.object(CycNumber, "__init__", autospec=True,
                                side_effect=CycNumber.__init__) as inits, \
-             mock.patch.object(CycNumber, "_trusted", wraps=CycNumber._trusted) as trusted:
+             mock.patch.object(CycNumber, "_make", wraps=CycNumber._make) as makes:
             dec = decompose(f, 6, 8)
         assert reads.call_count == 0
         # one per coordinate; building the basis adds the constant atom's 1
-        assert inits.call_count + trusted.call_count == len(atoms) + (0 if warm else 1)
+        assert inits.call_count + makes.call_count == len(atoms) + (0 if warm else 1)
     assert {a.spec_text(): c for a, c in dec.nonzero()} == {
         atoms[3].spec_text(): CycNumber.from_rational(2),
         atoms[40].spec_text(): CycNumber.from_rational(1),
