@@ -8,8 +8,8 @@ evaluation, order and conductor are all exact and deterministic.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from typing import Iterator
 
 from .exact import CycNumber, divisors, euler_phi, factorize
@@ -87,18 +87,7 @@ class _UnitGroup:
         return out
 
 
-_UNIT_GROUPS: dict[int, _UnitGroup] = {}
-_UNIT_LOCK = threading.Lock()
-
-
-def _unit_group(u: int) -> _UnitGroup:
-    got = _UNIT_GROUPS.get(u)
-    if got is None:
-        with _UNIT_LOCK:
-            got = _UNIT_GROUPS.get(u)
-            if got is None:
-                got = _UNIT_GROUPS[u] = _UnitGroup(u)
-    return got
+_unit_group = functools.cache(_UnitGroup)
 
 
 class DirichletCharacter:
@@ -212,7 +201,9 @@ def character_group(u: int) -> list[DirichletCharacter]:
     return chars
 
 
-_PRIMITIVE: dict[int, tuple[DirichletCharacter, ...]] = {}
+@functools.cache
+def _primitive(u: int) -> tuple[DirichletCharacter, ...]:
+    return tuple(chi for chi in character_group(u) if chi.is_primitive())
 
 
 def enumerate_primitive(u: int) -> list[DirichletCharacter]:
@@ -220,9 +211,4 @@ def enumerate_primitive(u: int) -> list[DirichletCharacter]:
 
     The characters are found once per modulus; each call returns a fresh
     list of the same character objects."""
-    got = _PRIMITIVE.get(u)
-    if got is None:
-        got = _PRIMITIVE.setdefault(
-            u, tuple(chi for chi in character_group(u) if chi.is_primitive())
-        )
-    return list(got)
+    return list(_primitive(u))

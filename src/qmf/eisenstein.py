@@ -13,8 +13,7 @@ quasimodular E2 is kept as a separate atom for graded assemblies.
 
 Every expansion, E2 included, comes from one integer divisor sieve that
 sums d^(k-1) into an int list per pair of unit residues (d, n/d) mod u and
-hands the lists to the integer QSeries kernel; sigma_phi stays as the
-per-n oracle.
+hands the lists to the integer QSeries kernel.
 """
 from __future__ import annotations
 
@@ -33,25 +32,7 @@ __all__ = [
     "eisenstein_basis",
     "enumerate_A",
     "raw_e2_atom",
-    "sigma_phi",
 ]
-
-
-def sigma_phi(chi: DirichletCharacter, power: int, n: int) -> CycNumber:
-    """Twisted divisor sum: sum over d | n of chi(d) conj(chi)(n/d) d^power."""
-    if n < 1:
-        raise ValueError("divisor sums need n >= 1")
-    inv = chi.inverse()
-    acc = CycNumber.zero()
-    for d in divisors(n):
-        a = chi(d)
-        if a.is_zero():
-            continue
-        b = inv(n // d)
-        if b.is_zero():
-            continue
-        acc = acc + a * b * d**power
-    return acc
 
 
 def _sigma_sieve(chi: DirichletCharacter, power: int, precision: int) -> QSeries:

@@ -30,9 +30,9 @@ pivot row from a failing other row.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
-import threading
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -129,10 +129,6 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
-_CYC_POLY_CACHE: dict[int, tuple[int, ...]] = {}
-_CYC_POLY_LOCK = threading.Lock()
-
-
 def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # Exact division of integer polynomials, low-degree-first coefficients.
     num = list(num)
@@ -152,32 +148,21 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+@functools.cache
 def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
     """Coefficients of the M-th cyclotomic polynomial, low degree first.
 
-    Computed by dividing z^M - 1 by the product of the lower cyclotomic
-    polynomials for proper divisors of M; results are cached and safe for
-    concurrent readers.
+    Computed by dividing z^M - 1 by the cached cyclotomic polynomials of
+    the proper divisors of M, smallest first, so the recursion is at most
+    two frames deep.
     """
     if M < 1:
         raise ValueError("conductor must be positive")
-    got = _CYC_POLY_CACHE.get(M)
-    if got is not None:
-        return got
-    with _CYC_POLY_LOCK:
-        return _cyclotomic_polynomial_locked(M)
-
-
-def _cyclotomic_polynomial_locked(M: int) -> tuple[int, ...]:
-    # caller holds _CYC_POLY_LOCK; recursion depth is the divisor chain length
-    got = _CYC_POLY_CACHE.get(M)
-    if got is None:
-        num = [0] * (M + 1)
-        num[0], num[M] = -1, 1
-        for d in divisors(M)[:-1]:
-            num = _poly_divide_exact(num, _cyclotomic_polynomial_locked(d))
-        got = _CYC_POLY_CACHE[M] = tuple(num)
-    return got
+    num = [0] * (M + 1)
+    num[0], num[M] = -1, 1
+    for d in divisors(M)[:-1]:
+        num = _poly_divide_exact(num, cyclotomic_polynomial(d))
+    return tuple(num)
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +418,20 @@ def format_cyc(x: CycNumber) -> str:
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
 
-_BERNOULLI_CACHE: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
-_BERNOULLI_LOCK = threading.Lock()
-
-
+@functools.cache
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number for even k >= 2 (convention B_1 = -1/2).
 
-    Uses the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 and caches all
-    intermediate values; safe for concurrent readers.
+    Uses the recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, where B_j = 0 for
+    odd j > 1; B_2, ..., B_{k-2} are read from the cache in increasing
+    order, so the recursion is at most two frames deep.
     """
     if k < 2 or k % 2:
         raise ValueError("bernoulli is defined here for even k >= 2")
-    got = _BERNOULLI_CACHE.get(k)
-    if got is not None:
-        return got
-    with _BERNOULLI_LOCK:
-        top = max(_BERNOULLI_CACHE)
-        for m in range(top + 1, k + 1):
-            if m % 2 and m > 1:
-                _BERNOULLI_CACHE[m] = Fraction(0)
-                continue
-            acc = sum(
-                (Fraction(math.comb(m + 1, j)) * _BERNOULLI_CACHE[j] for j in range(m)),
-                Fraction(0),
-            )
-            _BERNOULLI_CACHE[m] = -acc / (m + 1)
-        return _BERNOULLI_CACHE[k]
+    acc = 1 - Fraction(k + 1, 2)  # the terms of B_0 and B_1
+    for j in range(2, k, 2):
+        acc += math.comb(k + 1, j) * bernoulli(j)
+    return -acc / (k + 1)
 
 
 def zeta_at_negative(k: int) -> Fraction:

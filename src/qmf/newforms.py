@@ -18,6 +18,7 @@ tables and cannot extend beyond their stated precision.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -54,7 +55,6 @@ __all__ = [
     "dim_modular",
     "epsilon2",
     "epsilon3",
-    "galois_trace_check_11",
     "genus_gamma0",
     "index_gamma0",
     "ingest",
@@ -211,6 +211,23 @@ class _Leaf(_Expr):
         return self.payload.expand(precision)
 
 
+class _Table(_Expr):
+    """A finite coefficient table; it cannot expand past its precision."""
+
+    __slots__ = ("series", "name")
+
+    def __init__(self, series: QSeries, name: str):
+        super().__init__()
+        self.series = self._memo = series
+        self.name = name
+
+    def _compute(self, precision: int) -> QSeries:
+        raise ValueError(
+            f"ingested newform {self.name} holds {self.series.precision} "
+            f"coefficients; cannot expand to {precision}"
+        )
+
+
 class _Product(_Expr):
     __slots__ = ("parts",)
 
@@ -247,13 +264,15 @@ def hecke_image(f: QSeries, p: int, weight: int, precision: int) -> QSeries:
     if f.precision < need:
         raise ValueError(f"T_{p} to precision {precision} needs input precision {need}")
     pk = p ** (weight - 1)
+    den, nums = f.numerators()
     out = []
-    for n in range(precision):
-        c = f.coefficient(p * n)
-        if n % p == 0:
-            c = c + f.coefficient(n // p) * pk
-        out.append(c)
-    return QSeries(out, precision)
+    for t in nums:
+        # a(pn) for every n, plus p^(k-1) a(n/p) where p | n
+        row = list(t[:need:p])
+        for n in range(0, precision, p):
+            row[n] += pk * t[n // p]
+        out.append(row)
+    return QSeries._make(precision, f.conductor, den, out)
 
 
 class _HeckeImage(_Expr):
@@ -276,39 +295,23 @@ class _HeckeImage(_Expr):
 class NewformRecord:
     """A normalized Hecke eigenform of exact level `level` and even weight.
 
-    source is one of: EtaProduct (closed form), an _Expr recipe (derived),
-    or a finite coefficient table (ingested).
+    source is the _Expr that expands it: a _Leaf of an EtaProduct (closed
+    form), a derived recipe, or a _Table (ingested); a QSeries source is
+    taken as the ingested table.
     """
 
-    __slots__ = ("level", "weight", "label", "source", "_memo")
+    __slots__ = ("level", "weight", "label", "source")
 
     def __init__(self, level: int, weight: int, label: str, source):
         self.level = level
         self.weight = weight
         self.label = label
+        if isinstance(source, QSeries):
+            source = _Table(source, self.name())
         self.source = source
-        self._memo: QSeries | None = None
 
     def expand(self, precision: int) -> QSeries:
-        memo = self._memo
-        if memo is not None and memo.precision >= precision:
-            return memo.truncate(precision)
-        if isinstance(self.source, EtaProduct):
-            out = self.source.expand(precision)
-        elif isinstance(self.source, _Expr):
-            out = self.source.expand(precision)
-        elif isinstance(self.source, QSeries):
-            if precision > self.source.precision:
-                raise ValueError(
-                    f"ingested newform {self.name()} holds {self.source.precision} "
-                    f"coefficients; cannot expand to {precision}"
-                )
-            out = self.source.truncate(precision)
-        else:
-            raise TypeError(f"unknown newform source {type(self.source)!r}")
-        if self._memo is None or out.precision > self._memo.precision:
-            self._memo = out
-        return out
+        return self.source.expand(precision)
 
     def a(self, n: int) -> CycNumber:
         return self.expand(n + 1).coefficient(n)
@@ -320,10 +323,10 @@ class NewformRecord:
         return f"newform[{self.level},{self.weight},{self.label}]"
 
     def source_text(self) -> str:
-        if isinstance(self.source, EtaProduct):
-            return self.source.spec_text()
-        if isinstance(self.source, QSeries):
+        if isinstance(self.source, _Table):
             return "ingested"
+        if isinstance(self.source, _Leaf):
+            return self.source.payload.spec_text()
         return "derived"
 
     def __repr__(self) -> str:
@@ -369,7 +372,6 @@ _BUILTIN_ETA: dict[tuple[int, int], list[tuple[str, list[tuple[int, int]]]]] = {
     (11, 2): [("a", [(1, 2), (11, 2)])],
 }
 
-_builtin_cache: dict[tuple[int, int], list[NewformRecord]] = {}
 _derived_cache: dict[tuple[int, int], list[NewformRecord]] = {}
 _derive_failures: dict[tuple[int, int], str] = {}
 _ingested: dict[str, dict[tuple[int, int], dict[str, NewformRecord]]] = {}
@@ -391,16 +393,12 @@ def _bump_generation() -> None:
     _generation += 1
 
 
-def _builtin_records(level: int, weight: int) -> list[NewformRecord]:
-    key = (level, weight)
-    got = _builtin_cache.get(key)
-    if got is None:
-        got = [
-            NewformRecord(level, weight, label, EtaProduct(factors))
-            for label, factors in _BUILTIN_ETA.get(key, [])
-        ]
-        _builtin_cache[key] = got
-    return got
+@functools.cache
+def _builtin_records(level: int, weight: int) -> tuple[NewformRecord, ...]:
+    return tuple(
+        NewformRecord(level, weight, label, _Leaf(EtaProduct(factors)))
+        for label, factors in _BUILTIN_ETA.get((level, weight), [])
+    )
 
 
 def cache_dir() -> Path:
@@ -669,11 +667,8 @@ def _eisenstein_annihilator(expr: _Expr, level: int, weight: int, p: int) -> _Ex
     the level lies in the cusp space."""
     lambdas = []
     for atom in eisenstein_basis(level, weight):
-        if atom.kind == "weight2_trivial":
-            lam = CycNumber.from_rational(1 + p)
-        else:
-            chi = atom.chi
-            lam = chi.inverse()(p) + chi(p) * p ** (weight - 1)
+        chi = atom.chi
+        lam = chi.inverse()(p) + chi(p) * p ** (weight - 1)
         if all(lam != seen for seen in lambdas):
             lambdas.append(lam)
     out = expr
@@ -1093,78 +1088,26 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     L, k = rec.level, rec.weight
     if k < 2 or k % 2:
         raise ValueError(f"newform weight must be even and >= 2, got {k}")
+    series = rec.source.series
     needed = sturm_bound(k, L)
-    if rec.source.precision < needed:
+    if series.precision < needed:
         raise ValueError(
-            f"precision {rec.source.precision} is below the pinning bound "
+            f"precision {series.precision} is below the pinning bound "
             f"{needed} for level {L}, weight {k}"
         )
-    report = verify_hecke(rec, rec.source.precision)
+    report = verify_hecke(rec, series.precision)
     if not report.ok:
         raise ValueError(f"Hecke verification failed: {report.failure}")
     root = cache_dir()
     root.mkdir(parents=True, exist_ok=True)
     target = root / f"{L}.{k}.{rec.label}.qs"
     with open(target, "w", encoding="utf-8") as handle:
-        dump_qseries(rec.source, handle, level=L, weight=k, label=rec.label)
+        dump_qseries(series, handle, level=L, weight=k, label=rec.label)
     with _registry_lock:
         # a directory not read yet loads every file on disk, not only this one
         _ingested_store().setdefault((L, k), {})[rec.label] = rec
         _bump_generation()
     return rec
-
-
-# ---------------------------------------------------------------------------
-# the weight-2 level-11 trace identity
-
-def _curve_points_mod_p(p: int) -> int:
-    """#E(F_p) for y^2 + y = x^3 - x^2 - 10x - 20, point at infinity included."""
-    if p == 2:
-        count = 0
-        for x in range(2):
-            for y in range(2):
-                if (y * y + y - (x**3 - x**2 - 10 * x - 20)) % 2 == 0:
-                    count += 1
-        return count + 1
-    count = 0
-    for x in range(p):
-        c = (x * x * x - x * x - 10 * x - 20) % p
-        d = (1 + 4 * c) % p
-        if d == 0:
-            count += 1
-        else:
-            leg = pow(d, (p - 1) // 2, p)
-            count += 2 if leg == 1 else 0
-    return count + 1
-
-
-@dataclass
-class TraceCheckReport:
-    p_max: int
-    checked: int
-    ok: bool
-    failure: str | None = None
-
-
-def galois_trace_check_11(p_max: int) -> TraceCheckReport:
-    """Frobenius trace check: for p != 11 up to p_max, the point count of
-    the distinguished conductor-11 elliptic curve satisfies
-    #E(F_p) = p + 1 - a(p) for the weight-2 level-11 newform, and the
-    determinant side p^(k-1) is p itself (k = 2)."""
-    (rec,) = newforms_for(11, 2)
-    assert rec.weight - 1 == 1  # determinant side: p^(k-1) == p
-    f = rec.expand(p_max + 1)
-    checked = 0
-    for p in primes_upto(p_max):
-        if p == 11:
-            continue
-        expected = p + 1 - _curve_points_mod_p(p)
-        if f.coefficient(p) != expected:
-            return TraceCheckReport(
-                p_max, checked, False, f"trace mismatch at p={p}"
-            )
-        checked += 1
-    return TraceCheckReport(p_max, checked, True)
 
 
 def reset_caches() -> None:

@@ -11,7 +11,7 @@ the rank check fails at the default depth.
 """
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
@@ -22,20 +22,20 @@ from .newforms import (
     catalog_generation,
     cusp_basis,
     dim_cusp,
+    dim_cusp_new,
+    newforms_for,
     sturm_bound,
 )
 from .qseries import InsufficientPrecisionError, QSeries
 
 __all__ = [
     "BasisAtom",
-    "DClosureReport",
     "Decomposition",
     "InsufficientPrecisionError",
     "MembershipVerdict",
     "PrecisionPolicy",
     "RankDeficientError",
     "assemble_basis",
-    "d_closure_check",
     "decompose",
     "omega_membership",
 ]
@@ -90,7 +90,8 @@ def assemble_basis(
     The order is weight ascending; within a weight, Eisenstein atoms
     (character atoms by weight, then the bare E2 derivative last), then new,
     then old; cusp parts follow the level/label/dilation order of the cusp
-    bases.  Needs complete newform coverage when cusp parts are requested.
+    bases.  Needs complete newform coverage when cusp parts are requested;
+    the old part alone needs none at level N itself.
     """
     if maxweight < 0 or maxweight % 2:
         raise ValueError("max weight must be even and nonnegative")
@@ -98,6 +99,7 @@ def assemble_basis(
         if part not in ALL_PARTS:
             raise ValueError(f"unknown part {part!r}")
     want_cusp = "new" in parts or "old" in parts
+    cusp_atoms = cusp_basis if "new" in parts else _old_atoms
     out: list[BasisAtom] = []
     if "eis" in parts:
         out.append(constant_one_atom())
@@ -116,7 +118,7 @@ def assemble_basis(
                 if dim_cusp(N, 2 * i) == 0:
                     continue
                 if 2 * i not in cusp_cache:
-                    cusp_cache[2 * i] = cusp_basis(N, 2 * i)
+                    cusp_cache[2 * i] = cusp_atoms(N, 2 * i)
                 for catom in cusp_cache[2 * i]:
                     # undilated newforms of any dividing level make up the
                     # new part; the old part is exactly the n > 1 dilations
@@ -129,6 +131,18 @@ def assemble_basis(
         if "old" in parts:
             out.extend(old_block)
     return out
+
+
+def _old_atoms(N: int, k: int) -> list[CuspAtom]:
+    """The dilations g(n tau), n > 1, of the newforms g of levels L < N
+    dividing N, in cusp-basis order: the old part of S_k(Gamma0(N))."""
+    return [
+        CuspAtom(rec, n)
+        for L in divisors(N)[:-1]
+        if dim_cusp_new(L, k)
+        for rec in newforms_for(L, k)
+        for n in divisors(N // L)[1:]
+    ]
 
 
 @dataclass(frozen=True)
@@ -193,20 +207,19 @@ class Decomposition:
         return "\n".join(lines)
 
 
-_solver_lock = threading.Lock()
-# (level, max weight, catalog generation) -> (atoms, {depth: solver})
-_solver_cache: dict[tuple[int, int, int], tuple[list[BasisAtom], dict[int, LinearSolver]]] = {}
+# Bound on the cached assemblies: above the handful of spaces a session
+# decomposes against, and small enough that the entries of superseded
+# catalog generations are evicted.
+_BASIS_CACHE_SIZE = 16
 
 
-def _cached(table: dict, key, build):
-    """table[key], built outside the lock on a miss; the first build stored wins."""
-    with _solver_lock:
-        got = table.get(key)
-    if got is None:
-        got = build()
-        with _solver_lock:
-            got = table.setdefault(key, got)
-    return got
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _basis_entry(
+    N: int, maxweight: int, generation: int
+) -> tuple[list[BasisAtom], dict[int, LinearSolver]]:
+    """The assembly of (N, maxweight) under one catalog generation, and its
+    solvers by depth, which decompose fills as it needs them."""
+    return assemble_basis(N, maxweight), {}
 
 
 def _basis_solver(atoms: list[BasisAtom], rows: int) -> LinearSolver:
@@ -233,8 +246,7 @@ def decompose(
     supplied coefficient is in use the precision error reports the depth a
     retry should carry.
     """
-    key = (N, maxweight, catalog_generation())
-    atoms, solvers = _cached(_solver_cache, key, lambda: (assemble_basis(N, maxweight), {}))
+    atoms, solvers = _basis_entry(N, maxweight, catalog_generation())
     p_req = PrecisionPolicy(N, maxweight, len(atoms)).p_req
     if f.precision < p_req:
         raise InsufficientPrecisionError(p_req, f.precision, "input series")
@@ -243,7 +255,9 @@ def decompose(
         raise InsufficientPrecisionError(rows, f.precision, "input series")
     escalations = 0
     while True:
-        solver = _cached(solvers, rows, lambda: _basis_solver(atoms, rows))
+        solver = solvers.get(rows)
+        if solver is None:
+            solver = solvers.setdefault(rows, _basis_solver(atoms, rows))
         if solver.rank == len(atoms):
             break
         if rows >= p_req * PrecisionPolicy.ESCALATION_CAP:
@@ -261,36 +275,6 @@ def decompose(
     if coords is None:
         return Decomposition(atoms, None, True, rows, escalations)
     return Decomposition(atoms, coords, False, rows, escalations)
-
-
-@dataclass
-class DClosureReport:
-    level: int
-    maxweight: int
-    ok: bool
-    rows: list[tuple[BasisAtom, list[tuple[BasisAtom, CycNumber]]]]
-    failures: list[str]
-
-
-def d_closure_check(N: int, maxweight: int) -> DClosureReport:
-    """Verify D maps the weight<=maxweight assembly into the maxweight+2 one.
-
-    Decomposes the derivative of every atom in the bigger basis; any
-    residual is a failure."""
-    atoms = assemble_basis(N, maxweight)
-    target_atoms = assemble_basis(N, maxweight + 2)
-    policy = PrecisionPolicy(N, maxweight + 2, len(target_atoms))
-    depth = policy.p_req
-    rows = []
-    failures = []
-    for atom in atoms:
-        image = atom.expand(depth).apply_D(1)
-        dec = decompose(image, N, maxweight + 2)
-        if dec.residual:
-            failures.append(f"D({atom.spec_text()}) left the span")
-            continue
-        rows.append((atom, dec.nonzero()))
-    return DClosureReport(N, maxweight, not failures, rows, failures)
 
 
 @dataclass

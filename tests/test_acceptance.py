@@ -17,7 +17,6 @@ from qmf.newforms import (
     CatalogIncompleteError,
     cusp_count,
     dim_eis,
-    galois_trace_check_11,
     newforms_for,
     verify_hecke,
 )
@@ -25,9 +24,11 @@ from qmf.qseries import EtaProduct, QSeries
 from qmf.quasimodular import (
     PrecisionPolicy,
     assemble_basis,
-    d_closure_check,
     decompose,
 )
+
+from test_newforms import galois_trace_check_11
+from test_quasimodular import d_closure_check
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:

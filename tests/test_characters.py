@@ -108,7 +108,7 @@ def test_primitive_characters_are_found_once_per_modulus(monkeypatch):
     atoms = eisenstein_basis(25, 4)
     assert {atom.chi.modulus for atom in atoms} == {1, 5}
     want = [atom.spec_text() for atom in atoms]
-    monkeypatch.setattr(characters, "_PRIMITIVE", {})
+    characters._primitive.cache_clear()
     built = []
     group = characters.character_group
     monkeypatch.setattr(characters, "character_group", lambda u: built.append(u) or group(u))

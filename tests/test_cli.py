@@ -46,6 +46,14 @@ def test_basis_old_part_empty(capsys):
     assert out == ""
 
 
+def test_basis_old_part_needs_no_newform_of_the_level(capsys):
+    # no newform table exists for 13.4, and the old part does not need one
+    rc, out, err = run(capsys, "basis", "--level", "13", "--maxweight", "12",
+                       "--part", "old")
+    assert (rc, err) == (0, "")
+    assert out == "D^0(dilate[13](newform[1,12,delta]))\n"
+
+
 def test_basis_with_expansions(capsys):
     rc, out, _ = run(capsys, "basis", "--level", "1", "--maxweight", "2",
                      "--prec", "8")

@@ -13,10 +13,27 @@ from qmf.eisenstein import (
     eisenstein_basis,
     enumerate_A,
     raw_e2_atom,
-    sigma_phi,
 )
-from qmf.exact import divisors, primes_upto, zeta_at_negative
+from qmf.exact import CycNumber, divisors, primes_upto, zeta_at_negative
 from qmf.qseries import QSeries
+
+
+def sigma_phi(chi, power, n):
+    """Twisted divisor sum: sum over d | n of chi(d) conj(chi)(n/d) d^power,
+    the per-n oracle for the sieved atoms."""
+    if n < 1:
+        raise ValueError("divisor sums need n >= 1")
+    inv = chi.inverse()
+    acc = CycNumber.zero()
+    for d in divisors(n):
+        a = chi(d)
+        if a.is_zero():
+            continue
+        b = inv(n // d)
+        if b.is_zero():
+            continue
+        acc = acc + a * b * d**power
+    return acc
 
 
 def sigma(power, n):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -328,6 +330,41 @@ def test_bernoulli_values():
         bernoulli(3)
     with pytest.raises(ValueError):
         bernoulli(0)
+
+
+def iterative_bernoulli(k_max):
+    """B_0 .. B_k_max by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0,
+    filled upward in one loop with B_m = 0 for odd m > 1: the oracle for
+    the cached bernoulli."""
+    table = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, k_max + 1):
+        if m % 2:
+            table.append(Fraction(0))
+            continue
+        acc = sum((math.comb(m + 1, j) * table[j] for j in range(m)), Fraction(0))
+        table.append(-acc / (m + 1))
+    return table
+
+
+def test_bernoulli_matches_the_iterative_recurrence():
+    table = iterative_bernoulli(400)
+    for k in range(2, 401, 2):
+        assert bernoulli(k) == table[k], k
+
+
+def test_cold_bernoulli_recursion_stays_shallow():
+    # each B_k reads B_2 .. B_{k-2} from the cache in increasing order, so
+    # a cold B_200 needs a constant number of frames, not one per index
+    want = bernoulli(200)
+    bernoulli.cache_clear()
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    sys.setrecursionlimit(depth + 30)
+    try:
+        got = bernoulli(200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 def test_zeta_negative_values():

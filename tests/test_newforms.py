@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from qmf.newforms import (
     dim_cusp_new,
     dim_eis,
     dim_modular,
-    galois_trace_check_11,
     genus_gamma0,
     hecke_image,
     index_gamma0,
@@ -31,7 +31,7 @@ from qmf.newforms import (
     verify_hecke,
 )
 from qmf.eisenstein import enumerate_A
-from qmf.qseries import dumps_qseries
+from qmf.qseries import QSeries, dumps_qseries
 
 TAU = [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 LEVEL11 = [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2]
@@ -174,6 +174,35 @@ def test_hecke_image_of_delta():
         assert t2.coefficient(n) == f.coefficient(n) * TAU[2]
 
 
+def per_coefficient_hecke_image(f, p, weight, precision):
+    """T_p f one coefficient at a time: a(pn) + p^(k-1) a(n/p) when p | n,
+    the oracle for hecke_image."""
+    pk = p ** (weight - 1)
+    out = []
+    for n in range(precision):
+        c = f.coefficient(p * n)
+        if n % p == 0:
+            c = c + f.coefficient(n // p) * pk
+        out.append(c)
+    return QSeries(out, precision)
+
+
+@pytest.mark.parametrize("level, weight, label", [(1, 12, "delta"), (9, 8, "b")])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hecke_image_matches_the_per_coefficient_formula(level, weight, label, p):
+    (rec,) = [r for r in newforms_for(level, weight) if r.label == label]
+    precision = 30
+    f = rec.expand(p * (precision - 1) + 1)
+    assert f.conductor == (1 if level == 1 else 40)
+    got = hecke_image(f, p, weight, precision)
+    want = per_coefficient_hecke_image(f, p, weight, precision)
+    assert got == want
+    assert (got.precision, got.conductor) == (want.precision, want.conductor)
+    assert got.numerators() == want.numerators()
+    with pytest.raises(ValueError, match="needs input precision"):
+        hecke_image(f.truncate(p * (precision - 1)), p, weight, precision)
+
+
 def test_verify_hecke_catches_corruption():
     (rec,) = newforms_for(1, 12)
     f = rec.expand(40)
@@ -183,6 +212,56 @@ def test_verify_hecke_catches_corruption():
     report = verify_hecke(bad, 40)
     assert not report.ok
     assert "a(6)" in report.failure
+
+
+def _curve_points_mod_p(p: int) -> int:
+    """#E(F_p) for y^2 + y = x^3 - x^2 - 10x - 20, point at infinity included."""
+    if p == 2:
+        count = 0
+        for x in range(2):
+            for y in range(2):
+                if (y * y + y - (x**3 - x**2 - 10 * x - 20)) % 2 == 0:
+                    count += 1
+        return count + 1
+    count = 0
+    for x in range(p):
+        c = (x * x * x - x * x - 10 * x - 20) % p
+        d = (1 + 4 * c) % p
+        if d == 0:
+            count += 1
+        else:
+            leg = pow(d, (p - 1) // 2, p)
+            count += 2 if leg == 1 else 0
+    return count + 1
+
+
+@dataclass
+class TraceCheckReport:
+    p_max: int
+    checked: int
+    ok: bool
+    failure: str | None = None
+
+
+def galois_trace_check_11(p_max: int) -> TraceCheckReport:
+    """Frobenius trace check: for p != 11 up to p_max, the point count of
+    the distinguished conductor-11 elliptic curve satisfies
+    #E(F_p) = p + 1 - a(p) for the weight-2 level-11 newform, and the
+    determinant side p^(k-1) is p itself (k = 2)."""
+    (rec,) = newforms_for(11, 2)
+    assert rec.weight - 1 == 1  # determinant side: p^(k-1) == p
+    f = rec.expand(p_max + 1)
+    checked = 0
+    for p in primes_upto(p_max):
+        if p == 11:
+            continue
+        expected = p + 1 - _curve_points_mod_p(p)
+        if f.coefficient(p) != expected:
+            return TraceCheckReport(
+                p_max, checked, False, f"trace mismatch at p={p}"
+            )
+        checked += 1
+    return TraceCheckReport(p_max, checked, True)
 
 
 def test_galois_trace_check():

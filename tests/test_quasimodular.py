@@ -1,6 +1,7 @@
 """Graded basis assembly and exact decomposition."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +18,6 @@ from qmf.quasimodular import (
     PrecisionPolicy,
     assemble_basis,
     constant_one_atom,
-    d_closure_check,
     decompose,
     omega_membership,
 )
@@ -252,8 +252,7 @@ def test_rational_decompose_builds_no_cell_numbers():
     rows = PrecisionPolicy(6, 8, len(atoms)).p_req
     f = atoms[3].expand(rows).scale(2) + atoms[40].expand(rows)
     decompose(f, 6, 8)
-    for _, solvers in quasimodular._solver_cache.values():
-        solvers.clear()
+    quasimodular._basis_entry.cache_clear()
     for warm in (False, True):
         with mock.patch.object(QSeries, "coefficient", autospec=True,
                                side_effect=QSeries.coefficient) as reads, \
@@ -329,7 +328,74 @@ def test_catalog_change_invalidates_cached_basis(tmp_path, monkeypatch):
         reset_caches()
 
 
+def test_basis_cache_is_bounded_across_catalog_generations():
+    # more spaces than the cache holds, Eisenstein-only so each is cheap;
+    # a catalog generation bump misses on every space again and keeps the
+    # cache at its bound, with every decomposition unchanged
+    bound = quasimodular._BASIS_CACHE_SIZE
+    spaces = [(N, w) for w in (0, 2) for N in range(1, 11)]
+    assert len(spaces) > bound
+
+    def run():
+        out = []
+        for N, w in spaces:
+            atoms = assemble_basis(N, w)
+            rows = PrecisionPolicy(N, w, len(atoms)).p_req
+            f = sum((a.expand(rows).scale(i + 1) for i, a in enumerate(atoms)),
+                    QSeries.zero(rows))
+            dec = decompose(f, N, w)
+            assert [c for _, c in dec.items()] == [
+                CycNumber.from_rational(i + 1) for i in range(len(atoms))]
+            out.append([(a.spec_text(), c) for a, c in dec.items()])
+        return out
+
+    cache = quasimodular._basis_entry
+    cache.cache_clear()
+    try:
+        first = run()
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == bound
+        assert info.misses == len(spaces)
+        reset_caches()
+        assert run() == first
+        again = cache.cache_info()
+        assert again.currsize == bound
+        assert again.misses == 2 * len(spaces)
+    finally:
+        reset_caches()
+
+
 # ---------------------------------------------------------------- closure
+
+
+@dataclass
+class DClosureReport:
+    level: int
+    maxweight: int
+    ok: bool
+    rows: list[tuple[BasisAtom, list[tuple[BasisAtom, CycNumber]]]]
+    failures: list[str]
+
+
+def d_closure_check(N: int, maxweight: int) -> DClosureReport:
+    """Verify D maps the weight<=maxweight assembly into the maxweight+2 one.
+
+    Decomposes the derivative of every atom in the bigger basis; any
+    residual is a failure."""
+    atoms = assemble_basis(N, maxweight)
+    target_atoms = assemble_basis(N, maxweight + 2)
+    policy = PrecisionPolicy(N, maxweight + 2, len(target_atoms))
+    depth = policy.p_req
+    rows = []
+    failures = []
+    for atom in atoms:
+        image = atom.expand(depth).apply_D(1)
+        dec = decompose(image, N, maxweight + 2)
+        if dec.residual:
+            failures.append(f"D({atom.spec_text()}) left the span")
+            continue
+        rows.append((atom, dec.nonzero()))
+    return DClosureReport(N, maxweight, not failures, rows, failures)
 
 
 def test_d_closure_level1():
