@@ -214,16 +214,20 @@ class _Leaf(_Expr):
 class _Table(_Expr):
     """A finite coefficient table; it cannot expand past its precision."""
 
-    __slots__ = ("series", "name")
+    __slots__ = ("name",)
 
     def __init__(self, series: QSeries, name: str):
         super().__init__()
-        self.series = self._memo = series
+        self._memo = series
         self.name = name
+
+    @property
+    def precision(self) -> int:
+        return self._memo.precision
 
     def _compute(self, precision: int) -> QSeries:
         raise ValueError(
-            f"ingested newform {self.name} holds {self.series.precision} "
+            f"ingested newform {self.name} holds {self.precision} "
             f"coefficients; cannot expand to {precision}"
         )
 
@@ -296,8 +300,7 @@ class NewformRecord:
     """A normalized Hecke eigenform of exact level `level` and even weight.
 
     source is the _Expr that expands it: a _Leaf of an EtaProduct (closed
-    form), a derived recipe, or a _Table (ingested); a QSeries source is
-    taken as the ingested table.
+    form), a derived recipe, or a _Table (ingested).
     """
 
     __slots__ = ("level", "weight", "label", "source")
@@ -306,8 +309,6 @@ class NewformRecord:
         self.level = level
         self.weight = weight
         self.label = label
-        if isinstance(source, QSeries):
-            source = _Table(source, self.name())
         self.source = source
 
     def expand(self, precision: int) -> QSeries:
@@ -441,9 +442,9 @@ def _record_from_file(path: Path) -> NewformRecord:
     for field in ("level", "weight", "label"):
         if field not in headers:
             raise ValueError(f"{path}: newform file lacks {field} header")
-    return NewformRecord(
-        int(headers["level"]), int(headers["weight"]), str(headers["label"]), series
-    )
+    level, weight = int(headers["level"]), int(headers["weight"])
+    label = str(headers["label"])
+    return NewformRecord(level, weight, label, _Table(series, f"{level}.{weight}.{label}"))
 
 
 def catalog_lookup(level: int, weight: int) -> list[NewformRecord]:
@@ -1088,21 +1089,21 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     L, k = rec.level, rec.weight
     if k < 2 or k % 2:
         raise ValueError(f"newform weight must be even and >= 2, got {k}")
-    series = rec.source.series
+    precision = rec.source.precision
     needed = sturm_bound(k, L)
-    if series.precision < needed:
+    if precision < needed:
         raise ValueError(
-            f"precision {series.precision} is below the pinning bound "
+            f"precision {precision} is below the pinning bound "
             f"{needed} for level {L}, weight {k}"
         )
-    report = verify_hecke(rec, series.precision)
+    report = verify_hecke(rec, precision)
     if not report.ok:
         raise ValueError(f"Hecke verification failed: {report.failure}")
     root = cache_dir()
     root.mkdir(parents=True, exist_ok=True)
     target = root / f"{L}.{k}.{rec.label}.qs"
     with open(target, "w", encoding="utf-8") as handle:
-        dump_qseries(series, handle, level=L, weight=k, label=rec.label)
+        dump_qseries(rec.expand(precision), handle, level=L, weight=k, label=rec.label)
     with _registry_lock:
         # a directory not read yet loads every file on disk, not only this one
         _ingested_store().setdefault((L, k), {})[rec.label] = rec

@@ -21,7 +21,6 @@ from .newforms import (
     CuspAtom,
     catalog_generation,
     cusp_basis,
-    dim_cusp,
     dim_cusp_new,
     newforms_for,
     sturm_bound,
@@ -98,39 +97,34 @@ def assemble_basis(
     for part in parts:
         if part not in ALL_PARTS:
             raise ValueError(f"unknown part {part!r}")
-    want_cusp = "new" in parts or "old" in parts
-    cusp_atoms = cusp_basis if "new" in parts else _old_atoms
+    # cusp atoms of each weight k <= maxweight, derived only for the parts
+    # asked for, so the old part alone never touches level N itself
+    cusp = {
+        part: {k: atoms_of(N, k) for k in range(2, maxweight + 1, 2)}
+        for part, atoms_of in (("new", _new_atoms), ("old", _old_atoms))
+        if part in parts
+    }
     out: list[BasisAtom] = []
     if "eis" in parts:
         out.append(constant_one_atom())
-    cusp_cache: dict[int, list[CuspAtom]] = {}
     for weight in range(2, maxweight + 1, 2):
         j = weight // 2
-        new_block: list[BasisAtom] = []
-        old_block: list[BasisAtom] = []
         if "eis" in parts:
             for i in range(1, j + 1):
                 for atom in eisenstein_basis(N, 2 * i):
                     out.append(BasisAtom("eis", atom, j - i))
             out.append(BasisAtom("eis", raw_e2_atom(), j - 1))
-        if want_cusp:
+        for part, by_weight in cusp.items():
             for i in range(1, j + 1):
-                if dim_cusp(N, 2 * i) == 0:
-                    continue
-                if 2 * i not in cusp_cache:
-                    cusp_cache[2 * i] = cusp_atoms(N, 2 * i)
-                for catom in cusp_cache[2 * i]:
-                    # undilated newforms of any dividing level make up the
-                    # new part; the old part is exactly the n > 1 dilations
-                    if catom.n == 1:
-                        new_block.append(BasisAtom("new", catom, j - i))
-                    else:
-                        old_block.append(BasisAtom("old", catom, j - i))
-        if "new" in parts:
-            out.extend(new_block)
-        if "old" in parts:
-            out.extend(old_block)
+                for catom in by_weight[2 * i]:
+                    out.append(BasisAtom(part, catom, j - i))
     return out
+
+
+def _new_atoms(N: int, k: int) -> list[CuspAtom]:
+    """The undilated newforms of every level dividing N, in cusp-basis
+    order: the new part of S_k(Gamma0(N))."""
+    return [catom for catom in cusp_basis(N, k) if catom.n == 1]
 
 
 def _old_atoms(N: int, k: int) -> list[CuspAtom]:

@@ -208,7 +208,7 @@ def test_verify_hecke_catches_corruption():
     f = rec.expand(40)
     coeffs = list(f.coefficients())
     coeffs[6] = coeffs[6] + 1  # break a(6) = a(2) a(3)
-    bad = NewformRecord(1, 12, "bad", type(f)(coeffs, 40))
+    bad = NewformRecord(1, 12, "bad", nf._Table(type(f)(coeffs, 40), "1.12.bad"))
     report = verify_hecke(bad, 40)
     assert not report.ok
     assert "a(6)" in report.failure
