@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import factorize, primes_upto
+from .exact import primes_upto
 from .qseries import InsufficientPrecisionError, QSeries, _convolve
 
 __all__ = [
@@ -228,22 +228,31 @@ def validate_detect(N: int, X: int) -> None:
         raise ValueError("detect bound X must be at least 2")
 
 
+def _scan(f: QSeries, N: int, X: int) -> tuple[list[int], list[int], list[int]]:
+    """Sort 2 <= n <= X by whether a_f(n) = 0: the primes p not dividing N
+    with a_f(p) = 0, those with a_f(p) != 0, and the other n with
+    a_f(n) = 0.  A coefficient is zero when every power-basis coordinate
+    of its numerator is, so the scan reads f's integers and builds no
+    CycNumber."""
+    if f.precision <= X:
+        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
+    _, nums = f.numerators()
+    nonzero = list(map(any, zip(*(t[: X + 1] for t in nums))))
+    eligible = {p for p in primes_upto(X) if N % p}
+    zero_primes, nonzero_primes, other_zeros = [], [], []
+    for n in range(2, X + 1):
+        if n in eligible:
+            (nonzero_primes if nonzero[n] else zero_primes).append(n)
+        elif not nonzero[n]:
+            other_zeros.append(n)
+    return zero_primes, nonzero_primes, other_zeros
+
+
 def prime_detect_verdict(f: QSeries, N: int, X: int) -> DetectReport:
     """Is a_f(n) = 0 exactly at the primes not dividing N, for 2 <= n <= X?"""
     validate_detect(N, X)
-    if f.precision <= X:
-        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
-    prime_set = set(primes_upto(X))
-    vanishing = []
-    nonvanishing = []
-    for n in range(2, X + 1):
-        zero = f.coefficient(n).is_zero()
-        if n in prime_set and N % n:
-            if not zero:
-                vanishing.append(n)
-        elif zero:
-            nonvanishing.append(n)
-    return DetectReport(N, X, vanishing, nonvanishing)
+    _, nonzero_primes, other_zeros = _scan(f, N, X)
+    return DetectReport(N, X, nonzero_primes, other_zeros)
 
 
 class CensusReport:
@@ -346,20 +355,7 @@ def validate_census(N: int, X: int, delta) -> Fraction:
 def census(f: QSeries, N: int, X: int, delta) -> CensusReport:
     """Count primes p <= X, p coprime to N, with a_f(p) = 0, exactly."""
     delta_fraction = validate_census(N, X, delta)
-    if f.precision <= X:
-        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
-    level_primes = {p for p in factorize(N)}
-    zero_primes = []
-    nonzero = 0
-    eligible = 0
-    for p in primes_upto(X):
-        if p in level_primes:
-            continue
-        eligible += 1
-        if f.coefficient(p).is_zero():
-            zero_primes.append(p)
-        else:
-            nonzero += 1
+    zero_primes, nonzero_primes, _ = _scan(f, N, X)
     eps = epsilon_bound(X)
     # eps ** delta in log space: a huge delta underflows the bound to 0
     # instead of overflowing the power (or the float of delta itself)
@@ -368,6 +364,8 @@ def census(f: QSeries, N: int, X: int, delta) -> CensusReport:
     except OverflowError:
         log_power = math.inf
     bound = X / math.log(X) * math.exp(-log_power)
+    nonzero = len(nonzero_primes)
+    eligible = len(zero_primes) + nonzero
     return CensusReport(
         X, N, str(delta), zero_primes, nonzero, eligible, eps, bound
     )

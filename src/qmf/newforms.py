@@ -373,8 +373,6 @@ _BUILTIN_ETA: dict[tuple[int, int], list[tuple[str, list[tuple[int, int]]]]] = {
     (11, 2): [("a", [(1, 2), (11, 2)])],
 }
 
-_derived_cache: dict[tuple[int, int], list[NewformRecord]] = {}
-_derive_failures: dict[tuple[int, int], str] = {}
 _ingested: dict[str, dict[tuple[int, int], dict[str, NewformRecord]]] = {}
 _registry_lock = threading.RLock()
 _generation = 0
@@ -513,21 +511,22 @@ def cusp_basis(N: int, k: int) -> list[CuspAtom]:
 # ---------------------------------------------------------------------------
 # exact derivation of newform spaces
 
+@functools.cache
+def _derive_outcome(level: int, weight: int) -> list[NewformRecord] | str:
+    """The derived records of a space, or the message saying why it cannot
+    be derived; both are cached, so a failing space is derived once."""
+    try:
+        return _derive_space(level, weight)
+    except (DerivationError, CatalogIncompleteError) as err:
+        return str(err)
+
+
 def _derived(level: int, weight: int) -> list[NewformRecord]:
-    key = (level, weight)
     with _registry_lock:
-        got = _derived_cache.get(key)
-        if got is not None:
-            return got
-        if key in _derive_failures:
-            raise CatalogIncompleteError(level, weight, _derive_failures[key])
-        try:
-            recs = _derive_space(level, weight)
-        except (DerivationError, CatalogIncompleteError) as err:
-            _derive_failures[key] = str(err)
-            raise CatalogIncompleteError(level, weight, str(err)) from err
-        _derived_cache[key] = recs
-        return recs
+        outcome = _derive_outcome(level, weight)
+    if isinstance(outcome, str):
+        raise CatalogIncompleteError(level, weight, outcome)
+    return outcome
 
 
 def _derive_space(level: int, weight: int) -> list[NewformRecord]:
@@ -1114,7 +1113,6 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
 def reset_caches() -> None:
     """Drop derived and ingested registries (mainly for tests)."""
     with _registry_lock:
-        _derived_cache.clear()
-        _derive_failures.clear()
+        _derive_outcome.cache_clear()
         _ingested.clear()
         _bump_generation()

@@ -160,14 +160,20 @@ def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
         )
         pa = _pack_decimal(a, digits, ctx)
         pb = pa if square else _pack_decimal(b, digits, ctx)
-        text = str(ctx.multiply(pa, pb))
+        product = ctx.multiply(pa, pb)
         del pa, pb
-        negative = text.startswith("-")
+        negative = product.is_signed()
+        product = ctx.abs(product)
+        # only the low count slots are read, so the high ones are dropped
+        # before the magnitude becomes a string
+        cut = count * digits
+        high = product.scaleb(-cut, ctx).to_integral_value(decimal.ROUND_DOWN, ctx)
+        text = str(ctx.subtract(product, high.scaleb(cut, ctx)))
+        del product, high
         top = len(text)
-        floor = 1 if negative else 0
         magnitude = (
-            int(text[max(e - digits, floor) : e]) if e > floor else 0
-            for e in range(top, top - count * digits, -digits)
+            int(text[max(e - digits, 0) : e]) if e > 0 else 0
+            for e in range(top, top - cut, -digits)
         )
     else:
         width = (bits + 7) // 8
@@ -262,7 +268,7 @@ class QSeries:
     everything at or beyond q^P is unknown, not zero.
     """
 
-    __slots__ = ("precision", "conductor", "_den", "_nums", "_memo")
+    __slots__ = ("precision", "conductor", "_den", "_nums")
 
     def __init__(self, coeffs: Iterable, precision: int | None = None):
         cs = list(coeffs)
@@ -295,7 +301,6 @@ class QSeries:
         setter(self, "conductor", conductor)
         setter(self, "_den", den)
         setter(self, "_nums", nums)
-        setter(self, "_memo", None)
 
     @classmethod
     def _make(cls, precision: int, conductor: int, den: int, nums) -> "QSeries":
@@ -339,14 +344,7 @@ class QSeries:
             raise IndexError(
                 f"coefficient q^{n} requested but precision is {self.precision}"
             )
-        memo = self._memo
-        if memo is None:
-            memo = [None] * self.precision
-            object.__setattr__(self, "_memo", memo)
-        c = memo[n]
-        if c is None:
-            c = memo[n] = CycNumber._make(self.conductor, self._den, [t[n] for t in self._nums])
-        return c
+        return CycNumber._make(self.conductor, self._den, [t[n] for t in self._nums])
 
     def coefficients(self) -> tuple[CycNumber, ...]:
         return tuple(self.coefficient(n) for n in range(self.precision))

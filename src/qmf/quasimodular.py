@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
 from .errors import CatalogIncompleteError, RankDeficientError
-from .exact import CycNumber, LinearSolver, divisors, format_cyc, primes_upto
+from .exact import CycNumber, LinearSolver, divisors, format_cyc
 from .newforms import (
     CuspAtom,
     catalog_generation,
@@ -31,12 +31,10 @@ __all__ = [
     "BasisAtom",
     "Decomposition",
     "InsufficientPrecisionError",
-    "MembershipVerdict",
     "PrecisionPolicy",
     "RankDeficientError",
     "assemble_basis",
     "decompose",
-    "omega_membership",
 ]
 
 ALL_PARTS = ("eis", "new", "old")
@@ -92,6 +90,8 @@ def assemble_basis(
     bases.  Needs complete newform coverage when cusp parts are requested;
     the old part alone needs none at level N itself.
     """
+    if N < 1:
+        raise ValueError("level must be positive")
     if maxweight < 0 or maxweight % 2:
         raise ValueError("max weight must be even and nonnegative")
     for part in parts:
@@ -269,36 +269,3 @@ def decompose(
     if coords is None:
         return Decomposition(atoms, None, True, rows, escalations)
     return Decomposition(atoms, coords, False, rows, escalations)
-
-
-@dataclass
-class MembershipVerdict:
-    level: int
-    bound: int
-    ok: bool
-    violations: list[tuple[int, CycNumber]]
-
-    def report_text(self) -> str:
-        if self.ok:
-            return f"omega-membership: true (primes to {self.bound}, level {self.level})"
-        listed = " ".join(str(p) for p, _ in self.violations[:20])
-        return (
-            f"omega-membership: false ({len(self.violations)} violations; "
-            f"first primes: {listed})"
-        )
-
-
-def omega_membership(f: QSeries, N: int, X: int) -> MembershipVerdict:
-    """Does a_f(p) vanish for every prime p <= X not dividing N?"""
-    if N < 1:
-        raise ValueError("level must be positive")
-    if f.precision <= X:
-        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
-    violations = []
-    for p in primes_upto(X):
-        if N % p == 0:
-            continue
-        c = f.coefficient(p)
-        if not c.is_zero():
-            violations.append((p, c))
-    return MembershipVerdict(N, X, not violations, violations)

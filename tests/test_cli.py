@@ -216,6 +216,23 @@ def test_detect_failure_exit_code(capsys):
     assert out.startswith("not prime-detecting")
 
 
+def test_detect_lists_zeros_off_the_eligible_primes(capsys):
+    rc, out, err = run(capsys, "detect", "--form", "0", "--level", "6",
+                       "--xmax", "12")
+    assert (rc, err) == (2, "")
+    assert out == (
+        "not prime-detecting (n <= 12, level 6)\n"
+        "zero at 8 indices that are composite or divide the level: "
+        "2 3 4 6 8 9 10 12\n"
+    )
+    rc, out, err = run(capsys, "detect", "--form", "dilate[2](Delta)",
+                       "--level", "2", "--xmax", "12")
+    assert (rc, err) == (2, "")
+    assert out.splitlines()[1] == (
+        "zero at 1 indices that are composite or divide the level: 9"
+    )
+
+
 def test_census_report(capsys):
     rc, out, _ = run(capsys, "census", "--form", "dilate[2](Delta)",
                      "--level", "2", "--xmax", "150", "--delta", "0.05")
@@ -384,7 +401,9 @@ def test_parse_misuse_errors(capsys):
         assert err.startswith(("parse error", "error:")), form
 
 
-def test_nonpositive_level_gets_no_verdict(capsys):
+def test_nonpositive_level_gets_no_verdict(tmp_path, capsys):
+    series = tmp_path / "e2.qs"
+    run(capsys, "expand", "--form", "E2", "--prec", "10", "--out", str(series))
     for argv in (
         ("detect", "--form", "E2", "--level", "0", "--xmax", "20"),
         ("detect", "--form", "E2", "--level", "-3", "--xmax", "20"),
@@ -392,6 +411,10 @@ def test_nonpositive_level_gets_no_verdict(capsys):
          "--delta", "0.05"),
         ("newforms", "--level", "0", "--weight", "4"),
         ("newforms", "--level", "-5", "--weight", "4"),
+        ("basis", "--level", "0", "--maxweight", "4"),
+        ("basis", "--level", "-3", "--maxweight", "4"),
+        ("decompose", "--series", str(series), "--level", "0"),
+        ("decompose", "--series", str(series), "--level", "-2"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 1, argv
@@ -593,6 +616,20 @@ def test_decompose_level9_newform_outside_ambient_field(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[-1] == "residual: none"
     assert lines[:-1] == ["new D^0(newform[9,8,b]) : 1" + " 0" * 15]
+
+
+def test_decompose_escalation_out_of_coefficients(tmp_path, capsys):
+    # the 9.8 basis has rank 53 of 55 at its 83 default rows, so decompose
+    # must deepen, and the series carries no more than those 83
+    path = tmp_path / "f.qs"
+    rc, _, _ = run(capsys, "expand", "--form", "newform[9,8,b]", "--prec", "83",
+                   "--out", str(path))
+    assert rc == 0
+    rc, out, err = run(capsys, "decompose", "--series", str(path),
+                       "--level", "9", "--maxweight", "8")
+    assert (rc, out, err) == (
+        1, "", "insufficient precision: need 166 coefficients, have 83\n"
+    )
 
 
 def test_nested_derivative_chain_cap(capsys):

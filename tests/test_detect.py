@@ -1,13 +1,17 @@
 """MacMahon tables, G/f families, verdicts, censuses."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 import qmf.detect
-from qmf.exact import is_prime, primes_upto
-from qmf.qseries import delta_eta
+from qmf.cli import eval_form
+from qmf.exact import factorize, is_prime, primes_upto
+from qmf.qseries import QSeries, delta_eta
 from qmf.detect import (
+    CensusReport,
+    DetectReport,
     census,
     epsilon_bound,
     f_kl,
@@ -15,6 +19,8 @@ from qmf.detect import (
     macmahon,
     macmahon_prime_test,
     prime_detect_verdict,
+    validate_census,
+    validate_detect,
 )
 from qmf.quasimodular import InsufficientPrecisionError
 
@@ -69,6 +75,52 @@ def dp_macmahon(a, precision):
         for m in range(1, (P - 1) // s + 1):
             dst[s * m] += m
     return rows
+
+
+def coefficient_verdict(f, N, X):
+    """The verdict read one CycNumber coefficient at a time."""
+    validate_detect(N, X)
+    if f.precision <= X:
+        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
+    prime_set = set(primes_upto(X))
+    vanishing = []
+    nonvanishing = []
+    for n in range(2, X + 1):
+        zero = f.coefficient(n).is_zero()
+        if n in prime_set and N % n:
+            if not zero:
+                vanishing.append(n)
+        elif zero:
+            nonvanishing.append(n)
+    return DetectReport(N, X, vanishing, nonvanishing)
+
+
+def coefficient_census(f, N, X, delta):
+    """The census read one CycNumber coefficient at a time."""
+    delta_fraction = validate_census(N, X, delta)
+    if f.precision <= X:
+        raise InsufficientPrecisionError(X + 1, f.precision, "input series")
+    level_primes = set(factorize(N))
+    zero_primes = []
+    nonzero = 0
+    eligible = 0
+    for p in primes_upto(X):
+        if p in level_primes:
+            continue
+        eligible += 1
+        if f.coefficient(p).is_zero():
+            zero_primes.append(p)
+        else:
+            nonzero += 1
+    eps = epsilon_bound(X)
+    try:
+        log_power = float(delta_fraction) * math.log(eps)
+    except OverflowError:
+        log_power = math.inf
+    bound = X / math.log(X) * math.exp(-log_power)
+    return CensusReport(
+        X, N, str(delta), zero_primes, nonzero, eligible, eps, bound
+    )
 
 
 def sigma(n, k=1):
@@ -281,6 +333,33 @@ def test_level_guard():
             census(g, level, 200, "0.1")
 
 
+def scan_inputs(precision):
+    delta = delta_eta().expand(precision)
+    for N in (1, 2, 6):
+        yield f"f_kl(1,3,{N})", f_kl(1, 3, N, precision), N
+    yield "Delta", delta, 1
+    for N in (1, 2):
+        yield "dilate[2](Delta)", delta.dilate(2, precision), N
+    yield "zero", QSeries.zero(precision), 1
+    # conductor 4: a(2), a(3), a(7), ... have first coordinate 0 but are
+    # nonzero, so the scan must read every power-basis coordinate
+    series, _ = eval_form("E[4,5.1,1]", precision)
+    assert series.conductor == 4
+    assert series.coefficient(2) and not series.numerators()[1][0][2]
+    yield "E[4,5.1,1]", series, 5
+
+
+def test_scan_matches_the_coefficient_oracle():
+    X = 300
+    for name, f, N in scan_inputs(X + 1):
+        got, want = prime_detect_verdict(f, N, X), coefficient_verdict(f, N, X)
+        for field in DetectReport.__slots__:
+            assert getattr(got, field) == getattr(want, field), (name, N, field)
+        got, want = census(f, N, X, "0.05"), coefficient_census(f, N, X, "0.05")
+        for field in CensusReport.__slots__:
+            assert getattr(got, field) == getattr(want, field), (name, N, field)
+
+
 # ----------------------------------------------------------------- census
 
 
@@ -342,8 +421,6 @@ def test_census_guards():
 
 
 def test_epsilon_value():
-    import math
-
     X = 100000
     lx = math.log(X)
     expected = lx / (math.log(lx) ** 2 * math.log(math.log(lx)))

@@ -341,6 +341,19 @@ def test_full_cusp_basis_at_level6_weight12():
     assert sum(1 for t in texts if "newform[6,12," in t) == 3
 
 
+def spy_on_derive(monkeypatch):
+    """The (level, weight) of each space derived from now on, in order."""
+    derived = []
+    real_derive = nf._derive_space
+
+    def spy_derive(level, weight):
+        derived.append((level, weight))
+        return real_derive(level, weight)
+
+    monkeypatch.setattr(nf, "_derive_space", spy_derive)
+    return derived
+
+
 def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
     # T_p is rational on every piece at 8.12 and 9.12; only the final
     # eigenlines (T_p - lam')w leave Q, so no elimination in the split sees
@@ -378,14 +391,35 @@ def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
         finally:
             inside.pop()
 
+    # derive every space that 8.12 and 9.12 read before the spies go in, so
+    # the spies see these two derivations alone
+    nf._derive_outcome.cache_clear()
+    for level in (2, 3, 4, 8, 9):
+        for weight in range(4, 13, 2):
+            if (level, weight) not in ((8, 12), (9, 12)):
+                newforms_for(level, weight)
     monkeypatch.setattr(nf, "LinearSolver", SpySolver)
     monkeypatch.setattr(nf, "null_space", spy_null_space)
     monkeypatch.setattr(nf, "_split_eigenlines", spy_split)
-    for key in ((8, 12), (9, 12)):
-        nf._derived_cache.pop(key, None)  # derive these two again
+    derived = spy_on_derive(monkeypatch)
     assert len(newforms_for(8, 12)) == 3
     assert len(newforms_for(9, 12)) == 4
+    assert derived == [(8, 12), (9, 12)]
     assert conductors and set(conductors) == {1}
+
+
+def test_failed_derivation_is_attempted_once(monkeypatch):
+    # a failing space such as 7.10 costs seconds, so its message is cached
+    reset_caches()
+    derived = spy_on_derive(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(CatalogIncompleteError) as err:
+            newforms_for(14, 2)
+        messages.append(str(err.value))
+    assert derived == [(14, 2)]
+    assert messages == [messages[0]] * 2
+    assert "weight 2" in messages[0]
 
 
 def _companion_109():

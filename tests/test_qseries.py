@@ -289,6 +289,24 @@ def test_product_paths_match_fraction_oracle(monkeypatch, length, bits, packs_de
     assert bool(packed) == packs_decimal
 
 
+def test_negative_decimal_product_matches_fraction_oracle(monkeypatch):
+    # valuation 0 and a negative top term make the packed product negative,
+    # and its top slot, 2 * length - 2, lies in the high half of the product
+    # that the decimal path drops unread
+    packed = []
+    real_pack = qseries._pack_decimal
+    monkeypatch.setattr(qseries, "_pack_decimal",
+                        lambda *a: packed.append(1) or real_pack(*a))
+    length = 400
+    rng = random.Random(length * 7 + 301)
+    xs, ys = random_fractions(rng, length, 300), random_fractions(rng, length, 300)
+    xs[0] = ys[0] = Fraction(1)
+    xs[-1], ys[-1] = -abs(xs[-1]) or Fraction(-1), abs(ys[-1]) or Fraction(1)
+    got = QSeries(xs) * QSeries(ys)
+    assert [c.as_rational() for c in got.coefficients()] == fraction_product_oracle(xs, ys, length)
+    assert packed
+
+
 def spy_on_sparse_pairs(monkeypatch):
     calls = []
     real = qseries._sparse_pairs

@@ -19,8 +19,8 @@ from qmf.quasimodular import (
     assemble_basis,
     constant_one_atom,
     decompose,
-    omega_membership,
 )
+from qmf.detect import prime_detect_verdict
 
 PART_RANK = {"eis": 0, "new": 1, "old": 2}
 
@@ -423,38 +423,36 @@ def test_d_closure_level2_images_are_single_atoms():
 
 
 # -------------------------------------------------------------- membership
+# whether a_f(p) vanishes at every prime p <= X not dividing N is the
+# vanishing half of the prime-detecting verdict
 
 
 def test_membership_dilated_delta():
     delta2 = newforms_for(1, 12)[0].expand(101).dilate(2, 101)
-    verdict = omega_membership(delta2, 2, 100)
-    assert verdict.ok
-    assert verdict.violations == []
-    assert verdict.report_text() == (
-        "omega-membership: true (primes to 100, level 2)"
-    )
+    verdict = prime_detect_verdict(delta2, 2, 100)
+    assert verdict.vanishing_failures == []
 
 
 def test_membership_delta_fails_at_level1():
     delta = newforms_for(1, 12)[0].expand(101)
-    verdict = omega_membership(delta, 1, 100)
-    assert not verdict.ok
-    first_prime, value = verdict.violations[0]
+    verdict = prime_detect_verdict(delta, 1, 100)
+    assert verdict.vanishing_failures
+    first_prime = verdict.vanishing_failures[0]
     assert first_prime == 2
-    assert value == CycNumber.from_rational(-24)
+    assert delta.coefficient(first_prime) == CycNumber.from_rational(-24)
 
 
 def test_membership_zero_series():
     zero = QSeries([], 60)
-    assert omega_membership(zero, 1, 50).ok
+    assert not prime_detect_verdict(zero, 1, 50).vanishing_failures
 
 
 def test_membership_precision_guard():
     with pytest.raises(InsufficientPrecisionError):
-        omega_membership(e2_series(50), 1, 50)
+        prime_detect_verdict(e2_series(50), 1, 50)
 
 
 def test_membership_level_guard():
     for level in (0, -3):
         with pytest.raises(ValueError, match="level must be positive"):
-            omega_membership(e2_series(51), level, 50)
+            prime_detect_verdict(e2_series(51), level, 50)
