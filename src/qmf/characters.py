@@ -175,9 +175,6 @@ class DirichletCharacter:
     def __hash__(self) -> int:
         return hash((self.modulus, self.exponents))
 
-    def sort_key(self) -> tuple:
-        return (self.modulus, self.exponents)
-
     def __repr__(self) -> str:
         return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
 

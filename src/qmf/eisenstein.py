@@ -118,10 +118,6 @@ class EisensteinAtom:
         j = 1 + [c.exponents for c in enumerate_primitive(u)].index(self.chi.exponents)
         return f"E[{self.weight},{u}.{j},{self.t}]"
 
-    def sort_key(self) -> tuple:
-        chi_key = self.chi.sort_key() if self.chi else (-1,)
-        return (self.weight, self.chi is None, chi_key, self.t)
-
     def __repr__(self) -> str:
         return f"EisensteinAtom({self.spec_text()})"
 
@@ -174,13 +170,3 @@ def eisenstein_basis(N: int, k: int) -> list[EisensteinAtom]:
 
 def raw_e2_atom() -> EisensteinAtom:
     return EisensteinAtom(2, None, 1)
-
-
-def ambient_conductor(N: int) -> int:
-    """Least conductor containing every character value used at level N."""
-    M = 1
-    for u in range(1, N + 1):
-        if u * u <= N and N % (u * u) == 0:
-            for chi in enumerate_primitive(u):
-                M = math.lcm(M, chi.order)
-    return M

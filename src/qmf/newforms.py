@@ -19,6 +19,7 @@ tables and cannot extend beyond their stated precision.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -45,8 +46,8 @@ __all__ = [
     "DerivationError",
     "HeckeReport",
     "NewformRecord",
-    "catalog_generation",
     "catalog_lookup",
+    "catalog_state",
     "cusp_basis",
     "cusp_count",
     "dim_cusp",
@@ -356,9 +357,6 @@ class CuspAtom:
         inner = self.record.spec_text()
         return inner if self.n == 1 else f"dilate[{self.n}]({inner})"
 
-    def sort_key(self) -> tuple:
-        return (self.record.level, self.record.label, self.n)
-
 
 # ---------------------------------------------------------------------------
 # built-in catalog
@@ -373,23 +371,14 @@ _BUILTIN_ETA: dict[tuple[int, int], list[tuple[str, list[tuple[int, int]]]]] = {
     (11, 2): [("a", [(1, 2), (11, 2)])],
 }
 
-_ingested: dict[str, dict[tuple[int, int], dict[str, NewformRecord]]] = {}
 _registry_lock = threading.RLock()
-_generation = 0
-_ingested_root: str | None = None  # the cache directory read last
+_ingest_count = 0  # bumped by ingest and reset_caches
 
 
-def catalog_generation() -> int:
-    """Bumped whenever the set of available records may change: on ingest,
-    on reset_caches and when QMF_CACHE_DIR names another directory; lets
-    downstream caches key off the catalog state."""
-    _ingested_store()
-    return _generation
-
-
-def _bump_generation() -> None:
-    global _generation
-    _generation += 1
+def catalog_state() -> tuple[str, int]:
+    """The cache directory and the ingest count: everything built from the
+    catalog holds for one state, so caches key off it."""
+    return str(cache_dir().resolve()), _ingest_count
 
 
 @functools.cache
@@ -404,34 +393,18 @@ def cache_dir() -> Path:
     return Path(os.environ.get("QMF_CACHE_DIR", ".qmf-cache"))
 
 
-def _ingested_store() -> dict[tuple[int, int], dict[str, NewformRecord]]:
-    """Ingested records of the current cache directory, read once per directory."""
-    global _ingested_root
-    root = cache_dir()
-    key = str(root.resolve())
-    with _registry_lock:
-        if key != _ingested_root:
-            # another directory may hold other records
-            _ingested_root = key
-            _bump_generation()
-        store = _ingested.get(key)
-        if store is None:
-            store = {}
-            if root.is_dir():
-                for path in sorted(root.glob("*.qs")):
-                    try:
-                        rec = _record_from_file(path)
-                    except (ValueError, OSError):
-                        continue
-                    store.setdefault((rec.level, rec.weight), {})[rec.label] = rec
-            _ingested[key] = store
-        return store
-
-
-def _ingested_records(level: int, weight: int) -> list[NewformRecord]:
-    with _registry_lock:
-        store = _ingested_store()
-        return sorted(store.get((level, weight), {}).values(), key=lambda r: r.label)
+@functools.cache
+def _ingested(root: str) -> dict[tuple[int, int], dict[str, NewformRecord]]:
+    """Records of the .qs files in one cache directory, read once."""
+    store: dict[tuple[int, int], dict[str, NewformRecord]] = {}
+    if Path(root).is_dir():
+        for path in sorted(Path(root).glob("*.qs")):
+            try:
+                rec = _record_from_file(path)
+            except (ValueError, OSError):
+                continue
+            store.setdefault((rec.level, rec.weight), {})[rec.label] = rec
+    return store
 
 
 def _record_from_file(path: Path) -> NewformRecord:
@@ -448,22 +421,23 @@ def _record_from_file(path: Path) -> NewformRecord:
 def catalog_lookup(level: int, weight: int) -> list[NewformRecord]:
     """All known newform records for the space, sorted by label.
 
-    Merges built-in eta products, previously derived records, and ingested
-    files; attempts derivation when the space is not yet fully covered but
-    never raises on derivation failure.
+    The complete catalog when newforms_for has it; otherwise the built-in
+    and ingested records alone, so it never raises on derivation failure.
     """
     try:
         return newforms_for(level, weight)
     except CatalogIncompleteError:
-        merged = _known_records(level, weight)
+        merged = _known_records(level, weight, catalog_state()[0])
         return [merged[label] for label in sorted(merged)]
 
 
-def _known_records(level: int, weight: int) -> dict[str, NewformRecord]:
-    """Built-in and ingested records by label; a built-in label wins."""
+def _known_records(level: int, weight: int, root: str) -> dict[str, NewformRecord]:
+    """Built-in records and those ingested into root, by label; a built-in
+    label wins."""
     merged = {r.label: r for r in _builtin_records(level, weight)}
-    for rec in _ingested_records(level, weight):
-        merged.setdefault(rec.label, rec)
+    with _registry_lock:
+        for label, rec in _ingested(root).get((level, weight), {}).items():
+            merged.setdefault(label, rec)
     return merged
 
 
@@ -475,19 +449,55 @@ def newforms_for(level: int, weight: int) -> list[NewformRecord]:
     """
     if level < 1:
         raise ValueError("level must be positive")
+    with _registry_lock:
+        outcome = _catalog(level, weight, catalog_state())
+    if isinstance(outcome, str):
+        raise CatalogIncompleteError(level, weight, outcome)
+    return list(outcome)
+
+
+@functools.cache
+def _catalog(
+    level: int, weight: int, state: tuple[str, int]
+) -> tuple[NewformRecord, ...] | str:
+    """The newform records of a space under one catalog state, sorted by
+    label, or the message saying why they are not all known; both are
+    cached, so a failing space is derived once per state.
+
+    The known records are derived to completion when too few; two records
+    are one form when they agree below the Sturm bound, and the result must
+    hold each of the dim_cusp_new forms exactly once.
+    """
     expected = dim_cusp_new(level, weight)
-    merged = _known_records(level, weight)
-    if len(merged) < expected:
-        for rec in _derived(level, weight):
-            if rec.label not in merged:
-                merged[rec.label] = rec
-    out = [merged[label] for label in sorted(merged)]
-    if len(out) != expected:
-        raise CatalogIncompleteError(
-            level,
-            weight,
-            f"{len(out)} of {expected} newforms known",
-        )
+    records = _known_records(level, weight, state[0])
+    bound = sturm_bound(weight, level)
+    try:
+        forms = {label: rec.expand(bound) for label, rec in records.items()}
+    except ValueError as err:
+        # an ingested table shorter than the Sturm bound
+        return str(err)
+    if len(records) < expected:
+        try:
+            derived = _derive_space(level, weight)
+        except (DerivationError, CatalogIncompleteError) as err:
+            return str(err)
+        for rec in derived:
+            form = rec.expand(bound)
+            if form in forms.values():
+                continue
+            if rec.label in records:
+                return (
+                    f"label {rec.label} of {level}.{weight} holds another"
+                    f" form than the derived {rec.name()}"
+                )
+            records[rec.label] = rec
+            forms[rec.label] = form
+    if len(records) != expected:
+        return f"{len(records)} of {expected} newforms known"
+    out = tuple(records[label] for label in sorted(records))
+    for first, second in itertools.combinations(out, 2):
+        if forms[first.label] == forms[second.label]:
+            return f"{first.name()} and {second.name()} are the same form"
     return out
 
 
@@ -510,24 +520,6 @@ def cusp_basis(N: int, k: int) -> list[CuspAtom]:
 
 # ---------------------------------------------------------------------------
 # exact derivation of newform spaces
-
-@functools.cache
-def _derive_outcome(level: int, weight: int) -> list[NewformRecord] | str:
-    """The derived records of a space, or the message saying why it cannot
-    be derived; both are cached, so a failing space is derived once."""
-    try:
-        return _derive_space(level, weight)
-    except (DerivationError, CatalogIncompleteError) as err:
-        return str(err)
-
-
-def _derived(level: int, weight: int) -> list[NewformRecord]:
-    with _registry_lock:
-        outcome = _derive_outcome(level, weight)
-    if isinstance(outcome, str):
-        raise CatalogIncompleteError(level, weight, outcome)
-    return outcome
-
 
 def _derive_space(level: int, weight: int) -> list[NewformRecord]:
     """Derive all weight-`weight` newforms of exact level `level`."""
@@ -990,8 +982,9 @@ def _sqrt_cyclotomic(value: Fraction) -> CycNumber:
         return out
     if rest > 150:
         # the Gauss-sum embedding would need conductor ~rest; every later
-        # operation on such numbers costs phi(rest)^2 rational steps, which
-        # is past the exact-arithmetic budget
+        # product of such numbers costs phi(rest)^2 int products and every
+        # inverse solves a phi(rest)-square system, which is past the
+        # exact-arithmetic budget
         raise DerivationError(
             f"eigenvalue field Q(sqrt({rest})) is too large for exact"
             " cyclotomic representation"
@@ -1083,6 +1076,7 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     within the stated precision.  The verified series is re-serialized into
     the cache directory as level.weight.label.qs.
     """
+    global _ingest_count
     path = Path(path)
     rec = _record_from_file(path)
     L, k = rec.level, rec.weight
@@ -1105,14 +1099,15 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
         dump_qseries(rec.expand(precision), handle, level=L, weight=k, label=rec.label)
     with _registry_lock:
         # a directory not read yet loads every file on disk, not only this one
-        _ingested_store().setdefault((L, k), {})[rec.label] = rec
-        _bump_generation()
+        _ingested(str(root.resolve())).setdefault((L, k), {})[rec.label] = rec
+        _ingest_count += 1
     return rec
 
 
 def reset_caches() -> None:
-    """Drop derived and ingested registries (mainly for tests)."""
+    """Drop the catalog and ingested registries (mainly for tests)."""
+    global _ingest_count
     with _registry_lock:
-        _derive_outcome.cache_clear()
-        _ingested.clear()
-        _bump_generation()
+        _catalog.cache_clear()
+        _ingested.cache_clear()
+        _ingest_count += 1

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .exact import ConductorMismatchError, CycNumber, cyclotomic_polynomial, euler_phi, format_cyc
+from .exact import _pack_signed, _signed_slot_size, _unpack_signed
 
 __all__ = [
     "EtaProduct",
@@ -141,10 +142,12 @@ def _sparse_pairs(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
 def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
     """Product slots 0..count-1 of a*b, where no slot exceeds bound in size.
 
-    Each signed operand is packed as (positive part) - (negative part) with
-    slot base B > 2 * bound, so every product coefficient c has |c| < B/2
-    and the slots never wrap.  The balanced base-B digits of the product are
-    read back from its magnitude, low slot first, with a carry.
+    Slots have base B > 2 * bound, so every product coefficient c has
+    |c| < B/2 and the slots never wrap.  Binary slots are the signed slots
+    of exact: the product's residue mod B^count, centred, holds the low
+    count slots as balanced base-B digits.  Decimal slots pack each operand
+    as (positive part) - (negative part), and the balanced digits are read
+    back from the product's magnitude, low slot first, with a carry.
     """
     slots = len(a) + len(b) - 1
     count = min(count, slots)
@@ -176,16 +179,14 @@ def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
             for e in range(top, top - cut, -digits)
         )
     else:
-        width = (bits + 7) // 8
-        base = 1 << (8 * width)
-        pa = _pack_int(a, width)
-        product = pa * (pa if square else _pack_int(b, width))
-        negative = product < 0
-        raw = abs(product).to_bytes(slots * width, "little")
-        magnitude = (
-            int.from_bytes(raw[k : k + width], "little")
-            for k in range(0, count * width, width)
-        )
+        size = _signed_slot_size(bound)
+        packed = _pack_signed(a, size)
+        product = packed * (packed if square else _pack_signed(b, size))
+        width = 8 * size * count
+        low = product & ((1 << width) - 1)
+        if low >> (width - 1):
+            low -= 1 << width
+        return _unpack_signed(low, size, count)
     half = base // 2
     assert bound < half, "Kronecker slot too narrow"
     out = []
@@ -195,15 +196,6 @@ def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
         carry = v >= half
         out.append(v - base if carry else v)
     return [-v for v in out] if negative else out
-
-
-def _pack_int(seq: Sequence[int], width: int) -> int:
-    # each bytes string is dropped once parsed
-    zero = bytes(width)
-    pos = b"".join(x.to_bytes(width, "little") if x > 0 else zero for x in seq)
-    pos = int.from_bytes(pos, "little")
-    neg = b"".join((-x).to_bytes(width, "little") if x < 0 else zero for x in seq)
-    return pos - int.from_bytes(neg, "little")
 
 
 def _pack_decimal(seq: Sequence[int], digits: int, ctx) -> decimal.Decimal:

@@ -19,7 +19,7 @@ from .errors import CatalogIncompleteError, RankDeficientError
 from .exact import CycNumber, LinearSolver, divisors, format_cyc
 from .newforms import (
     CuspAtom,
-    catalog_generation,
+    catalog_state,
     cusp_basis,
     dim_cusp_new,
     newforms_for,
@@ -203,15 +203,15 @@ class Decomposition:
 
 # Bound on the cached assemblies: above the handful of spaces a session
 # decomposes against, and small enough that the entries of superseded
-# catalog generations are evicted.
+# catalog states are evicted.
 _BASIS_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _basis_entry(
-    N: int, maxweight: int, generation: int
+    N: int, maxweight: int, state: tuple[str, int]
 ) -> tuple[list[BasisAtom], dict[int, LinearSolver]]:
-    """The assembly of (N, maxweight) under one catalog generation, and its
+    """The assembly of (N, maxweight) under one catalog state, and its
     solvers by depth, which decompose fills as it needs them."""
     return assemble_basis(N, maxweight), {}
 
@@ -240,7 +240,7 @@ def decompose(
     supplied coefficient is in use the precision error reports the depth a
     retry should carry.
     """
-    atoms, solvers = _basis_entry(N, maxweight, catalog_generation())
+    atoms, solvers = _basis_entry(N, maxweight, catalog_state())
     p_req = PrecisionPolicy(N, maxweight, len(atoms)).p_req
     if f.precision < p_req:
         raise InsufficientPrecisionError(p_req, f.precision, "input series")

@@ -8,7 +8,6 @@ import pytest
 from qmf.characters import enumerate_primitive, trivial_character
 from qmf.eisenstein import (
     EisensteinAtom,
-    ambient_conductor,
     e2_series,
     eisenstein_basis,
     enumerate_A,
@@ -190,12 +189,6 @@ def test_character_atom_prime_values_are_unit_combinations():
             continue
         want = 2 * (chi.inverse()(p) + chi(p) * p**3)
         assert atom.prime_coefficient(p) == want
-
-
-def test_ambient_conductor():
-    assert ambient_conductor(1) == 1
-    assert ambient_conductor(6) == 1
-    assert ambient_conductor(25) == 4
 
 
 def test_atom_validation():

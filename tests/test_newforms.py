@@ -393,7 +393,7 @@ def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
 
     # derive every space that 8.12 and 9.12 read before the spies go in, so
     # the spies see these two derivations alone
-    nf._derive_outcome.cache_clear()
+    nf._catalog.cache_clear()
     for level in (2, 3, 4, 8, 9):
         for weight in range(4, 13, 2):
             if (level, weight) not in ((8, 12), (9, 12)):
@@ -581,3 +581,87 @@ def test_ingest_keeps_files_another_process_wrote(tmp_path):
     assert _ingest_in_new_process(tmp_path / "x.qs", cache) == ["2.10.x"]
     assert _ingest_in_new_process(tmp_path / "y.qs", cache) == ["2.10.x", "2.10.y"]
     assert sorted(p.name for p in cache.iterdir()) == ["2.10.x.qs", "2.10.y.qs"]
+
+
+# ---------------------------------------------------------------------------
+# one catalog per state: built-in, ingested and derived records merged
+
+def _ingest_series(tmp_path, series, level, weight, label):
+    src = tmp_path / f"{level}.{weight}.{label}.candidate.qs"
+    src.write_text(dumps_qseries(series, level=level, weight=weight, label=label))
+    return ingest(src)
+
+
+@pytest.fixture
+def cache_a(tmp_path, monkeypatch):
+    """A fresh catalog on the cache directory tmp_path/A."""
+    monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "A"))
+    reset_caches()
+    yield tmp_path / "A"
+    reset_caches()
+
+
+def test_directory_switch_drops_a_failure_of_the_old_catalog(tmp_path, monkeypatch, cache_a):
+    # sum sigma_7(n) q^n passes the Hecke checks, so it ingests as a second
+    # 2.8 record, and 6.8 fails on it; an empty directory is a new catalog
+    from qmf.detect import g_series
+
+    _ingest_series(tmp_path, g_series(8, 1, 40), 2, 8, "z")
+    with pytest.raises(CatalogIncompleteError, match=r"\(level 2, weight 8\).*2 of 1 newforms known"):
+        newforms_for(6, 8)
+    monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "B"))
+    assert [(r.name(), r.source_text()) for r in newforms_for(6, 8)] == [("6.8.a", "derived")]
+
+
+def test_ingested_label_of_another_form_fails(tmp_path, cache_a):
+    # 8.8.b's expansion under the label a must not hide the true 8.8.a
+    b = newforms_for(8, 8)[1]
+    assert b.a(3) == 44
+    reset_caches()
+    _ingest_series(tmp_path, b.expand(40), 8, 8, "a")
+    message = "label a of 8.8 holds another form than the derived 8.8.a"
+    with pytest.raises(CatalogIncompleteError, match=message):
+        newforms_for(8, 8)
+    env = dict(os.environ, QMF_CACHE_DIR=str(cache_a))
+    src = str(Path(qmf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qmf.cli", "newforms", "--level", "8", "--weight", "8", "--prec", "12"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "catalog incomplete: no newform table for level 8, weight 8\n"
+
+
+def test_one_form_under_two_labels_fails(tmp_path, cache_a):
+    b = newforms_for(8, 8)[1]
+    reset_caches()
+    for label in ("y", "z"):
+        _ingest_series(tmp_path, b.expand(40), 8, 8, label)
+    with pytest.raises(CatalogIncompleteError, match="8.8.y and 8.8.z are the same form"):
+        newforms_for(8, 8)
+
+
+def test_derivation_completes_an_ingested_form(tmp_path, cache_a):
+    # 8.8.a ingested as x: the derived 8.8.a is the same form and is
+    # dropped, the derived 8.8.b completes the space
+    a = newforms_for(8, 8)[0]
+    assert a.a(3) == -84
+    reset_caches()
+    _ingest_series(tmp_path, a.expand(40), 8, 8, "x")
+    got = newforms_for(8, 8)
+    assert [(r.name(), r.source_text()) for r in got] == [
+        ("8.8.b", "derived"), ("8.8.x", "ingested")]
+    assert [r.a(3) for r in got] == [44, -84]
+
+
+def test_table_shorter_than_the_sturm_bound_fails(cache_a):
+    # a .qs file placed in the cache directory by hand skips ingest's
+    # precision check; it cannot be told apart from another form, so the
+    # space fails instead of taking it
+    cache_a.mkdir()
+    assert sturm_bound(10, 2) == 3
+    (cache_a / "2.10.x.qs").write_text(
+        dumps_qseries(QSeries([0, 1]), level=2, weight=10, label="x"))
+    with pytest.raises(CatalogIncompleteError, match="holds 2 coefficients; cannot expand to 3"):
+        newforms_for(2, 10)

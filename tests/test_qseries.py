@@ -307,6 +307,27 @@ def test_negative_decimal_product_matches_fraction_oracle(monkeypatch):
     assert packed
 
 
+def test_negative_int_product_matches_fraction_oracle(monkeypatch):
+    # the int path keeps the low slots of the product mod 2^(W*count),
+    # centred; a negative top term makes the packed product negative and
+    # the dropped slots up to 2 * length - 2 nonzero, and with this seed the
+    # kept slots read as a negative number too, so they need the centring
+    packed = []
+    real_pack = qseries._pack_signed
+    monkeypatch.setattr(qseries, "_pack_signed",
+                        lambda *a: packed.append(1) or real_pack(*a))
+    length = qseries._KRONECKER_MIN_TERMS * 4
+    rng = random.Random(length * 7 + 33)
+    xs, ys = random_fractions(rng, length, 30), random_fractions(rng, length, 30)
+    xs[0] = ys[0] = Fraction(1)
+    xs[-1], ys[-1] = -abs(xs[-1]) or Fraction(-1), abs(ys[-1]) or Fraction(1)
+    want = fraction_product_oracle(xs, ys, length)
+    assert want[-1] < 0
+    got = QSeries(xs) * QSeries(ys)
+    assert [c.as_rational() for c in got.coefficients()] == want
+    assert packed == [1, 1]
+
+
 def spy_on_sparse_pairs(monkeypatch):
     calls = []
     real = qseries._sparse_pairs

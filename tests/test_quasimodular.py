@@ -300,7 +300,7 @@ def test_coordinate_unknown_atom():
 
 
 def test_catalog_change_invalidates_cached_basis(tmp_path, monkeypatch):
-    # the basis and its solvers are cached per catalog generation, so an
+    # the basis and its solvers are cached per catalog state, so an
     # ingested record that overfills a space, or a switch to a cache
     # directory that holds one, must surface on the next call
     full, empty = tmp_path / "full", tmp_path / "empty"
@@ -328,10 +328,29 @@ def test_catalog_change_invalidates_cached_basis(tmp_path, monkeypatch):
         reset_caches()
 
 
+def test_returning_to_a_cache_directory_reuses_its_basis(tmp_path, monkeypatch):
+    # the basis cache keys on the catalog state, so A -> B -> A assembles
+    # the basis of A once
+    monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "A"))
+    reset_caches()
+    cache = quasimodular._basis_entry
+    cache.cache_clear()
+    try:
+        (record,) = newforms_for(11, 2)
+        f = record.expand(60)
+        for directory in "ABA":
+            monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / directory))
+            assert not decompose(f, 11, 2).residual
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+    finally:
+        reset_caches()
+
+
 def test_basis_cache_is_bounded_across_catalog_generations():
     # more spaces than the cache holds, Eisenstein-only so each is cheap;
-    # a catalog generation bump misses on every space again and keeps the
-    # cache at its bound, with every decomposition unchanged
+    # a new catalog state misses on every space again and keeps the cache
+    # at its bound, with every decomposition unchanged
     bound = quasimodular._BASIS_CACHE_SIZE
     spaces = [(N, w) for w in (0, 2) for N in range(1, 11)]
     assert len(spaces) > bound
