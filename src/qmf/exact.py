@@ -15,8 +15,9 @@ is solved in integers by Dixon p-adic lifting with rational
 reconstruction, and an answer is returned only after A*x == b holds on
 every row; otherwise it goes to the replay eliminator (exact row-echelon
 operations).  A matrix of CycNumber rows always goes to the replay, which
-is also the Dixon path's test oracle.  Inverting a cyclotomic number is one
-certified solve: x*y = 1 is a rational system in the coordinates of y.
+is also the Dixon path's test oracle; null_space takes an integer matrix as
+int columns.  Inverting a cyclotomic number is one certified solve: x*y = 1
+is a rational system in the coordinates of y.
 
 The modular path packs vectors into Python ints, one fixed-width bit slot
 per entry, so a row update or a matrix-vector product is a few big-int
@@ -779,7 +780,7 @@ class LinearSolver:
 
       int columns with scales   Dixon lifting mod _MODULUS, certified; the
                                 replay when rank mod p < ncols
-      CycNumber rows            the replay, grown by add_column
+      CycNumber rows            the replay
 
     With scales, column j of the matrix stands for matrix[j] / scales[j].
     A target is, with scale, int numerators over it, one sequence per
@@ -820,21 +821,6 @@ class LinearSolver:
         self.ncols = len(columns)
         replay = self._replay = _ReplayEliminator(self.nrows)
         self.rank = sum(replay.pivot(col, j) for j, col in enumerate(columns))
-
-    def add_column(self, column: list[CycNumber]) -> bool:
-        """Append column to a solver built from CycNumber rows if it is
-        independent of the current ones; a dependent column leaves the
-        solver unchanged and returns False."""
-        if self._int_columns:
-            raise TypeError("add_column grows a solver built from CycNumber rows")
-        if len(column) != self.nrows:
-            raise ValueError("column length does not match row count")
-        if not self._replay.pivot([_plain(c) for c in column], self.ncols):
-            return False
-        self._conductor = math.lcm(self._conductor, *(c.conductor for c in column))
-        self.ncols += 1
-        self.rank += 1
-        return True
 
     def solve(self, target, scale: int | None = None, conductor: int = 1) -> list[CycNumber] | None:
         if scale is not None:
@@ -878,13 +864,23 @@ class LinearSolver:
         return [c for c in range(self.ncols) if c not in pivots]
 
 
-def null_space(rows: list[list[CycNumber]]) -> list[list[CycNumber]]:
+def null_space(rows: list[list]) -> list[list]:
     """Basis of the null space of an exact matrix: one vector per free
-    column, with 1 there and 0 at every other free column."""
-    solver = LinearSolver(rows)
+    column, with 1 there and 0 at every other free column.  A matrix of
+    ints is factored as int columns and gives Fraction vectors; CycNumber
+    rows give CycNumber vectors."""
     basis = []
+    if any(isinstance(c, CycNumber) for row in rows for c in row):
+        solver = LinearSolver(rows)
+        for free in solver.free_columns():
+            v = solver.solve([-row[free] for row in rows])
+            v[free] = CycNumber.one()
+            basis.append(v)
+        return basis
+    columns = list(zip(*rows))
+    solver = LinearSolver(columns, [1] * len(columns))
     for free in solver.free_columns():
-        v = solver.solve([-row[free] for row in rows])
-        v[free] = CycNumber.one()
+        v = [c.as_rational() for c in solver.solve([[-a for a in columns[free]]], 1)]
+        v[free] = Fraction(1)
         basis.append(v)
     return basis

@@ -5,10 +5,11 @@ number of weight-k newforms equals the new-subspace dimension obtained by
 Moebius inversion over levels.  Seven classical eta products are built in;
 every other desk-scale space is derived exactly on demand by spanning the
 cusp space with products of known forms, then splitting it into Hecke
-eigenlines.  Each piece splits by the kernels of g(T_p), one for each
-rational factor g of the characteristic polynomial of T_p on the piece, so
-no elimination works over an eigenvalue field; a quadratic factor's
-eigenlines are (T_p - lam')w for w in its kernel and lam' the other root.
+eigenlines.  The span is a rational basis (_span_cusp_space), so T_p is a
+rational matrix.  Each piece splits by the kernels of g(T_p), one for each
+rational factor g of its characteristic polynomial on the piece; only a
+quadratic factor's eigenlines (T_p - lam')w, for w in its kernel and lam'
+the other root, and their a(1) normalisation leave Q.
 Spaces that cannot be derived stay unavailable and operations that need
 them fail loudly.
 
@@ -21,14 +22,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .characters import DirichletCharacter
-from .eisenstein import EisensteinAtom, eisenstein_basis
+from .eisenstein import eisenstein_basis
 from .errors import CatalogIncompleteError, DerivationError
 from .exact import (
     CycNumber,
@@ -258,9 +259,24 @@ class _Linear(_Expr):
     def _compute(self, precision: int) -> QSeries:
         out = QSeries.zero(precision)
         for c, expr in self.terms:
-            if not c.is_zero():
+            if c:
                 out = out + expr.expand(precision).scale(c)
         return out
+
+
+class _Coordinate(_Expr):
+    """Power-basis coordinate `index` of an expression over
+    Q(zeta_conductor): a rational series."""
+
+    __slots__ = ("inner", "conductor", "index")
+
+    def __init__(self, inner, conductor: int, index: int):
+        super().__init__()
+        self.inner, self.conductor, self.index = inner, conductor, index
+
+    def _compute(self, precision: int) -> QSeries:
+        den, nums = self.inner.expand(precision).embed(self.conductor).numerators()
+        return QSeries._make(precision, 1, den, [nums[self.index]])
 
 
 def hecke_image(f: QSeries, p: int, weight: int, precision: int) -> QSeries:
@@ -545,7 +561,9 @@ def _derive_space(level: int, weight: int) -> list[NewformRecord]:
         if a1.is_zero():
             raise DerivationError("eigenline has vanishing leading coefficient")
         inv = a1.inverse()
-        normalized = _Linear([(inv, expr)])
+        # scale the rational basis, not the eigenline's series, by inv:
+        # a product of two cyclotomic series costs phi(M)^2 series products
+        normalized = _Linear([(c * inv, e) for c, e in expr.terms])
         rec = NewformRecord(level, weight, "?", normalized)
         records.append(rec)
     # deterministic labels: sort by coefficient tuples
@@ -575,25 +593,39 @@ def _index_label(i: int) -> str:
 
 
 def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
-    """Linearly independent expressions spanning S_weight(Gamma0(level)),
-    and the solver factorizing their expansions to q^R.
+    """Linearly independent rational expressions spanning
+    S_weight(Gamma0(level)), and the solver of their expansions to q^R.
 
     Candidates, in order: dilated lower-level newforms, products of known
     cusp forms with modular forms of complementary weight, and Eisenstein
     products pushed into the cusp space by a Hecke eigenvalue annihilator.
+    A candidate over Q(zeta_M) offers its power-basis coordinate series:
+    each is a cusp form, as S_weight(Gamma0(level)) has a rational basis
+    and power-basis coordinates are unique.  A series is picked when the
+    solver of those picked before certifies it outside their span.
     """
     rows_precision = R + 1
     picked_exprs: list[_Expr] = []
-    solver = LinearSolver([[]] * rows_precision)
+    columns: list[tuple[int, ...]] = []
+    scales: list[int] = []
+    solver = None
 
-    def try_add(expr: _Expr) -> bool:
-        if len(picked_exprs) >= dim_total:
-            return False
-        vec = expr.expand(rows_precision)
-        if not solver.add_column([vec.coefficient(n) for n in range(rows_precision)]):
-            return False
-        picked_exprs.append(expr)
-        return True
+    def try_add(expr: _Expr) -> None:
+        nonlocal solver
+        series = expr.expand(rows_precision)
+        den, nums = series.numerators()
+        for j, col in enumerate(nums):
+            if len(picked_exprs) >= dim_total:
+                return
+            if not any(col):
+                continue
+            if solver is not None and solver.solve([col], den) is not None:
+                continue  # in the span of the columns picked so far
+            picked_exprs.append(
+                expr if series.conductor == 1 else _Coordinate(expr, series.conductor, j))
+            columns.append(col)
+            scales.append(den)
+            solver = LinearSolver(columns, scales)
 
     # 1. oldforms: dilations of lower-level newforms
     for L in divisors(level)[:-1]:
@@ -665,191 +697,149 @@ def _eisenstein_annihilator(expr: _Expr, level: int, weight: int, p: int) -> _Ex
             lambdas.append(lam)
     out = expr
     for lam in lambdas:
-        out = _Linear([(CycNumber.one(), _HeckeImage(out, p, weight)), (-lam, out)])
+        out = _Linear([(1, _HeckeImage(out, p, weight)), (-lam, out)])
     return out
 
 
 def _split_eigenlines(level, weight, basis_exprs, coord_solver, R):
     """Split span(basis) into T_p eigenlines; return the 1-dimensional
-    pieces as (expression, series to q^R) pairs.  coord_solver factorizes
-    the basis expansions to q^R, one column per basis element."""
+    pieces as (expression, series to q^R) pairs.  The basis is rational and
+    coord_solver factorizes its expansions to q^R, one int column per basis
+    element, so every T_p matrix and every piece is rational."""
     rows_precision = R + 1
     expected = dim_cusp_new(level, weight)
     split_primes = [p for p in primes_upto(max(30, R)) if level % p]
-    pieces = [_identity_piece(len(basis_exprs))]
+    dim = len(basis_exprs)
+    lines, pieces = [], [[[int(i == j) for j in range(dim)] for i in range(dim)]]
     for p in split_primes:
+        lines += [piece[0] for piece in pieces if len(piece) == 1]
+        pieces = [piece for piece in pieces if len(piece) > 1]
         # dilation spans of one old newform stay glued under every T_p with
         # p coprime to the level, so each 1-dimensional piece is new; stop
-        # once all expected new lines have separated
-        if sum(1 for piece in pieces if len(piece) == 1) >= expected:
+        # once all expected new lines have separated or nothing is left
+        if len(lines) >= expected or not pieces:
             break
         tp_cols = _hecke_matrix(basis_exprs, coord_solver, p, weight, rows_precision)
         pieces = _refine_pieces(pieces, tp_cols, p, weight)
-
-    lines = [piece[0] for piece in pieces if len(piece) == 1]
+    else:
+        lines += [piece[0] for piece in pieces if len(piece) == 1]
     if len(lines) != expected:
         raise DerivationError(
             f"eigenline splitting found {len(lines)} lines, expected {expected}"
         )
     out = []
     for coords in lines:
-        expr = _Linear(
-            [(c, e) for c, e in zip(coords, basis_exprs) if not c.is_zero()]
-        )
+        expr = _Linear([(c, e) for c, e in zip(coords, basis_exprs) if c])
         # truncates the basis memos that _hecke_matrix filled
         out.append((expr, expr.expand(rows_precision)))
     return out
 
 
-def _identity_piece(dim: int):
-    return [
-        [CycNumber.one() if i == j else CycNumber.zero() for j in range(dim)]
-        for i in range(dim)
-    ]
-
-
 def _hecke_matrix(basis_exprs, coord_solver, p, weight, rows_precision):
-    """Columns of T_p on the basis: column j holds the coordinates of
-    T_p(basis_j)."""
+    """Columns of T_p on the basis: column j holds the rational coordinates
+    of T_p(basis_j), solved from its integer numerators."""
     cols = []
     need = p * (rows_precision - 1) + 1
     for expr in basis_exprs:
-        full = expr.expand(need)
-        image = hecke_image(full, p, weight, rows_precision)
-        coords = coord_solver.solve([image.coefficient(n) for n in range(rows_precision)])
+        image = hecke_image(expr.expand(need), p, weight, rows_precision)
+        den, nums = image.numerators()
+        coords = coord_solver.solve(nums, den)
         if coords is None:
             raise DerivationError(f"T_{p} image left the candidate span")
-        cols.append(coords)
+        cols.append([c.as_rational() for c in coords])
     return cols
 
 
 def _refine_pieces(pieces, tp_cols, p, weight):
-    """Split each piece (a list of coordinate vectors) by T_p."""
+    """Split each piece (a list of at least two rational coordinate
+    vectors) by T_p."""
     out = []
     for piece in pieces:
-        s = len(piece)
-        if s == 1:
-            out.append(piece)
-            continue
         # restrict T_p to the piece: T * S = S * A
-        span_rows = [[piece[j][i] for j in range(s)] for i in range(len(tp_cols))]
-        span_solver = LinearSolver(span_rows)
+        columns, scales = zip(*map(_integer_form, piece))
+        span_solver = LinearSolver(columns, scales)
         a_cols = []
-        for j in range(s):
-            image = _vec_combination(tp_cols, piece[j])
-            col = span_solver.solve(image)
+        for v in piece:
+            nums, scale = _integer_form(_vec_combination(tp_cols, v))
+            col = span_solver.solve([nums], scale)
             if col is None:
                 raise DerivationError("piece is not Hecke stable")
-            a_cols.append(col)
-        A = [[a_cols[j][i] for j in range(s)] for i in range(s)]
+            a_cols.append([c.as_rational() for c in col])
+        A = [list(row) for row in zip(*a_cols)]
         for sub in _eigen_split_matrix(A, p, weight):
             out.append([_vec_combination(piece, v) for v in sub])
     return out
 
 
+def _integer_form(values) -> tuple[list[int], int]:
+    """(nums, scale) of a rational vector: scale is the lcm of the
+    denominators and nums[i] == values[i] * scale."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def _vec_combination(vectors, coeffs):
-    n = len(vectors[0])
-    out = [CycNumber.zero()] * n
+    out = [0] * len(vectors[0])
     for c, vec in zip(coeffs, vectors):
-        if not c.is_zero():
-            for i in range(n):
-                if not vec[i].is_zero():
-                    out[i] = out[i] + c * vec[i]
+        if c:
+            for i, x in enumerate(vec):
+                if x:
+                    out[i] += c * x
     return out
 
 
-def _char_poly(A):
-    """Monic characteristic polynomial by the trace recurrence, listed from
-    the constant term up; exact over any field of characteristic zero."""
-    n = len(A)
-    coeffs = [CycNumber.zero()] * (n + 1)
-    coeffs[n] = CycNumber.one()
-    M = [[CycNumber.one() if i == j else CycNumber.zero() for j in range(n)] for i in range(n)]
+def _char_poly(B):
+    """The characteristic polynomial of the integer matrix B by the trace
+    recurrence, as ints listed from the constant term up; its coefficients
+    are integers, so each division by k is exact."""
+    n = len(B)
+    coeffs = [0] * n + [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        N = _mat_mul(A, M)
-        tr = sum((N[i][i] for i in range(n)), CycNumber.zero())
-        c = tr * Fraction(-1, k)
-        coeffs[n - k] = c
+        M = _mat_mul(B, M)
+        c = coeffs[n - k] = -sum(M[i][i] for i in range(n)) // k
         for i in range(n):
-            N[i][i] = N[i][i] + c
-        M = N
+            M[i][i] += c
     return coeffs
 
 
 def _mat_mul(A, B):
-    n = len(A)
-    out = [[CycNumber.zero()] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if a.is_zero():
-                continue
-            Bk = B[k]
-            row = out[i]
-            for j in range(n):
-                if not Bk[j].is_zero():
-                    row[j] = row[j] + a * Bk[j]
-    return out
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
-def _poly_eval_int(poly: list[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval_int(poly: list[int], x: int) -> int:
+    acc = 0
     for c in reversed(poly):
         acc = acc * x + c
     return acc
 
 
-def _monotone_breaks(poly: list[Fraction], lo: int, hi: int) -> list[int]:
-    """Integer cut points lo = c0 < ... < cm = hi such that the polynomial
-    is monotone between consecutive cuts, except on gaps of width 1.
+def _monotone_breaks(poly: list[int], lo: int, hi: int) -> list[int]:
+    """Integer cut points lo = c0 < ... < cm = hi such that the integer
+    polynomial is monotone between consecutive cuts, except on gaps of
+    width 1.
 
     Works down the derivative chain: sign changes of the derivative are
     bisected to unit intervals, whose endpoints become cuts."""
-    deg = len(poly) - 1
     cuts = {lo, hi}
-    if deg <= 1:
+    if len(poly) <= 2:
         return sorted(cuts)
     deriv = [poly[i] * i for i in range(1, len(poly))]
-    if deg == 2:
-        fl = math.floor(-deriv[0] / deriv[1])
-        for c in (fl, fl + 1):
-            if lo < c < hi:
-                cuts.add(c)
-        return sorted(cuts)
     dbreaks = _monotone_breaks(deriv, lo, hi)
     cuts.update(c for c in dbreaks if lo < c < hi)
-    for a, b in zip(dbreaks, dbreaks[1:]):
-        if b - a <= 1:
-            continue
-        fa, fb = _poly_eval_int(deriv, a), _poly_eval_int(deriv, b)
-        if fa == 0 or fb == 0 or (fa < 0) == (fb < 0):
-            continue
-        x, y, fx = a, b, fa
-        while y - x > 1:
-            m = (x + y) // 2
-            fm = _poly_eval_int(deriv, m)
-            if fm == 0:
-                cuts.add(m)
-                break
-            if (fm < 0) == (fx < 0):
-                x, fx = m, fm
-            else:
-                y = m
-        else:
-            cuts.update((x, y))
+    for x, y in _sign_changes(deriv, dbreaks):
+        cuts.update((x, y))
     return sorted(cuts)
 
 
-def _integer_roots(poly: list[Fraction], bound: int) -> list[int]:
-    """All integers r with |r| <= bound and poly(r) == 0, found exactly by
-    bisection on monotone segments; O(deg^2 log bound) evaluations."""
-    lo, hi = -bound - 1, bound + 1
-    breaks = _monotone_breaks(poly, lo, hi)
-    vals = {c: _poly_eval_int(poly, c) for c in breaks}
-    roots = {c for c, v in vals.items() if v == 0 and -bound <= c <= bound}
-    for a, b in zip(breaks, breaks[1:]):
-        fa, fb = vals[a], vals[b]
+def _sign_changes(poly: list[int], breaks: list[int]) -> list[tuple[int, int]]:
+    """Bisect the integer polynomial between consecutive breaks: a root m,
+    at a break or met while bisecting, gives (m, m), and a strict sign
+    change across a gap wider than 1 gives the unit interval holding it."""
+    vals = [_poly_eval_int(poly, c) for c in breaks]
+    out = [(c, c) for c, v in zip(breaks, vals) if v == 0]
+    for a, b, fa, fb in zip(breaks, breaks[1:], vals, vals[1:]):
         if b - a <= 1 or fa == 0 or fb == 0 or (fa < 0) == (fb < 0):
             continue
         x, y, fx = a, b, fa
@@ -857,14 +847,20 @@ def _integer_roots(poly: list[Fraction], bound: int) -> list[int]:
             m = (x + y) // 2
             fm = _poly_eval_int(poly, m)
             if fm == 0:
-                if -bound <= m <= bound:
-                    roots.add(m)
-                break
-            if (fm < 0) == (fx < 0):
+                x = y = m
+            elif (fm < 0) == (fx < 0):
                 x, fx = m, fm
             else:
                 y = m
-    return sorted(roots)
+        out.append((x, y))
+    return out
+
+
+def _integer_roots(poly: list[int], bound: int) -> list[int]:
+    """All integers r with |r| <= bound and poly(r) == 0, found exactly by
+    bisection on monotone segments; O(deg^2 log bound) evaluations."""
+    found = _sign_changes(poly, _monotone_breaks(poly, -bound - 1, bound + 1))
+    return sorted({x for x, y in found if x == y and -bound <= x <= bound})
 
 
 def _eigen_split_matrix(A, p, weight):
@@ -875,28 +871,34 @@ def _eigen_split_matrix(A, p, weight):
     coefficient bound |a_p| <= 2 p^((k-1)/2), then the leftover, if any.  A
     leftover quadratic splits its kernel into two eigenlines; a leftover of
     degree >= 3 stays one piece for later primes.  Returns the coordinate
-    bases of the pieces."""
-    poly = _char_poly(A)
-    if not all(c.is_rational() for c in poly):
-        raise DerivationError("characteristic polynomial left the rationals")
-    rat = [c.as_rational() for c in poly]
+    bases of the pieces.
+
+    A is rational.  With d the lcm of its denominators and B = dA, the
+    characteristic polynomial of A with its denominators cleared is
+    d^n det(x - A) = det(dx - B), and d^deg(g) g(B/d) is an integer matrix
+    with the kernel of g(A), so all of it runs in integers."""
+    d = math.lcm(*(x.denominator for row in A for x in row))
+    B = [[x.numerator * (d // x.denominator) for x in row] for row in A]
+    poly = [c * d**i for i, c in enumerate(_char_poly(B))]
     window = 2 * math.isqrt(p ** (weight - 1)) + 2
     factors = []
-    for cand in _integer_roots(rat, window):
+    for cand in _integer_roots(poly, window):
         mult = 0
-        while len(rat) > 1 and _poly_eval_int(rat, cand) == 0:
-            rat = _deflate(rat, Fraction(cand))
+        while len(poly) > 1 and _poly_eval_int(poly, cand) == 0:
+            poly = _deflate(poly, cand)
             mult += 1
-        factors.append(([Fraction(-cand), Fraction(1)], mult))
-    if len(rat) > 1:
-        factors.append((rat, 1))
+        factors.append(([-cand, 1], mult))
+    if len(poly) > 1:
+        factors.append((poly, 1))
     pieces = []
     for g, mult in factors:
-        kern = null_space(_poly_matrix_eval(g, A))
-        if len(kern) != mult * (len(g) - 1):
+        deg = len(g) - 1
+        kern = null_space(_poly_matrix_eval([c * d ** (deg - i) for i, c in enumerate(g)], B))
+        if len(kern) != mult * deg:
             raise DerivationError("factor kernel has wrong dimension (not semisimple?)")
-        if len(g) == 3:
-            pieces.extend([v] for v in _quadratic_eigenlines(A, g, kern[0]))
+        if deg == 2:
+            monic = [Fraction(c, g[-1]) for c in g]
+            pieces.extend([v] for v in _quadratic_eigenlines(A, monic, kern[0]))
         else:
             pieces.append(kern)
     return pieces
@@ -915,36 +917,35 @@ def _quadratic_eigenlines(A, g, w):
     lam, conj = (sq - b) * half, (-sq - b) * half
     cols = list(zip(*A))
     aw = _vec_combination(cols, w)
-    norm = lam * conj
     lines = []
     for root, other in ((lam, conj), (conj, lam)):
         v = [x - other * y for x, y in zip(aw, w)]
-        # root * v as root * Aw - (lam lam') w, so that no product has two
-        # irrational factors when A is rational
-        root_v = [root * x - norm * y for x, y in zip(aw, w)]
-        if all(x.is_zero() for x in v) or _vec_combination(cols, v) != root_v:
+        # root * v as root * Aw - (lam lam') w, lam lam' = c0, so that no
+        # product has two irrational factors
+        root_v = [root * x - c0 * y for x, y in zip(aw, w)]
+        if not any(v) or _vec_combination(cols, v) != root_v:
             raise DerivationError("quadratic factor kernel holds no eigenline")
         lines.append(v)
     return lines
 
 
-def _deflate(poly: list[Fraction], root: Fraction) -> list[Fraction]:
-    out = [Fraction(0)] * (len(poly) - 1)
-    acc = Fraction(0)
+def _deflate(poly: list[int], root: int) -> list[int]:
+    out = [0] * (len(poly) - 1)
+    acc = 0
     for i in range(len(poly) - 1, 0, -1):
         acc = poly[i] + acc * root
         out[i - 1] = acc
     return out
 
 
-def _poly_matrix_eval(poly: list[Fraction], A):
-    """g(A) by Horner's rule for the monic g = poly, listed from the
-    constant term up; degree d costs d - 1 matrix products."""
+def _poly_matrix_eval(poly, A):
+    """g(A) by Horner's rule for g = poly, listed from the constant term
+    up; degree d costs d - 1 matrix products."""
     out = None
     for c in reversed(poly[:-1]):
-        out = [list(row) for row in A] if out is None else _mat_mul(A, out)
+        out = [[poly[-1] * x for x in row] for row in A] if out is None else _mat_mul(A, out)
         for i in range(len(A)):
-            out[i][i] = out[i][i] + c
+            out[i][i] += c
     return out
 
 
@@ -1072,9 +1073,12 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     """Validate a q-series file as a newform record and cache it.
 
     Requirements: level/weight/label headers, a(0) = 0, a(1) = 1, precision
-    at least the pinning bound for the space, and all Hecke checks passing
-    within the stated precision.  The verified series is re-serialized into
-    the cache directory as level.weight.label.qs.
+    at least the pinning bound for the space, all Hecke checks passing
+    within the stated precision, and Deligne's bound a(p)^2 <= 4 p^(k-1)
+    at every prime p not dividing the level below the precision where a(p)
+    is rational (an Eisenstein series passes the Hecke checks and fails
+    this).  The verified series is re-serialized into the cache directory
+    as level.weight.label.qs.
     """
     global _ingest_count
     path = Path(path)
@@ -1092,11 +1096,18 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     report = verify_hecke(rec, precision)
     if not report.ok:
         raise ValueError(f"Hecke verification failed: {report.failure}")
+    series = rec.expand(precision)
+    for p in primes_upto(precision - 1):
+        a_p = series.coefficient(p)
+        if L % p and a_p.is_rational() and a_p.as_rational() ** 2 > 4 * p ** (k - 1):
+            raise ValueError(
+                f"a({p}) = {a_p.as_rational()} breaks Deligne's bound a(p)^2 <= 4 p^{k - 1}"
+            )
     root = cache_dir()
     root.mkdir(parents=True, exist_ok=True)
     target = root / f"{L}.{k}.{rec.label}.qs"
     with open(target, "w", encoding="utf-8") as handle:
-        dump_qseries(rec.expand(precision), handle, level=L, weight=k, label=rec.label)
+        dump_qseries(series, handle, level=L, weight=k, label=rec.label)
     with _registry_lock:
         # a directory not read yet loads every file on disk, not only this one
         _ingested(str(root.resolve())).setdefault((L, k), {})[rec.label] = rec

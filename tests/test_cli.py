@@ -310,14 +310,52 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("level,weight", [(8, 12), (9, 12), (10, 8), (14, 6)])
 def test_newforms_expansion_matches_golden(capsys, level, weight):
-    # 8.12 holds a conductor-109 pair split off a rational T_p, 9.12 a
-    # conductor-280 pair, 10.8 a T_p over Q(zeta_76) from the 5.8 oldforms,
-    # and 14.6 a replay that inverts conductor-57 pivots
+    # 8.12 holds a conductor-109 pair split off a rational T_p and 9.12 a
+    # conductor-280 pair; 10.8 and 14.6 span with cyclotomic candidates (the
+    # 5.8 and 7.6 newforms) and derive over Q, so their rational forms
+    # print at conductor 1
     golden = GOLDEN / f"newforms_{level}_{weight}_prec30.txt"
     rc, out, err = run(capsys, "newforms", "--level", str(level),
                        "--weight", str(weight), "--prec", "30")
     assert (rc, err) == (0, "")
     assert out.encode() == golden.read_bytes()
+
+
+def golden_series(name):
+    """(label, series) of each record in a golden file."""
+    blocks = (GOLDEN / name).read_text().split("# qseries v1\n")[1:]
+    loaded = [load_qseries("# qseries v1\n" + block) for block in blocks]
+    return [(headers["label"], series) for series, headers in loaded]
+
+
+@pytest.mark.parametrize("level,weight,conductor", [(10, 8, 76), (14, 6, 57)])
+def test_rational_goldens_hold_the_forms_printed_over_cyclotomic_fields(level, weight, conductor):
+    # the *_zeta<M>.txt files keep the output of the derivation over
+    # Q(zeta_M); the goldens at conductor 1 hold the same forms
+    new = golden_series(f"newforms_{level}_{weight}_prec30.txt")
+    old = golden_series(f"newforms_{level}_{weight}_prec30_zeta{conductor}.txt")
+    assert [s.conductor for _, s in new] == [1] * len(new)
+    assert [s.conductor for _, s in old] == [conductor] * len(old)
+    assert new == old
+
+
+def test_newforms_ingest_refuses_an_eisenstein_series(tmp_path, capsys, monkeypatch):
+    # sum sigma_7(n) q^n breaks Deligne's bound at p = 3
+    from qmf.detect import g_series
+    from qmf.qseries import dumps_qseries
+
+    monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "cache"))
+    reset_caches()
+    try:
+        path = tmp_path / "eis.qs"
+        path.write_text(dumps_qseries(g_series(8, 1, 40), level=2, weight=8, label="z"))
+        rc, out, err = run(capsys, "newforms", "--ingest", str(path))
+        assert (rc, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "Deligne" in err
+        assert not (tmp_path / "cache").exists()
+    finally:
+        monkeypatch.delenv("QMF_CACHE_DIR")
+        reset_caches()
 
 
 def test_newforms_7_10_fails_in_one_line(tmp_path):

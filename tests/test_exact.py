@@ -447,43 +447,25 @@ def exact_keys(vector):
 
 
 @pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
-def test_add_column_matches_batch_factorization(field):
-    rng = random.Random(f"grow-{field}")
-    units = SOLVER_UNITS[field]
-    columns = random_columns(rng, units, 7, 4)
-    rows = [list(row) for row in zip(*columns)]
-    batch = LinearSolver(rows)
-    grown = LinearSolver([[] for _ in rows])
-    assert [grown.add_column(col) for col in columns] == [True] * 4
-    assert (grown.ncols, grown.rank) == (batch.ncols, batch.rank) == (4, 4)
-    assert grown.free_columns() == batch.free_columns() == []
-    coeffs = [random_entry(rng, units) for _ in columns]
-    targets = [combine(columns, coeffs), random_columns(rng, units, 7, 1)[0]]
-    assert grown.solve(targets[0]) == coeffs
-    for target in targets:
-        assert exact_keys(grown.solve(target)) == exact_keys(batch.solve(target))
-
-
-@pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
-def test_dependent_column_leaves_solver_unchanged(field):
+def test_solve_tells_a_column_in_the_span_from_one_outside(field):
+    # a newform span picks a column exactly when the solver of the columns
+    # picked before returns None for it; rational columns go in as ints
     rng = random.Random(f"dependent-{field}")
     units = SOLVER_UNITS[field]
     columns = random_columns(rng, units, 6, 3)
-    solver = LinearSolver([[] for _ in range(6)])
-    for col in columns:
-        assert solver.add_column(col)
-    targets = [
-        combine(columns, [random_entry(rng, units) for _ in columns]),
-        random_columns(rng, units, 6, 1)[0],
-    ]
-    before = [exact_keys(solver.solve(t)) for t in targets]
-    dependent = combine(columns, [units[-1], Fraction(-2), Fraction(1, 3)])
-    for col in (dependent, [CycNumber.zero()] * 6):
-        assert solver.add_column(col) is False
-        assert (solver.ncols, solver.rank) == (3, 3)
-        assert [exact_keys(solver.solve(t)) for t in targets] == before
-    with pytest.raises(ValueError):
-        solver.add_column([CycNumber.one()] * 5)
+    coeffs = [units[-1], Fraction(-2), Fraction(1, 3)]
+    inside, outside = combine(columns, coeffs), random_columns(rng, units, 6, 1)[0]
+    solver = LinearSolver([list(row) for row in zip(*columns)])
+    grown = LinearSolver([list(row) for row in zip(*columns, outside)])
+    assert (solver.rank, grown.rank) == (3, 4)
+    assert solver.solve(inside) == coeffs
+    assert solver.solve([CycNumber.zero()] * 6) == [0, 0, 0]
+    assert solver.solve(outside) is None
+    if field == "rational":
+        solver = int_solver(columns)
+        assert solver._modular is not None
+        assert int_solve(solver, inside) == coeffs
+        assert int_solve(solver, outside) is None
 
 
 @pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
@@ -517,6 +499,28 @@ def test_null_space_basis(field):
         [zero, one, zero, -2 * one, one, zero],
         [zero, zero, zero, zero, zero, one],
     ]
+
+
+def test_null_space_of_an_integer_matrix_is_rational(monkeypatch):
+    # a matrix of ints is factored as int columns and gives Fraction
+    # vectors, the basis of the same matrix as CycNumber rows
+    rng = random.Random("kernel-integers")
+    c0, c1 = ([rng.randint(-9, 9) for _ in range(4)] for _ in range(2))
+    columns = [c0, [2 * x for x in c0], c1, [0] * 4, [3 * x - y for x, y in zip(c0, c1)]]
+    rows = [list(row) for row in zip(*columns)]
+    built = []
+
+    class Spy(LinearSolver):
+        def __init__(self, matrix, scales=None):
+            built.append(scales is not None)
+            super().__init__(matrix, scales)
+
+    monkeypatch.setattr(exact, "LinearSolver", Spy)
+    basis = null_space(rows)
+    assert built == [True]
+    assert all(type(c) is Fraction for v in basis for c in v)
+    assert basis == null_space([[CycNumber.from_rational(c) for c in row] for row in rows])
+    assert basis == [[-2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [-3, 0, 1, 0, 1]]
 
 
 def test_solve_keeps_the_target_field_through_zero_entries():
@@ -705,8 +709,6 @@ def test_integer_columns_match_the_replay(shape, rank):
         # int columns take int targets only, and do not grow
         with pytest.raises(TypeError):
             solver.solve(target)
-    with pytest.raises(TypeError):
-        solver.add_column(targets[0])
 
 
 def test_integer_target_of_one_conductor_keeps_it():

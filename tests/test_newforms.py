@@ -1,4 +1,5 @@
 """Dimensions, the newform catalog, derivation, ingestion, verification."""
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import qmf
 import qmf.newforms as nf
+from qmf import exact
 from qmf.exact import CycNumber, divisors, primes_upto
 from qmf.newforms import (
     CatalogIncompleteError,
@@ -354,58 +356,99 @@ def spy_on_derive(monkeypatch):
     return derived
 
 
-def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
-    # T_p is rational on every piece at 8.12 and 9.12; only the final
-    # eigenlines (T_p - lam')w leave Q, so no elimination in the split sees
-    # an irrational entry
-    inside = []
-    conductors = []
-
-    def note(entries):
-        if inside:
-            conductors.extend(c.conductor for c in entries)
-
-    class SpySolver(nf.LinearSolver):
-        def __init__(self, rows):
-            note(c for row in rows for c in row)
-            super().__init__(rows)
-
-        def add_column(self, column):
-            note(column)
-            return super().add_column(column)
-
-        def solve(self, target):
-            note(target)
-            return super().solve(target)
-
-    real_null_space, real_split = nf.null_space, nf._split_eigenlines
-
-    def spy_null_space(rows):
-        note(c for row in rows for c in row)
-        return real_null_space(rows)
-
-    def spy_split(*args):
-        inside.append(True)
-        try:
-            return real_split(*args)
-        finally:
-            inside.pop()
-
-    # derive every space that 8.12 and 9.12 read before the spies go in, so
-    # the spies see these two derivations alone
+def _catalog_below(*spaces):
+    """Clear the catalog, then look up every space that the given spaces
+    read: each divisor level at each even weight up to theirs."""
     nf._catalog.cache_clear()
-    for level in (2, 3, 4, 8, 9):
-        for weight in range(4, 13, 2):
-            if (level, weight) not in ((8, 12), (9, 12)):
-                newforms_for(level, weight)
+    for level, weight in spaces:
+        for L in divisors(level):
+            for w in range(4, weight + 1, 2):
+                if (L, w) not in spaces:
+                    catalog_lookup(L, w)
+
+
+def _holds_cyclotomic(value):
+    if isinstance(value, CycNumber):
+        return True
+    return isinstance(value, (list, tuple)) and any(map(_holds_cyclotomic, value))
+
+
+def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
+    # the span picks rational coordinate series, so T_p is rational on every
+    # piece: every solver in the span and the split takes int columns, and
+    # no CycNumber enters a kernel, a characteristic polynomial or a matrix
+    # product; only the final eigenlines (T_p - lam')w leave Q.  10.8 and
+    # 14.6 span with cyclotomic candidates (the 5.8 and 7.6 newforms)
+    spaces = ((8, 12), (9, 12), (10, 8), (14, 6))
+    _catalog_below(*spaces)
+    inside = []
+    int_columns = []
+    cyclotomic_inputs = []
+
+    class SpySolver(exact.LinearSolver):
+        def __init__(self, matrix, scales=None):
+            if inside:
+                int_columns.append(scales is not None and all(
+                    isinstance(a, int) for col in matrix for a in col))
+            super().__init__(matrix, scales)
+
+    def spy(name):
+        real = getattr(nf, name)
+
+        def wrapper(*args):
+            if inside and _holds_cyclotomic(args):
+                cyclotomic_inputs.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(nf, name, wrapper)
+
+    def mark(name):
+        real = getattr(nf, name)
+
+        def wrapper(*args):
+            inside.append(True)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(nf, name, wrapper)
+
     monkeypatch.setattr(nf, "LinearSolver", SpySolver)
-    monkeypatch.setattr(nf, "null_space", spy_null_space)
-    monkeypatch.setattr(nf, "_split_eigenlines", spy_split)
+    monkeypatch.setattr(exact, "LinearSolver", SpySolver)
+    for name in ("_span_cusp_space", "_split_eigenlines"):
+        mark(name)
+    for name in ("_refine_pieces", "_char_poly", "_mat_mul", "_poly_matrix_eval", "null_space"):
+        spy(name)
     derived = spy_on_derive(monkeypatch)
-    assert len(newforms_for(8, 12)) == 3
-    assert len(newforms_for(9, 12)) == 4
-    assert derived == [(8, 12), (9, 12)]
-    assert conductors and set(conductors) == {1}
+    records = [newforms_for(*space) for space in spaces]
+    assert [len(r) for r in records] == [3, 4, 1, 2]
+    assert derived == list(spaces)
+    assert int_columns and all(int_columns)
+    assert cyclotomic_inputs == []
+    # rational forms print at conductor 1
+    assert [rec.expand(30).conductor for rec in records[2] + records[3]] == [1, 1, 1]
+
+
+def test_coordinate_series_span_10_8_over_q():
+    # the dilated 5.8 newforms live in Q(zeta_76), and the power-basis
+    # coordinate series of a cusp form are cusp forms: every picked column
+    # is rational, and T_3 on the rational basis has an integer
+    # characteristic polynomial
+    _catalog_below((10, 8))
+    R, dim = sturm_bound(8, 10), dim_cusp(10, 8)
+    exprs, solver = nf._span_cusp_space(10, 8, dim, R)
+    assert len(exprs) == dim
+    assert any(isinstance(e, nf._Coordinate) and e.conductor == 76 for e in exprs)
+    assert [e.expand(R + 1).conductor for e in exprs] == [1] * dim
+    assert solver._int_columns and solver.rank == dim
+    tp = nf._hecke_matrix(exprs, solver, 3, 8, R + 1)
+    assert all(type(x) is Fraction for col in tp for x in col)
+    # det(x - A) for A = B/d is d^-n det(dx - B)
+    d = math.lcm(*(x.denominator for col in tp for x in col))
+    B = [[x.numerator * (d // x.denominator) for x in row] for row in zip(*tp)]
+    poly = [Fraction(c, d ** (dim - i)) for i, c in enumerate(nf._char_poly(B))]
+    assert d > 1 and all(c.denominator == 1 for c in poly)
 
 
 def test_failed_derivation_is_attempted_once(monkeypatch):
@@ -424,10 +467,7 @@ def test_failed_derivation_is_attempted_once(monkeypatch):
 
 def _companion_109():
     # characteristic polynomial x^2 - x - 27, discriminant 109
-    return [
-        [CycNumber.zero(), CycNumber.from_rational(27)],
-        [CycNumber.one(), CycNumber.one()],
-    ]
+    return [[Fraction(0), Fraction(27)], [Fraction(1), Fraction(1)]]
 
 
 def test_quadratic_factor_splits_into_eigenlines():
@@ -450,13 +490,13 @@ def test_quadratic_factor_splits_into_eigenlines():
 
 def test_quadratic_eigenline_check_rejects_vectors_outside_the_kernel():
     g = [Fraction(-27), Fraction(-1), Fraction(1)]
-    zero, one = CycNumber.zero(), CycNumber.one()
+    zero, one = Fraction(0), Fraction(1)
     with pytest.raises(DerivationError, match="no eigenline"):
         nf._quadratic_eigenlines(_companion_109(), g, [zero, zero])
     # the companion block plus the eigenvalue 5: (A - lam')w = (5 - lam')w
     # is nonzero for w = e_3, but A v = 5 v, not lam v
     A = [row + [zero] for row in _companion_109()]
-    A.append([zero, zero, CycNumber.from_rational(5)])
+    A.append([zero, zero, Fraction(5)])
     with pytest.raises(DerivationError, match="no eigenline"):
         nf._quadratic_eigenlines(A, g, [zero, zero, one])
 
@@ -602,15 +642,30 @@ def cache_a(tmp_path, monkeypatch):
 
 
 def test_directory_switch_drops_a_failure_of_the_old_catalog(tmp_path, monkeypatch, cache_a):
-    # sum sigma_7(n) q^n passes the Hecke checks, so it ingests as a second
-    # 2.8 record, and 6.8 fails on it; an empty directory is a new catalog
+    # sum sigma_7(n) q^n, which ingest refuses, written into the cache
+    # directory by hand reads as a second 2.8 record, and 6.8 fails on it;
+    # an empty directory is a new catalog
     from qmf.detect import g_series
 
-    _ingest_series(tmp_path, g_series(8, 1, 40), 2, 8, "z")
+    cache_a.mkdir()
+    (cache_a / "2.8.z.qs").write_text(
+        dumps_qseries(g_series(8, 1, 40), level=2, weight=8, label="z"))
     with pytest.raises(CatalogIncompleteError, match=r"\(level 2, weight 8\).*2 of 1 newforms known"):
         newforms_for(6, 8)
     monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "B"))
     assert [(r.name(), r.source_text()) for r in newforms_for(6, 8)] == [("6.8.a", "derived")]
+
+
+def test_ingest_refuses_an_eisenstein_series(tmp_path, cache_a):
+    # sum sigma_7(n) q^n passes the Hecke checks; Deligne's bound fails at
+    # p = 3, the first prime not dividing 2 (2188^2 > 4 * 3^7), so nothing
+    # lands in the cache directory
+    from qmf.detect import g_series
+
+    with pytest.raises(ValueError, match=r"a\(3\) = 2188 breaks Deligne's bound"):
+        _ingest_series(tmp_path, g_series(8, 1, 40), 2, 8, "z")
+    assert not cache_a.exists()
+    assert [r.name() for r in newforms_for(2, 8)] == ["2.8.a"]
 
 
 def test_ingested_label_of_another_form_fails(tmp_path, cache_a):
