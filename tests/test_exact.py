@@ -446,26 +446,81 @@ def exact_keys(vector):
     return None if vector is None else [c.sort_key() for c in vector]
 
 
+def solver_paths(field):
+    """(build, solve) of each way a solver takes columns of this field:
+    CycNumber rows, and for rational columns also ints over a scale."""
+    paths = [(lambda columns: LinearSolver([list(row) for row in zip(*columns)]),
+              LinearSolver.solve)]
+    if field == "rational":
+        paths.append((int_solver, int_solve))
+    return paths
+
+
+def grow(columns, build, solve):
+    """The columns a newform span picks from these, in order, and the solver
+    of the picked ones: a nonzero column is picked when the solver of those
+    picked before returns None for it, and the solver is then rebuilt."""
+    picked, solver = [], None
+    for col in columns:
+        if all(c.is_zero() for c in col):
+            continue
+        if solver is None or solve(solver, col) is None:
+            picked.append(col)
+            solver = build(picked)
+    return picked, solver
+
+
 @pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
-def test_solve_tells_a_column_in_the_span_from_one_outside(field):
-    # a newform span picks a column exactly when the solver of the columns
-    # picked before returns None for it; rational columns go in as ints
+def test_add_column_matches_batch_factorization(field):
+    # adding independent columns one pick at a time gives the solver of all
+    # of them at once
+    rng = random.Random(f"grow-{field}")
+    units = SOLVER_UNITS[field]
+    columns = random_columns(rng, units, 7, 4)
+    batch = LinearSolver([list(row) for row in zip(*columns)])
+    coeffs = [random_entry(rng, units) for _ in columns]
+    targets = [combine(columns, coeffs), random_columns(rng, units, 7, 1)[0]]
+    for build, solve in solver_paths(field):
+        picked, grown = grow(columns, build, solve)
+        assert picked == columns
+        assert (grown.ncols, grown.rank) == (batch.ncols, batch.rank) == (4, 4)
+        assert grown.free_columns() == batch.free_columns() == []
+        assert solve(grown, targets[0]) == coeffs
+        for target in targets:
+            assert exact_keys(solve(grown, target)) == exact_keys(batch.solve(target))
+
+
+@pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
+def test_dependent_column_leaves_solver_unchanged(field):
+    # solve maps a column in the span to its coefficients and returns None
+    # for one outside, so a span skips a dependent or zero column and keeps
+    # its solver; rational columns also go in as ints
     rng = random.Random(f"dependent-{field}")
     units = SOLVER_UNITS[field]
+    zero = [CycNumber.zero()] * 6
     columns = random_columns(rng, units, 6, 3)
     coeffs = [units[-1], Fraction(-2), Fraction(1, 3)]
-    inside, outside = combine(columns, coeffs), random_columns(rng, units, 6, 1)[0]
+    dependent, outside = combine(columns, coeffs), random_columns(rng, units, 6, 1)[0]
+    targets = [combine(columns, [random_entry(rng, units) for _ in columns]), outside]
+    for build, solve in solver_paths(field):
+        solver = build(columns)
+        assert solver.rank == 3
+        assert solve(solver, dependent) == coeffs
+        assert solve(solver, outside) is None
+        before = [exact_keys(solve(solver, t)) for t in targets]
+        picked, grown = grow(columns + [dependent, zero], build, solve)
+        assert picked == columns
+        assert (grown.ncols, grown.rank) == (3, 3)
+        assert [exact_keys(solve(grown, t)) for t in targets] == before
+        picked, grown = grow(columns + [dependent, outside], build, solve)
+        assert picked == columns + [outside]
+        assert (grown.ncols, grown.rank) == (4, 4)
     solver = LinearSolver([list(row) for row in zip(*columns)])
-    grown = LinearSolver([list(row) for row in zip(*columns, outside)])
-    assert (solver.rank, grown.rank) == (3, 4)
-    assert solver.solve(inside) == coeffs
-    assert solver.solve([CycNumber.zero()] * 6) == [0, 0, 0]
-    assert solver.solve(outside) is None
+    assert solver.solve(zero) == [0, 0, 0]
+    with pytest.raises(ValueError):
+        solver.solve([CycNumber.one()] * 5)
     if field == "rational":
-        solver = int_solver(columns)
-        assert solver._modular is not None
-        assert int_solve(solver, inside) == coeffs
-        assert int_solve(solver, outside) is None
+        assert int_solver(columns)._modular is not None
 
 
 @pytest.mark.parametrize("field", sorted(SOLVER_UNITS))
