@@ -110,7 +110,7 @@ class _Form:
 class _FormParser:
     def __init__(self, text: str, precision: int):
         if precision < 2:
-            raise FormSpecError(0, "precision must be at least 2")
+            raise ValueError("precision must be at least 2")
         self.text = text
         self.precision = precision
         self.tokens = _tokenize(text)

@@ -7,35 +7,27 @@ reduced modulo the M-th cyclotomic polynomial.  M = 1 gives plain rationals
 and is the fast path almost everywhere.  No floating point enters any
 computation; floats appear only in human-readable reports.
 
-LinearSolver solves exactly, with one eliminator per kind of matrix.  A
-rational matrix comes as integer columns with a scale each and takes
-targets as integer numerators over one scale.  When its rank modulo the
-prime 2^61 - 1 equals its column count (proving full column rank over Q) it
-is solved in integers by Dixon p-adic lifting with rational
-reconstruction, and an answer is returned only after A*x == b holds on
-every row; otherwise it goes to the replay eliminator (exact row-echelon
-operations).  A matrix of CycNumber rows always goes to the replay, which
-is also the Dixon path's test oracle; null_space takes an integer matrix as
-int columns.  Inverting a cyclotomic number is one certified solve: x*y = 1
-is a rational system in the coordinates of y.
+LinearSolver solves every matrix over Q(zeta_M) with one eliminator: Dixon
+p-adic lifting modulo a prime p = 1 mod M under each of the phi(M) maps
+Z[zeta_M] -> F_p, with rational reconstruction.  The rank profile mod p is
+certified by solving each free column exactly (else the next prime is
+tried), and an answer is returned only after A*x == b holds on every row.
 
-The modular path packs vectors into Python ints, one fixed-width bit slot
-per entry, so a row update or a matrix-vector product is a few big-int
-multiply-adds.  Rows mod p use unsigned slots of 8*ceil((2*bitlen(p) +
-bitlen(ncols) + 2) / 8) bits, which hold ncols updates of size below p^2
-without overflow.  The exact check packs the integer columns in signed
-slots of W bits with 2^(W-1) above the solve's bound on |(A*y)_i| +
-|d*b_i|; balanced base-2^W digits are unique, so the packed A*y - d*b is
-zero exactly when every row holds, and its pivot slots tell a failing
-pivot row from a failing other row.
+Vectors are packed into Python ints, one fixed-width bit slot per entry,
+so a row update or a matrix-vector product is a few big-int multiply-adds.
+The exact check packs in signed slots of W bits with 2^(W-1) above the
+solve's bound on |(A*y)_i| + |d*b_i|; balanced base-2^W digits are unique,
+so the packed A*y - d*b is zero exactly when every row holds, and its
+pivot slots tell a failing pivot row from a failing other row.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, count, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -112,78 +104,83 @@ def primes_upto(x: int) -> list[int]:
     return [i for i in range(2, x + 1) if sieve[i]]
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin: the first 13 prime bases decide every
+    n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    if n >= 3317044064679887385961981:
+        raise ValueError("is_prime is proven only below 3317044064679887385961981")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
-def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials, low-degree-first coefficients.
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // lead
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("nonzero remainder in polynomial division")
-    return out
-
-
 @functools.cache
 def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
-    """Coefficients of the M-th cyclotomic polynomial, low degree first.
-
-    Computed by dividing z^M - 1 by the cached cyclotomic polynomials of
-    the proper divisors of M, smallest first, so the recursion is at most
-    two frames deep.
-    """
+    """Coefficients of the M-th cyclotomic polynomial, low degree first:
+    the product of (z^d - 1)^mu(M/d) over the divisors d of M, with every
+    factor of exponent 1 multiplied in before those of exponent -1 are
+    divided out, each division exact."""
     if M < 1:
         raise ValueError("conductor must be positive")
-    num = [0] * (M + 1)
-    num[0], num[M] = -1, 1
-    for d in divisors(M)[:-1]:
-        num = _poly_divide_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    poly = [1]
+    for d in sorted(divisors(M), key=lambda d: -moebius(M // d)):
+        if moebius(M // d) == 1:
+            poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+        elif moebius(M // d) == -1:
+            # (z^d - 1) * q = poly: q_i = q_(i-d) - poly_i
+            q: list[int] = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic field elements
 
+@functools.cache
+def _zeta_powers(M: int) -> tuple[list[list[tuple[int, int]]], int, int]:
+    """(powers, top, norm2): powers[m] the nonzero coordinates (t, c) of
+    zeta_M^m, 0 <= m < M, with top the largest |c| and norm2 the largest
+    squared norm among them."""
+    poly = cyclotomic_polynomial(M)
+    v = [1] + [0] * (len(poly) - 2)
+    powers = []
+    for _ in range(M):
+        powers.append([(t, c) for t, c in enumerate(v) if c])
+        # times zeta: shift up one power, then fold zeta^phi back by Phi_M
+        lead, v = v[-1], [0] + v[:-1]
+        v = [a - lead * c for a, c in zip(v, poly)]
+    return (powers, max(abs(c) for terms in powers for _, c in terms),
+            max(sum(c * c for _, c in terms) for terms in powers))
+
+
 def _reduce_mod_cyclotomic(coeffs: list[int], M: int) -> list[int]:
-    """Reduce an int polynomial in zeta_M (low degree first) to the power basis."""
-    phi = cyclotomic_polynomial(M)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            # phi is monic: z^deg = -(phi[0] + ... + phi[deg-1] z^(deg-1))
-            for j in range(deg):
-                if phi[j]:
-                    coeffs[i - deg + j] -= c * phi[j]
-        coeffs.pop()
-    coeffs.extend([0] * (deg - len(coeffs)))
-    return coeffs
+    """Reduce a polynomial in zeta_M (low degree first) to the power basis;
+    the coefficients may be packed ints, as reduction is linear."""
+    powers = _zeta_powers(M)[0]
+    out = [0] * (len(cyclotomic_polynomial(M)) - 1)
+    for m, x in enumerate(coeffs):
+        if x:
+            for t, c in powers[m % M]:
+                out[t] += c * x
+    return out
 
 
 class CycNumber:
@@ -250,9 +247,7 @@ class CycNumber:
         exponent %= M
         if M <= 2:
             return CycNumber.from_rational(1 if M == 1 or exponent == 0 else -1)
-        raw = [0] * (exponent + 1)
-        raw[exponent] = 1
-        return CycNumber._make(M, 1, _reduce_mod_cyclotomic(raw, M))
+        return CycNumber._make(M, 1, _reduce_mod_cyclotomic([0] * exponent + [1], M))
 
     # -- basic predicates -------------------------------------------------
     @property
@@ -347,27 +342,13 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse by one certified LinearSolver solve of
-        self*y == 1 for the coordinates of y.  Column j of the matrix is
-        self*zeta^j as ints over self's denominator, the target is
-        (1, 0, ..., 0); y comes back only once the product holds exactly on
-        every coordinate (see LinearSolver)."""
+        """Multiplicative inverse by one certified 1x1 LinearSolver solve,
+        [self] * y == [1]."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        M, col = self.conductor, list(self.nums)
-        if M == 1:
-            return CycNumber.from_rational(Fraction(self.den, col[0]))
-        phi = cyclotomic_polynomial(M)
-        columns = [col]
-        for _ in range(1, len(col)):
-            # times zeta: shift up one power, then fold zeta^deg back by Phi_M
-            top, col = col[-1], [0] + col[:-1]
-            col = [a - top * c for a, c in zip(col, phi)]
-            columns.append(col)
-        unit = [[1] + [0] * (len(col) - 1)]
-        coords = LinearSolver(columns, [self.den] * len(columns)).solve(unit, 1)
-        den = math.lcm(*(c.den for c in coords))
-        return CycNumber._make(M, den, [c.nums[0] * (den // c.den) for c in coords])
+        if self.conductor == 1:
+            return CycNumber.from_rational(Fraction(self.den, self.nums[0]))
+        return LinearSolver([[self]]).solve([CycNumber.one(self.conductor)])[0]
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -443,30 +424,54 @@ def zeta_at_negative(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact linear solving over Q(zeta_M)
 
-# The prime of the modular path: rank mod p equal to the column count proves
-# full column rank over Q, and the pivot square is lifted p-adically.
+# The modular path works modulo primes p = 1 mod M, the largest at most
+# _MODULUS first: the phi(M) roots r of Phi_M mod p give ring maps Z[zeta_M]
+# -> F_p, zeta -> r, which together identify Z[zeta_M] / p with F_p^phi(M).
 _MODULUS = 2**61 - 1
 
 
-def _plain(c: CycNumber):
-    # conductor-1 entries work as bare Fractions; mixed Fraction/CycNumber
-    # arithmetic embeds on demand, and both test zero by truthiness
-    return Fraction(c.nums[0], c.den) if c.conductor == 1 else c
+def _split_primes(M: int):
+    """The primes p = 1 mod M at most _MODULUS, largest first, then above."""
+    top = _MODULUS - (_MODULUS - 1) % M
+    return filter(is_prime, chain(range(top, 1, -M), count(top + M, M)))
 
 
-def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | None:
-    """(a, b) with a = b*u mod m, |a| <= bound, 0 < b <= bound and
-    gcd(a, b) = 1, or None.  Unique when 2*bound^2 < m (Wang)."""
-    r0, r1, s0, s1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if s1 > bound or math.gcd(r1, s1) != 1:
-        return None
-    return r1, s1
+@functools.cache
+def _embeddings(M: int, p: int) -> tuple[list[list[int]], "_LU"]:
+    """(powers, interpolation): powers[e][t] = r_e^t mod p over the roots
+    r_e of Phi_M mod p, and the LU of that matrix, taking a(r_e) to a_t."""
+    h = next(h for h in (pow(g, (p - 1) // M, p) for g in count(1))
+             if all(pow(h, M // q, p) != 1 for q in factorize(M)))
+    powers = [list(accumulate([pow(h, k, p)] * (euler_phi(M) - 1), lambda a, r: a * r % p, initial=1))
+              for k in range(M) if math.gcd(k, M) == 1]
+    return powers, _LU(powers, len(powers), p)
+
+
+def _combination(packed: list[list[int]], y: list[int], M: int) -> list[int]:
+    """sum_j y_j * column_j over Z[zeta_M], one packed int per coordinate,
+    packed[t][j] coordinate t of column j (0 when zero), y_j =
+    y[j*phi : (j+1)*phi]; packing is linear, so only the sums must fit."""
+    phi = len(packed)
+    if phi == 1:
+        return [sum(map(operator.mul, y, packed[0]))]
+    raw = [0] * (2 * phi - 1)
+    for j in range(len(y) // phi):
+        yj = [(s, v) for s, v in enumerate(y[j * phi:(j + 1) * phi]) if v]
+        for t, cols in enumerate(packed):
+            if cols[j]:
+                for s, v in yj:
+                    raw[t + s] += v * cols[j]
+    return _reduce_mod_cyclotomic(raw, M)
+
+
+def _mix(coeffs: list[list[int]], vectors: list, p: int, count: int) -> list[list[int]]:
+    """[sum_b row[b] * vectors[b] mod p for row in coeffs] for vectors of
+    count residues (None for zeros): count elements evaluated at the roots
+    of Phi_M at once."""
+    size = _residue_slot_size(p, len(vectors))
+    packed = [_pack(v, size) if v else 0 for v in vectors]
+    return [[x % p for x in _unpack(sum(map(operator.mul, row, packed)), size, count)]
+            for row in coeffs]
 
 
 # Packed vectors: entry k of a vector sits in bits [8*size*k, 8*size*(k+1))
@@ -502,8 +507,10 @@ def _pack_signed(values: Sequence[int], size: int) -> int:
 
 
 def _unpack_signed(packed: int, size: int, count: int) -> list[int]:
+    """The low count signed slots of a packed int."""
     half = 1 << 8 * size - 1
-    return [v - half for v in _unpack(packed + _signed_offset(size, count), size, count)]
+    low = (packed + _signed_offset(size, count)) & ((1 << 8 * size * count) - 1)
+    return [v - half for v in _unpack(low, size, count)]
 
 
 def _residue_slot_size(p: int, updates: int) -> int:
@@ -517,152 +524,189 @@ def _signed_slot_size(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _modular_factor(columns, scales: Sequence[int]) -> "_DixonFactor | None":
-    """Certify full column rank modulo _MODULUS of the rational matrix with
-    columns columns[j] / scales[j], each column a sequence of ints.
+class _LU:
+    """LU factorisation mod p of an int matrix given by rows, with its rank
+    profile: a column's pivot row is the first unused row nonzero there mod
+    p, and a column with none is free.  lower[k] holds the multipliers of
+    pivots 0..k-1 in pivot row k.  Each row is one packed int, column j in
+    slot 0 once columns 0..j-1 are eliminated; an unused row takes f times
+    the pivot row's negated tail mod p, one update below p^2 per column."""
 
-    Pivot rows are found mod p by the eliminator's rule (for each column the
-    first unused row with a nonzero entry), keeping the multipliers and
-    reduced pivot rows as an LU factorisation of the pivot square.  Returns
-    None when some column has no pivot mod p.
+    def __init__(self, rows, ncols: int, p: int, size: int | None = None):
+        self.p = p
+        size = self.slot_size = size or _residue_slot_size(p, ncols)
+        shift, low = 8 * size, (1 << 8 * size) - 1
+        work = [_pack([a % p for a in row], size) for row in rows]
+        unused = list(range(len(work)))
+        multipliers: dict[int, list[int]] = {i: [] for i in unused}
+        self.pivot_rows, self.pivot_cols, self.lower, self.inv_diag = [], [], [], []
+        tails = []
+        for j in range(ncols):
+            entries = [(work[i] & low) % p for i in unused]
+            k = next((k for k, e in enumerate(entries) if e), None)
+            if k is None:
+                work = [w >> shift for w in work]
+                continue
+            pr = unused.pop(k)
+            self.inv_diag.append(inv := pow(entries.pop(k), -1, p))
+            self.pivot_rows.append(pr)
+            self.pivot_cols.append(j)
+            self.lower.append(multipliers.pop(pr))
+            tails.append([a % p for a in _unpack(work[pr] >> shift, size, ncols - j - 1)])
+            neg_tail = _pack([-a % p for a in tails[-1]], size)
+            for i, e in zip(unused, entries):
+                f = e * inv % p
+                multipliers[i].append(f)
+                work[i] = (work[i] >> shift) + f * neg_tail if f else work[i] >> shift
+        # neg_lower[m]: -L[m+1+s][m] mod p in slot s; neg_upper[k]: -U[i][k]
+        # mod p in slot i < k.  A substitution step adds at most one product
+        # of residues to a slot, so slot_size holds every step.
+        cols, n = self.pivot_cols, len(self.pivot_cols)
+        self.neg_lower = [_pack([-self.lower[k][m] % p for k in range(m + 1, n)], size)
+                          for m in range(n)]
+        self.neg_upper = [_pack([-tails[i][cols[k] - cols[i] - 1] % p for i in range(k)], size)
+                          for k in range(n)]
 
-    Each row is reduced mod p and packed into one int, column j in slot 0
-    once columns 0..j-1 are eliminated.  A new pivot row's tail is reduced
-    mod p once, and every other unused row takes f times its negation mod p
-    in one multiply-add.  Slots stay nonnegative, so no update borrows, and
-    a row takes at most one update per column, each below p^2, which the
-    slot width (_residue_slot_size) holds without overflow.
-    """
-    p = _MODULUS
-    n = len(scales)
-    size = _residue_slot_size(p, n)
-    shift, low = 8 * size, (1 << 8 * size) - 1
-    ints = [list(row) for row in zip(*columns)]
-    work = [_pack([a % p for a in row], size) for row in ints]
-    unused = list(range(len(ints)))
-    multipliers: dict[int, list[int]] = {i: [] for i in unused}
-    pivot_rows, lower, upper, inv_diag = [], [], [], []
-    for j in range(n):
-        entries = [(work[i] & low) % p for i in unused]
-        k = next((k for k, e in enumerate(entries) if e), None)
-        if k is None:
-            return None
-        pr = unused.pop(k)
-        inv = pow(entries.pop(k), -1, p)
-        pivot_rows.append(pr)
-        lower.append(multipliers.pop(pr))
-        inv_diag.append(inv)
-        tail = [a % p for a in _unpack(work[pr] >> shift, size, n - j - 1)]
-        upper.append(tail)
-        neg_tail = _pack([-a % p for a in tail], size)
-        for i, e in zip(unused, entries):
-            f = e * inv % p
-            multipliers[i].append(f)
-            work[i] = (work[i] >> shift) + f * neg_tail if f else work[i] >> shift
-    return _DixonFactor(p, list(scales), ints, pivot_rows, lower, upper, inv_diag)
+    def forward(self, rhs: list[int], k: int) -> tuple[list[int], int]:
+        """Forward substitution through the first k pivots: their residues,
+        and the packed (unreduced) slots below."""
+        p, shift = self.p, 8 * self.slot_size
+        low = (1 << shift) - 1
+        acc, out = _pack(rhs, self.slot_size), []
+        for col in self.neg_lower[:k]:
+            v = (acc & low) % p
+            out.append(v)
+            acc = (acc >> shift) + v * col
+        return out, acc
+
+    def solve(self, rhs: list[int], k: int) -> list[int]:
+        """x with (leading k x k block of the pivot square) * x = rhs mod p:
+        each step reads one slot and adds a multiple of one packed column."""
+        p, shift = self.p, 8 * self.slot_size
+        acc = _pack(self.forward(rhs, k)[0], self.slot_size)
+        x = [0] * k
+        for j in range(k - 1, -1, -1):
+            top = acc >> shift * j
+            acc ^= top << shift * j
+            v = x[j] = top % p * self.inv_diag[j] % p
+            acc += v * self.neg_upper[j]
+        return x
 
 
 class _DixonFactor:
-    """A rational matrix of full column rank as integer rows with column
-    scales, and a Dixon p-adic solver for its pivot square (Dixon, Numer.
-    Math. 1982) built on the square's LU factorisation mod p.
+    """A matrix over Q(zeta_M), columns[j][t] its power-basis coordinate t
+    of column j as ints over scales[j] (None when zero, t > 0), factored
+    mod p = 1 mod M, and a Dixon p-adic solver (Dixon, Numer. Math. 1982):
+    the whole matrix with its rank profile under the first root of Phi_M,
+    the pivot square in the same pivot order under the others (`lus` is
+    None when a pivot moves).  Digits are interpolated from the roots."""
 
-    The triangular solves run on the columns of -L and -U packed mod p.  The
-    exact check packs the integer columns of the whole matrix, pivot rows
-    first, in signed slots wide enough for the solve at hand.  The kept
-    packing serves every solve it is wide enough for; a solve that needs
-    wider slots packs for itself, and its packing is kept in place of the
-    old one only if at most twice as wide."""
+    def __init__(self, columns, scales, M: int, p: int, nrows: int):
+        self.p, self.M, self.columns = p, M, columns
+        self.powers, self.interpolation = powers, _ = _embeddings(M, p)
+        phi = self.phi = len(powers)
 
-    def __init__(self, p, scales, rows, pivot_rows, lower, upper, inv_diag):
-        self.p, self.scales, self.rows, self.pivot_rows = p, scales, rows, pivot_rows
-        # lower[k]: multipliers of pivots 0..k-1 in pivot row k; upper[k]:
-        # pivot row k right of its pivot; inv_diag[k]: inverse of the pivot
-        self.lower, self.upper, self.inv_diag = lower, upper, inv_diag
-        n = len(pivot_rows)
-        size = self.slot_size = _residue_slot_size(p, n)
-        # neg_lower[m]: -L[m+1+s][m] mod p in slot s; neg_upper[k]: -U[i][k]
-        # mod p in slot i < k.  A substitution step adds at most one product
-        # of residues to a slot, so slot_size holds n steps.
-        self.neg_lower = [_pack([-lower[k][m] % p for k in range(m + 1, n)], size)
-                          for m in range(n)]
-        self.neg_upper = [_pack([-upper[i][k - i - 1] % p for i in range(k)], size)
-                          for k in range(n)]
-        self.others = sorted(set(range(len(rows))).difference(pivot_rows))
-        self.order = pivot_rows + self.others
-        square = [rows[i] for i in pivot_rows]
-        self.col_norms = [sum(a * a for a in col) for col in zip(*square)]
-        self.col_max = [max(map(abs, col)) for col in zip(*rows)]
-        self.entry_max = max(self.col_max)
-        self.row_sum = max(sum(map(abs, row)) for row in square)
+        def residues(col, rows, roots):
+            return _mix(roots, [[c[i] % p for i in rows] if c else None for c in col],
+                        p, len(rows))
+
+        lu = _LU(zip(*(col[0] if phi == 1 else residues(col, range(nrows), powers[:1])[0]
+                       for col in columns)), len(columns), p)
+        self.lus = [lu]
+        rows, cols = self.pivot_rows, self.pivot_cols = lu.pivot_rows, lu.pivot_cols
+        self.free = sorted(set(range(len(columns))).difference(cols))
+        self.others = sorted(set(range(nrows)).difference(rows))
+        self.order = rows + self.others
+        # under the other roots the pivot columns before the first
+        # cyclotomic one, c0, and the first c0 steps of the square's LU are
+        # unchanged: the later columns go through those steps, and their
+        # Schur complement is factored in the same pivot order
+        n, size = len(cols), lu.slot_size
+        c0 = next((k for k, j in enumerate(cols) if any(columns[j][1:])), n)
+        later = [residues(columns[j], rows, powers[1:]) for j in cols[c0:]]
+        for e in range(phi - 1):
+            parts = [lu.forward(values[e], c0) for values in later]
+            square = _LU(zip(*([a % p for a in _unpack(rest, size, n - c0)] for _, rest in parts)),
+                         n - c0, p, size)
+            if square.pivot_rows != list(range(n - c0)):
+                self.lus = None
+                break
+            square.inv_diag = lu.inv_diag[:c0] + square.inv_diag
+            square.neg_lower = lu.neg_lower[:c0] + square.neg_lower
+            square.neg_upper = lu.neg_upper[:c0] + [
+                _pack([-u % p for u in top], size) + (col << 8 * size * c0)
+                for (top, _), col in zip(parts, square.neg_upper)]
+            self.lus.append(square)
+        self.flat_scales = [scales[j] for j in cols for _ in range(phi)]
+        _, self.fold_max, norm2 = _zeta_powers(M)
+        # l1[j][i]: the sum of |coordinates| of entry i of pivot column j
+        l1 = [list(map(sum, zip(*(map(abs, c) for c in columns[j] if c)))) for j in cols]
+        self.col_norms = [norm2 * sum(col[i] ** 2 for i in rows) for col in l1]
+        self.col_max = [max(col, default=0) for col in l1]
+        self.row_sum = max((sum(col[i] for col in l1) for i in rows), default=0)
         self.packing = self.square_packing = None
 
-    def _solve_mod_p(self, rhs: list[int]) -> list[int]:
-        # pivot square * x = rhs (mod p), rhs reduced, by forward and back
-        # substitution: each step reads one slot and adds a multiple of one
-        # packed column to the slots still to come
-        p, size = self.p, self.slot_size
-        shift, low = 8 * size, (1 << 8 * size) - 1
-        acc = _pack(rhs, size)
-        c = []
-        for col in self.neg_lower:
-            v = (acc & low) % p
-            c.append(v)
-            acc = (acc >> shift) + v * col
-        acc = _pack(c, size)
-        x = [0] * len(c)
-        for k in range(len(c) - 1, -1, -1):
-            top = acc >> shift * k
-            acc ^= top << shift * k
-            v = x[k] = top % p * self.inv_diag[k] % p
-            acc += v * self.neg_upper[k]
-        return x
+    def _solve_mod_p(self, rhs: list[list[int]]) -> list[int]:
+        """The digit y mod p, y_j = y[j*phi : (j+1)*phi], with square * y ==
+        rhs mod p on the leading pivots; rhs holds one list per coordinate."""
+        p, k = self.p, len(rhs[0])
+        if self.phi == 1:
+            return self.lus[0].solve([v % p for v in rhs[0]], k)
+        values = _mix(self.powers, [[v % p for v in r] for r in rhs], p, k)
+        xs = [lu.solve(v, k) for lu, v in zip(self.lus, values)]
+        return [a for x in zip(*xs) for a in self.interpolation.solve(list(x), self.phi)]
 
-    def _packing(self, bound: int) -> tuple[int, list[int], int]:
-        """(size, columns, pivot mask): the integer columns of all rows,
-        pivot rows first, packed signed in slots of size bytes with
-        2^(8*size-1) above bound and every entry; the mask covers the pivot
-        rows' slots.  Solves of similar height share the kept packing,
-        which grows at most twofold per solve, so one large-height solve
-        does not widen the check of the small solves after it."""
+    def _pack_columns(self, rows, size: int) -> list[list[int]]:
+        # [t][j]: coordinate t of pivot column j on rows, packed signed
+        return [[_pack_signed([c[i] for i in rows], size) if c else 0
+                 for c in (self.columns[j][t] for j in self.pivot_cols)]
+                for t in range(self.phi)]
+
+    def _packing(self, bound: int) -> tuple[int, list[list[int]]]:
+        """(size, columns): the pivot columns over all rows, pivot rows
+        first, packed signed with 2^(8*size-1) above bound and every entry.
+        The kept packing grows at most twofold per solve, so one large-height
+        solve does not widen the checks of the small solves after it."""
         kept = self.packing
-        size = _signed_slot_size(max(bound, self.entry_max))
+        size = _signed_slot_size(max(bound, *self.col_max, 0))
         if kept is not None and kept[0] >= size:
             return kept
-        columns = zip(*(self.rows[i] for i in self.order))
-        packing = (size, [_pack_signed(col, size) for col in columns],
-                   (1 << 8 * size * len(self.pivot_rows)) - 1)
+        packing = (size, self._pack_columns(self.order, size))
         if kept is None or size <= 2 * kept[0]:
             self.packing = packing
         return packing
 
-    def _square_columns(self) -> tuple[int, list[int]]:
-        """(size, columns): the pivot square's columns packed signed in
-        slots of size bytes, which hold square*digit for every digit vector
-        with entries in [0, p)."""
-        square = self.square_packing
-        if square is None:
-            size = _signed_slot_size(self.row_sum * (self.p - 1))
-            columns = zip(*(self.rows[i] for i in self.pivot_rows))
-            square = self.square_packing = (size, [_pack_signed(col, size) for col in columns])
-        return square
+    def _square_columns(self) -> tuple[int, list[list[int]]]:
+        """(size, columns): the pivot square packed signed in slots that
+        hold square*digit for every digit with coordinates in [0, p)."""
+        if self.square_packing is None:
+            size = _signed_slot_size(self.fold_max * self.row_sum * self.phi * (self.p - 1))
+            self.square_packing = (size, self._pack_columns(self.pivot_rows, size))
+        return self.square_packing
 
-    def _mismatch(self, y: list[int], d: int, b: Sequence[int]) -> tuple[int, int]:
-        """A*y - d*b packed over all rows, and the pivot rows' slot mask.
-        Each signed slot has 2^(W-1) above |(A*y)_i| + |d*b_i|, so the
-        packed int is zero exactly when A*y == d*b holds on every row, and
-        its low (pivot) slots are zero exactly when the pivot rows hold."""
-        bound = sum(map(operator.mul, self.col_max, map(abs, y))) + d * max(map(abs, b))
-        size, columns, pivot_mask = self._packing(bound)
-        target = _pack_signed([b[i] for i in self.order], size)
-        return sum(map(operator.mul, y, columns)) - d * target, pivot_mask
+    def _mismatch(self, y: list[int], d: int, b) -> tuple[int, int]:
+        """A*y - d*b packed over all rows, its coordinates or-ed together,
+        and the mask of the leading pivot rows' slots: slots wide enough for
+        |(A*y)_i| + |d*b_i| make it zero exactly when every row holds, and
+        its low slots zero exactly when the pivot rows hold."""
+        phi, k = self.phi, len(y) // self.phi
+        heights = (sum(map(abs, y[j * phi:(j + 1) * phi])) for j in range(k))
+        bound = (self.fold_max * sum(map(operator.mul, self.col_max, heights))
+                 + d * max((abs(v) for t in b for v in t), default=0))
+        size, columns = self._packing(bound)
+        mismatch = 0
+        for got, t in zip(_combination(columns, y, self.M), b):
+            mismatch |= got - d * _pack_signed([t[i] for i in self.order], size)
+        return mismatch, (1 << 8 * size * k) - 1
 
-    def solve(self, b: Sequence[int]) -> tuple[list[int], int] | None:
-        """(nums, d) with A*x == b for x = nums / d and ints b, or None when
-        there is no such x."""
-        p, n = self.p, len(self.pivot_rows)
-        rhs = [b[i] for i in self.pivot_rows]
-        digit = self._solve_mod_p([v % p for v in rhs])
+    def solve(self, b, k: int | None = None) -> tuple[list[int], int] | None:
+        """(nums, d) with A_k*x == b for x = nums / d, A_k the first k pivot
+        columns (all by default) and b one int sequence per coordinate, or
+        None when there is no such x.  x_j is nums[j*phi : (j+1)*phi]."""
+        p, phi = self.p, self.phi
+        k = len(self.pivot_cols) if k is None else k
+        rhs = [[t[i] for i in self.pivot_rows[:k]] for t in b]
+        digit = self._solve_mod_p(rhs)
         lifted, modulus, digits = digit, p, 1
         hadamard_bits = residual = None
         while True:
@@ -676,28 +720,29 @@ class _DixonFactor:
                     y, d = got
                     mismatch, pivot_mask = self._mismatch(y, d, b)
                     if not mismatch:
-                        return list(map(operator.mul, y, self.scales)), d
+                        return list(map(operator.mul, y, self.flat_scales)), d
                     if not mismatch & pivot_mask:
                         # y/d solves the pivot rows exactly and uniquely and
                         # another row fails: b is outside the span
                         return None
             if hadamard_bits is None:
-                # Cramer and Hadamard: the pivot solution has numerators and
-                # common denominator at most sqrt(bound / 2), bound =
-                # 2 * prod(max(c, nb)) < 2^hadamard_bits, so it is recovered
-                # once the modulus reaches 2^hadamard_bits
-                nb = sum(v * v for v in rhs)
-                hadamard_bits = 1 + sum(max(c, nb).bit_length() for c in self.col_norms)
+                # Cramer and Hadamard on the k*phi rational system of the
+                # coordinates, its columns' squared norms at most col_norms:
+                # the solution's numerators and common denominator are at
+                # most sqrt(bound / 2), bound = 2 * prod(max(c, nb))^phi <
+                # 2^hadamard_bits, the modulus that recovers it
+                nb = sum(v * v for r in rhs for v in r)
+                hadamard_bits = 1 + phi * sum(max(c, nb).bit_length() for c in self.col_norms[:k])
                 last = modulus.bit_length() > hadamard_bits
             if last:
                 raise ArithmeticError("p-adic lifting passed the Hadamard bound")
             if residual is None:
                 residual = rhs
                 size, square = self._square_columns()
-            # (residual - square*digit) / p, exact in every row
-            product = _unpack_signed(sum(map(operator.mul, digit, square)), size, n)
-            residual = [(v - s) // p for v, s in zip(residual, product)]
-            digit = self._solve_mod_p([v % p for v in residual])
+            # (residual - square*digit) / p, exact in every coordinate
+            product = [_unpack_signed(v, size, k) for v in _combination(square, digit, self.M)]
+            residual = [[(v - s) // p for v, s in zip(r, t)] for r, t in zip(residual, product)]
+            digit = self._solve_mod_p(residual)
             lifted = [a + modulus * x for a, x in zip(lifted, digit)]
             modulus *= p
             digits += 1
@@ -705,182 +750,136 @@ class _DixonFactor:
 
 def _reconstruct(residues: list[int], m: int) -> tuple[list[int], int] | None:
     """Numerators and a common denominator of the rationals with these
-    residues mod m, each found relative to the denominators before it."""
+    residues mod m, each relative to the denominators before it: the unique
+    (a, b), a = b*u mod m, |a|, b <= sqrt(m/2), gcd 1 (Wang), or None."""
     bound = math.isqrt((m - 1) // 2)
     nums: list[int] = []
     d = 1
     for u in residues:
-        got = _rational_reconstruction(u * d % m, m, bound)
-        if got is None:
+        r0, r1, s0, s1 = m, u * d % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        if s1 > bound or math.gcd(r1, s1) != 1:
             return None
-        a, b = got
-        if b != 1:
-            nums = [v * b for v in nums]
-            d *= b
-        nums.append(a)
+        if s1 != 1:
+            nums = [v * s1 for v in nums]
+            d *= s1
+        nums.append(r1)
     return nums, d
 
 
-class _ReplayEliminator:
-    """Reduced-row-echelon factorization recorded as row operations.
+def _numerators(entries: Sequence[CycNumber], M: int) -> tuple[int, list]:
+    """(scale, coordinates) of CycNumbers in Q(zeta_M): the lcm of their
+    denominators, and per power-basis coordinate the numerators over it,
+    None for a coordinate t > 0 that is zero throughout."""
+    entries = [c if c.conductor in (1, M) else c.embed(M) for c in entries]
+    scale = math.lcm(1, *(c.den for c in entries))
+    coords = [[0] * len(entries) for _ in range(euler_phi(M))]
+    for i, c in enumerate(entries):
+        f = scale // c.den
+        for t, v in enumerate(c.nums):
+            if v:
+                coords[t][i] = v * f
+    return scale, coords[:1] + [t if any(t) else None for t in coords[1:]]
 
-    Rows are indexed by q-exponent; pivoting picks, for each column, the
-    first unused row (lowest exponent) with a nonzero entry.  Replaying the
-    operations on a target leaves the coordinates in the pivot rows and
-    zeros in every other row exactly when the target is in the span.
-    Entries are plain values: Fractions, or CycNumbers of conductor > 1.
-    """
 
-    def __init__(self, nrows: int):
-        # ops: ("scale", row, factor) and ("axpy", dst, factor, src)
-        self.ops: list[tuple] = []
-        self.pivot_rows: list[int] = []
-        self.pivot_cols: list[int] = []
-        self.used = [False] * nrows
-
-    def replay(self, vec: list) -> list:
-        vec = list(vec)
-        for op in self.ops:
-            if op[0] == "scale":
-                _, r, f = op
-                vec[r] = vec[r] * f
-            else:
-                _, dst, f, src = op
-                s = vec[src]
-                # skip zero Fractions only: a zero CycNumber still lifts dst
-                # into its field, so no coordinate's conductor depends on
-                # which zeros were skipped
-                if s or isinstance(s, CycNumber):
-                    vec[dst] = vec[dst] - s * f
-        return vec
-
-    def pivot(self, column: list, index: int) -> bool:
-        """Eliminate the column numbered index; False (and no ops) if it is
-        dependent on the earlier ones."""
-        work = self.replay(column)
-        used = self.used
-        pr = next((i for i in range(len(used)) if not used[i] and work[i]), None)
-        if pr is None:
-            return False
-        used[pr] = True
-        self.pivot_rows.append(pr)
-        self.pivot_cols.append(index)
-        p = work[pr]
-        inv = p.inverse() if isinstance(p, CycNumber) else 1 / p
-        self.ops.append(("scale", pr, inv))
-        self.ops.extend(
-            ("axpy", i, f, pr) for i, f in enumerate(work) if f and i != pr
-        )
-        return True
+def _embed_numerators(coords, M: int, L: int, nrows: int) -> list:
+    # coordinates over Q(zeta_M), as from _numerators, seen in Q(zeta_L)
+    entries = [CycNumber._make(M, 1, [t[i] if t else 0 for t in coords]) for i in range(nrows)]
+    return _numerators(entries, L)[1]
 
 
 class LinearSolver:
     """Exact factorization of a matrix over Q(zeta_M), reusable for many
-    right-hand sides.  Each kind of matrix has one eliminator:
+    right-hand sides, by the certified modular eliminator _DixonFactor.
 
-      int columns with scales   Dixon lifting mod _MODULUS, certified; the
-                                replay when rank mod p < ncols
-      CycNumber rows            the replay
-
-    With scales, column j of the matrix stands for matrix[j] / scales[j].
-    A target is, with scale, int numerators over it, one sequence per
-    power-basis coordinate of Q(zeta_conductor); a solver of CycNumber rows
-    also takes one CycNumber per row.  Coordinates come back as CycNumbers.
-
-    Rank mod p equal to the column count proves full column rank over Q (a
-    nonzero minor mod p is nonzero).  solve() then lifts each power-basis
-    coordinate of the target p-adically on a mod-p LU factorisation of the
-    pivot square, tries rational reconstruction after 1, 2, 4, ... digits
-    and at the Hadamard bound, and builds each coordinate from the lifted
-    numerators with one gcd.  Coordinates are returned only after A*x == b
-    holds exactly on every row, by the packed check; None only when x
-    solves the pivot rows exactly and another row fails, which certifies
-    that b is outside the span.
-
-    The replay (_ReplayEliminator) records exact row-echelon operations on
-    Fractions and CycNumbers, so its rank is exact for any matrix; it is
-    the Dixon path's test oracle.  Its coordinates live in Q(zeta_M), M the
-    lcm of the conductors of the matrix and of the target.
-    """
+    The matrix comes as CycNumber rows, M the lcm of their conductors, or
+    as int columns with scales, column j standing for matrix[j] / scales[j]
+    (M = 1).  A target is, with scale, int numerators over it, one sequence
+    per power-basis coordinate of Q(zeta_conductor); a solver of CycNumber
+    rows also takes one CycNumber per row.  Coordinates come back in
+    Q(zeta_L), L the lcm of M and the target's conductor (the matrix is
+    factored once per L), 0 at free columns.  rank and free_columns() are
+    the rank profile over Q(zeta_M); solve() returns exactly checked
+    coordinates, or None when x solves the pivot rows exactly and another
+    row fails, which certifies b outside the span."""
 
     def __init__(self, matrix, scales: Sequence[int] | None = None):
         self._int_columns = scales is not None
-        self._modular = self._replay = None
         if scales is None:
             self.nrows = len(matrix)
-            self._conductor = math.lcm(1, *(c.conductor for row in matrix for c in row))
-            columns = [[_plain(c) for c in col] for col in zip(*matrix)]
+            M = math.lcm(1, *(c.conductor for row in matrix for c in row))
+            pairs = [_numerators(col, M) for col in zip(*matrix)]
+            scales, columns = [s for s, _ in pairs], [c for _, c in pairs]
         else:
-            self.nrows, self._conductor = len(matrix[0]), 1
-            if len(matrix) <= self.nrows:
-                self._modular = _modular_factor(matrix, scales)
-            if self._modular is not None:
-                self.ncols = self.rank = len(matrix)
-                return
-            columns = [[Fraction(a, s) for a in col] for s, col in zip(scales, matrix)]
+            M, self.nrows, columns = 1, len(matrix[0]), [[col] for col in matrix]
         self.ncols = len(columns)
-        replay = self._replay = _ReplayEliminator(self.nrows)
-        self.rank = sum(replay.pivot(col, j) for j, col in enumerate(columns))
+        self._conductor, self._columns, self._scales, self._factors = M, columns, list(scales), {}
+        self._modular = self._factor(M)
+        self.rank = len(self._modular.pivot_cols)
+
+    def _factor(self, L: int) -> _DixonFactor:
+        """The matrix over Q(zeta_L) factored at the first prime whose square
+        is invertible under every root and whose free columns solve exactly
+        against the pivot columns before them (relations[f], as (nums, den)),
+        so with the rank profile over Q(zeta_L); finitely many primes fail."""
+        if L in self._factors:
+            return self._factors[L]
+        M, nrows, scales = self._conductor, self.nrows, self._scales
+        columns = [col if L == M else _embed_numerators(col, M, L, nrows) for col in self._columns]
+        for p in _split_primes(L):
+            factor = _DixonFactor(columns, scales, L, p, nrows)
+            if factor.lus is None:
+                continue
+            factor.relations = {}
+            for f in factor.free:
+                got = factor.solve([c or [0] * nrows for c in columns[f]],
+                                   bisect.bisect(factor.pivot_cols, f))
+                if got is None:
+                    break
+                factor.relations[f] = got[0], got[1] * scales[f]
+            else:
+                self._factors[L] = factor
+                return factor
 
     def solve(self, target, scale: int | None = None, conductor: int = 1) -> list[CycNumber] | None:
-        if scale is not None:
-            if any(len(t) != self.nrows for t in target):
-                raise ValueError("target length does not match row count")
-            if scale < 0:
-                scale, target = -scale, [[-v for v in t] for t in target]
-        elif self._int_columns:
-            raise TypeError("a solver built from int columns takes int targets over a scale")
-        modular = self._modular
-        if modular is not None:
-            # the matrix is rational, so each power-basis coordinate of the
-            # target is a rational system of its own
-            parts = [modular.solve(t) for t in target]
-            if None in parts:
-                return None
-            den = math.lcm(*(d for _, d in parts))
-            coords = zip(*([v * (den // d) for v in nums] for nums, d in parts))
-            den *= scale
-            return [CycNumber._make(conductor, den, xs) for xs in coords]
-        if scale is not None:
-            target = [CycNumber._make(conductor, scale, xs) for xs in zip(*target)]
-        if len(target) != self.nrows:
+        if scale is None:
+            if self._int_columns:
+                raise TypeError("a solver built from int columns takes int targets over a scale")
+            conductor = math.lcm(1, *(c.conductor for c in target))
+            scale, target = _numerators(target, conductor)
+        if any(t is not None and len(t) != self.nrows for t in target):
             raise ValueError("target length does not match row count")
-        replay = self._replay
-        vec = replay.replay([_plain(c) for c in target])
-        if any(v for v, used in zip(vec, replay.used) if not used):
+        if scale < 0:
+            scale, target = -scale, [t and [-v for v in t] for t in target]
+        L = math.lcm(self._conductor, conductor)
+        if L != conductor:
+            target = _embed_numerators(target, conductor, L, self.nrows)
+        factor = self._factor(L)
+        got = factor.solve([t or [0] * self.nrows for t in target])
+        if got is None:
             return None
-        out = [CycNumber.zero() for _ in range(self.ncols)]
-        for col, row in zip(replay.pivot_cols, replay.pivot_rows):
-            v = vec[row]
-            if not isinstance(v, CycNumber):
-                v = CycNumber.from_rational(v)
-            out[col] = v.embed(math.lcm(self._conductor, v.conductor))
-        return out
+        (nums, den), phi = got, factor.phi
+        values = (CycNumber._make(L, den * scale, nums[j:j + phi]) for j in range(0, len(nums), phi))
+        pivots = set(factor.pivot_cols)
+        return [next(values) if j in pivots else CycNumber.zero(L) for j in range(self.ncols)]
 
     def free_columns(self) -> list[int]:
-        if self._modular is not None:
-            return []
-        pivots = set(self._replay.pivot_cols)
-        return [c for c in range(self.ncols) if c not in pivots]
+        return list(self._modular.free)
 
 
-def null_space(rows: list[list]) -> list[list]:
-    """Basis of the null space of an exact matrix: one vector per free
-    column, with 1 there and 0 at every other free column.  A matrix of
-    ints is factored as int columns and gives Fraction vectors; CycNumber
-    rows give CycNumber vectors."""
-    basis = []
-    if any(isinstance(c, CycNumber) for row in rows for c in row):
-        solver = LinearSolver(rows)
-        for free in solver.free_columns():
-            v = solver.solve([-row[free] for row in rows])
-            v[free] = CycNumber.one()
-            basis.append(v)
-        return basis
+def null_space(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Basis of the null space of an int matrix from the certified free
+    column relations: 1 at its free column, 0 at every other free column."""
     columns = list(zip(*rows))
-    solver = LinearSolver(columns, [1] * len(columns))
-    for free in solver.free_columns():
-        v = [c.as_rational() for c in solver.solve([[-a for a in columns[free]]], 1)]
-        v[free] = Fraction(1)
-        basis.append(v)
+    factor = LinearSolver(columns, [1] * len(columns))._modular
+    basis = []
+    for free, (nums, den) in factor.relations.items():
+        v = dict(zip(factor.pivot_cols, nums))
+        basis.append([Fraction(1) if j == free else Fraction(-v.get(j, 0), den)
+                      for j in range(len(columns))])
     return basis

@@ -1006,9 +1006,8 @@ def _sqrt_cyclotomic(value: Fraction) -> CycNumber:
         if M % 4 == 1:
             acc = acc * gauss
         else:
-            # gauss = i*sqrt(M); divide out i
-            z4 = CycNumber.root_of_unity(4)
-            acc = acc * gauss * z4.inverse()
+            # gauss = i*sqrt(M); divide out i, as 1/i = zeta_4^3
+            acc = acc * gauss * CycNumber.root_of_unity(4, 3)
     out = acc * Fraction(square, den)
     assert out * out == value, "square-root construction failed self-check"
     return out

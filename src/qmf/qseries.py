@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .exact import ConductorMismatchError, CycNumber, cyclotomic_polynomial, euler_phi, format_cyc
+from .exact import ConductorMismatchError, CycNumber, _zeta_powers, euler_phi, format_cyc
 from .exact import _pack_signed, _signed_slot_size, _unpack_signed
 
 __all__ = [
@@ -182,11 +182,7 @@ def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
         size = _signed_slot_size(bound)
         packed = _pack_signed(a, size)
         product = packed * (packed if square else _pack_signed(b, size))
-        width = 8 * size * count
-        low = product & ((1 << width) - 1)
-        if low >> (width - 1):
-            low -= 1 << width
-        return _unpack_signed(low, size, count)
+        return _unpack_signed(product, size, count)
     half = base // 2
     assert bound < half, "Kronecker slot too narrow"
     out = []
@@ -210,25 +206,22 @@ def _pack_decimal(seq: Sequence[int], digits: int, ctx) -> decimal.Decimal:
 def _reduce_zeta(terms, conductor: int, precision: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis coordinates of the sum of c * zeta^k over the pairs (k, c)
     of terms, each c an int sequence, modulo the conductor's cyclotomic
-    polynomial."""
-    phi = cyclotomic_polynomial(conductor)
-    deg = len(phi) - 1
+    polynomial: the terms of one power are summed first, then each power
+    goes to its coordinates (exact._zeta_powers)."""
     raw: dict[int, list] = {}
     for k, c in terms:
         cur = raw.get(k)
         raw[k] = c if cur is None else [u + v for u, v in zip(cur, c)]
-    for i in range(max(raw, default=0), deg - 1, -1):
-        c = raw.pop(i, None)
-        if c is None:
-            continue
-        # phi is monic: z^deg = -(phi[0] + ... + phi[deg-1] z^(deg-1))
-        for j, f in enumerate(phi[:deg]):
-            if f:
-                k = i - deg + j
-                cur = raw.get(k)
-                raw[k] = [-f * v for v in c] if cur is None else [u - f * v for u, v in zip(cur, c)]
+    powers, out = _zeta_powers(conductor)[0], {}
+    for k, c in raw.items():
+        for t, f in powers[k % conductor]:
+            cur = out.get(t)
+            if cur is None:
+                out[t] = c if f == 1 else [f * v for v in c]
+            else:
+                out[t] = [u + f * v for u, v in zip(cur, c)]
     zero = (0,) * precision
-    return tuple(tuple(raw[k]) if k in raw else zero for k in range(deg))
+    return tuple(tuple(out[t]) if t in out else zero for t in range(euler_phi(conductor)))
 
 
 def _embed_nums(nums, source: int, target: int, precision: int):

@@ -482,6 +482,13 @@ def test_newforms_zero_precision_is_an_error(capsys, level, weight):
     assert (rc, out, err) == (1, "", "error: precision must be at least 1\n")
 
 
+@pytest.mark.parametrize("prec", ["0", "1"])
+def test_expand_low_precision_is_not_a_parse_error(capsys, prec):
+    # the precision is not part of the form, so no parse position is given
+    rc, out, err = run(capsys, "expand", "--form", "Delta", "--prec", prec)
+    assert (rc, out, err) == (1, "", "error: precision must be at least 2\n")
+
+
 def test_census_huge_delta_bound_underflows_to_zero(capsys):
     for delta in ("100", "1000", "1e400"):
         rc, out, err = run(capsys, "census", "--form", "Delta", "--level", "1",

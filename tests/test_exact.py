@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import math
 import random
@@ -16,12 +17,14 @@ from qmf.exact import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
+    is_prime,
     moebius,
     null_space,
     primes_upto,
     zeta_at_negative,
 )
 from qmf.quasimodular import assemble_basis
+from replay_oracle import ReplaySolver
 
 
 def test_elementary_helpers():
@@ -31,6 +34,18 @@ def test_elementary_helpers():
     assert euler_phi(25) == 20
     assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    primes = set(primes_upto(10**5))
+    assert [n for n in range(-3, 10**5 + 1) if is_prime(n)] == sorted(primes)
+    # Carmichael 561, the strong pseudoprime 3215031751 to bases 2, 3, 5
+    # and 7, and the least strong pseudoprime to the first 12 prime bases
+    assert not is_prime(561) and not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
 
 
 def test_cyclotomic_polynomials():
@@ -176,13 +191,10 @@ def test_cyclotomic_inverse_is_one_certified_solve(monkeypatch):
     x = CycNumber(5, [Fraction(1, 2), 2, 0, Fraction(-3, 4)])
     y = x.inverse()
     assert x * y == 1
-    # one solver from int columns (x*zeta^j over x's denominator), one
-    # certified solve
+    # one 1x1 solver over Q(zeta_5), [x] * y == [1], and one certified solve
     assert len(built) == 1 and solves == [True]
-    columns, scales = built[0]
-    assert scales == [4] * 4
-    assert all(type(a) is int for col in columns for a in col)
-    assert columns[0] == [2, 8, 0, -3]
+    (matrix,) = built[0]
+    assert len(matrix) == len(matrix[0]) == 1 and matrix[0][0] is x
     # conductor 1 keeps the plain rational inverse
     CycNumber.from_rational(7).inverse()
     assert len(built) == 1
@@ -200,25 +212,34 @@ def test_dense_conductor_109_inverse():
 @pytest.mark.parametrize("x, prime", [
     (CycNumber(5, [2, 1, 0, 0]), 11),               # 2 + zeta_5, norm Phi_5(-2) = 11
     (CycNumber(7, [3, 1, 0, 0, 0, 0]), 547),         # 3 + zeta_7, norm Phi_7(-3) = 547
-    (CycNumber(12, [Fraction(1, 2), 0, 0, 1]), 5),   # (1 + 2i) / 2, norm 25/16
+    (CycNumber(12, [Fraction(3, 2), 0, 0, 1]), 13),  # (3 + 2i) / 2, norm 169/16
 ])
-def test_unlucky_prime_inverse_takes_the_replay(monkeypatch, x, prime):
-    # the integer matrix of d*x, d the denominator of x, has determinant
-    # +-N(d*x), so it is singular modulo a prime dividing that norm
+def test_unlucky_prime_inverse_moves_to_the_next_prime(monkeypatch, x, prime):
+    # d*x, d the denominator of x, lies in a prime ideal above each prime
+    # dividing its norm, so one root of Phi_M mod such a prime maps it to 0
     want = x.inverse()
-    factors = []
-    real_factor = exact._modular_factor
-
-    def spy(*args):
-        factors.append(real_factor(*args))
-        return factors[-1]
-
-    monkeypatch.setattr(exact, "_modular_factor", spy)
     monkeypatch.setattr(exact, "_MODULUS", prime)
-    got = x.inverse()
-    assert factors == [None]
+    with primes_tried() as tried:
+        got = x.inverse()
+    # the next prime = 1 mod M does not divide the norm
+    assert tried[0] == prime and len(tried) == 2 and tried[1] % x.conductor == 1
     assert got.conductor == x.conductor and got.coords == want.coords
     assert x * got == 1
+
+
+def test_conductor_280_quadratic_inverse():
+    # 3 + (5/7) sqrt(70) lies in the quadratic subfield Q(sqrt 70) of
+    # Q(zeta_280), as 9.12's eigenvalues do: its inverse is the conjugate
+    # over the norm, (3 - (5/7) sqrt(70)) / (9 - 250/7), and the product
+    # holds in the Fraction-coordinate arithmetic
+    from qmf.newforms import _sqrt_cyclotomic
+
+    root = _sqrt_cyclotomic(Fraction(70))
+    assert root.conductor == 280
+    x = 3 + root * Fraction(5, 7)
+    y = x.inverse()
+    assert y == (3 - root * Fraction(5, 7)) * (1 / Fraction(9 * 7 - 250, 7))
+    assert FractionCyc(280, x.coords) * FractionCyc(280, y.coords) == 1
 
 
 def test_mixed_conductor_arithmetic():
@@ -541,7 +562,8 @@ def test_null_space_basis(field):
     rows = [list(row) for row in zip(*columns)]
     solver = LinearSolver(rows)
     assert solver.rank == 3 and solver.free_columns() == [2, 4, 5]
-    basis = null_space(rows)
+    basis = kernel_basis(solver, rows)
+    assert basis == kernel_basis(ReplaySolver(rows), rows)
     assert len(basis) == solver.ncols - solver.rank
     for free, v in zip(solver.free_columns(), basis):
         assert all(c.is_zero() for c in combine(columns, v))
@@ -554,6 +576,22 @@ def test_null_space_basis(field):
         [zero, one, zero, -2 * one, one, zero],
         [zero, zero, zero, zero, zero, one],
     ]
+    if field == "rational":
+        # null_space takes the matrix as ints: scaling a row keeps the kernel
+        ints = [[int(c.as_rational() * math.lcm(*(x.den for x in row))) for c in row]
+                for row in rows]
+        assert null_space(ints) == [[c.as_rational() for c in v] for v in basis]
+
+
+def kernel_basis(solver, rows):
+    """The null space basis of CycNumber rows from a solver: for each free
+    column f, 1 there and minus f's coordinates on the pivot columns."""
+    basis = []
+    for free in solver.free_columns():
+        v = solver.solve([-row[free] for row in rows])
+        v[free] = CycNumber.one()
+        basis.append(v)
+    return basis
 
 
 def test_null_space_of_an_integer_matrix_is_rational(monkeypatch):
@@ -574,7 +612,8 @@ def test_null_space_of_an_integer_matrix_is_rational(monkeypatch):
     basis = null_space(rows)
     assert built == [True]
     assert all(type(c) is Fraction for v in basis for c in v)
-    assert basis == null_space([[CycNumber.from_rational(c) for c in row] for row in rows])
+    cyclotomic_rows = [[CycNumber.from_rational(c) for c in row] for row in rows]
+    assert basis == kernel_basis(ReplaySolver(cyclotomic_rows), cyclotomic_rows)
     assert basis == [[-2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [-3, 0, 1, 0, 1]]
 
 
@@ -614,17 +653,19 @@ def int_solve(solver, target):
     return solver.solve([flat[k::width] for k in range(width)], scale, M)
 
 
-def replay_solver(rows):
-    """The replay eliminator, which takes every CycNumber-row matrix: the
-    oracle for the modular path."""
-    solver = LinearSolver(rows)
-    assert solver._modular is None
-    return solver
+@contextlib.contextmanager
+def primes_tried():
+    """Records each prime a factorisation tries: the rank profile certifies
+    at the last, and every one before it gave way to the next prime."""
+    tried = []
+    real = exact._DixonFactor.__init__
 
+    def init(self, columns, scales, M, p, nrows):
+        tried.append(p)
+        real(self, columns, scales, M, p, nrows)
 
-def replay_spy():
-    # counts the replay eliminators built
-    return mock.patch.object(exact, "_ReplayEliminator", wraps=exact._ReplayEliminator)
+    with mock.patch.object(exact._DixonFactor, "__init__", init):
+        yield tried
 
 
 def rational_rows(rng, nrows, ncols, rank=None):
@@ -644,7 +685,7 @@ def assert_matches_replay(rows, targets, solver=None):
     """The int-column solver of rows (or solver) against the replay, on
     each target as ints and as CycNumbers respectively."""
     solver = int_solver(list(zip(*rows))) if solver is None else solver
-    oracle = replay_solver(rows)
+    oracle = ReplaySolver(rows)
     assert (solver.ncols, solver.rank) == (oracle.ncols, oracle.rank)
     assert solver.free_columns() == oracle.free_columns()
     for target in targets:
@@ -663,11 +704,11 @@ def test_modular_path_matches_replay_on_full_rank_matrices(shape):
                             for _ in columns])
     zero = [CycNumber.zero()] * shape[0]
     targets = [inside, outside, big, zero]
-    with replay_spy() as replays:
+    with primes_tried() as tried:
         solver = int_solver(columns)
         got = [exact_keys(int_solve(solver, t)) for t in targets]
-    # certified: no replay eliminator was built
-    assert replays.call_count == 0
+    # certified at the first prime
+    assert tried == [exact._MODULUS]
     assert got[0] is not None and got[2] is not None
     assert_matches_replay(rows, targets, solver)
     assert solver.rank == shape[1] and solver.free_columns() == []
@@ -676,14 +717,25 @@ def test_modular_path_matches_replay_on_full_rank_matrices(shape):
 
 
 @pytest.mark.parametrize("shape,rank", [((6, 4), 2), ((5, 5), 4), ((3, 6), 3), ((4, 3), 0)])
-def test_rank_deficient_and_wide_matrices_take_the_replay(shape, rank):
+def test_rank_deficient_and_wide_matrices_certify_their_rank_profile(shape, rank):
+    # every free column is solved against the pivot columns before it and
+    # checked exactly, so the rank profile mod p is the replay's
     rng = random.Random(f"deficient-{shape}")
     rows, columns = rational_rows(rng, *shape, rank=rank)
     units = SOLVER_UNITS["rational"]
     targets = [combine(columns, [random_entry(rng, units) for _ in columns]),
                random_columns(rng, units, shape[0], 1)[0]]
-    solver = assert_matches_replay(rows, targets)
-    assert solver.rank == rank and solver._modular is None
+    with primes_tried() as tried:
+        solver = int_solver(columns)
+    assert tried == [exact._MODULUS]
+    assert_matches_replay(rows, targets, solver)
+    factor = solver._modular
+    assert solver.rank == rank and sorted(factor.relations) == solver.free_columns()
+    for free, (nums, den) in factor.relations.items():
+        earlier = [c for c in factor.pivot_cols if c < free]
+        relation = dict(zip(earlier, nums))
+        assert combine(columns, [Fraction(relation.get(j, 0), den) for j in range(shape[1])]) \
+            == columns[free]
 
 
 def test_modular_solve_keeps_a_shared_target_conductor():
@@ -705,25 +757,46 @@ def test_modular_solve_keeps_a_shared_target_conductor():
     assert solver._modular is not None
 
 
-def test_unlucky_prime_falls_back_with_identical_results(monkeypatch):
-    # full rank over Q, singular mod 3: the modular path must not certify
+def test_unlucky_prime_moves_to_the_next_prime(monkeypatch):
+    # full rank over Q, rank 1 mod 3: the free column fails its exact check
+    # there, and the next prime certifies
     one = CycNumber.one()
     rows = [[one, one], [one, 4 * one], [one, 7 * one]]
     columns = list(zip(*rows))
     targets = [[2 * one, 5 * one, 8 * one], [one, 2 * one, 4 * one],
                [CycNumber.zero()] * 3]
     certified = int_solver(columns)
-    assert certified._modular is not None
     monkeypatch.setattr(exact, "_MODULUS", 3)
-    with replay_spy() as replays:
+    with primes_tried() as tried:
         solver = int_solver(columns)
-    assert replays.call_count == 1 and solver._modular is None
+    assert tried == [3, 2]
     assert_matches_replay(rows, targets, solver)
     assert (solver.rank, solver.free_columns()) == (certified.rank, certified.free_columns())
     for target in targets:
         assert exact_keys(int_solve(solver, target)) == exact_keys(int_solve(certified, target))
     assert int_solve(solver, targets[0]) == [one, one]
     assert int_solve(solver, targets[1]) is None
+
+
+def test_mixed_conductor_target_against_a_cyclotomic_matrix():
+    # a Q(zeta_4) matrix and targets with Q(zeta_3) entries: the solver
+    # factors the matrix again over Q(zeta_12), and its coordinates are the
+    # oracle's, in Q(zeta_12)
+    rng = random.Random("mixed-target")
+    units = [CycNumber.one(), CycNumber.root_of_unity(4)]
+    columns = random_columns(rng, units, 6, 3)
+    coeffs = [CycNumber.root_of_unity(3) * Fraction(rng.randint(1, 9), 4) - 1 for _ in columns]
+    inside = combine(columns, coeffs)
+    outside = [random_entry(rng, units) * CycNumber.root_of_unity(3) for _ in range(6)]
+    rows = [list(row) for row in zip(*columns)]
+    solver, oracle = LinearSolver(rows), ReplaySolver(rows)
+    assert solver._conductor == 4 and {c.conductor for c in inside} == {12}
+    for target in (inside, outside, [CycNumber.zero(3)] * 6):
+        assert exact_keys(solver.solve(target)) == exact_keys(oracle.solve(target))
+    assert solver.solve(inside) == coeffs
+    assert [c.conductor for c in solver.solve(inside)] == [12] * 3
+    assert solver.solve(outside) is None
+    assert sorted(solver._factors) == [4, 12]
 
 
 def test_small_prime_lifts_over_many_steps(monkeypatch):
@@ -751,8 +824,8 @@ def test_integer_columns_match_the_replay(shape, rank):
     rng = random.Random(f"integer-{shape}")
     rows, columns = rational_rows(rng, *shape, rank=rank)
     solver = int_solver(columns)
-    oracle = replay_solver(rows)
-    assert (solver._modular is not None) == (rank == shape[1] <= shape[0])
+    oracle = ReplaySolver(rows)
+    assert solver.rank == rank
     assert (solver.ncols, solver.rank, solver.free_columns()) == (
         oracle.ncols, oracle.rank, oracle.free_columns())
     units = SOLVER_UNITS["rational"]
@@ -776,7 +849,8 @@ def test_integer_target_of_one_conductor_keeps_it():
     target = [c if c else CycNumber.zero(5) for c in combine(columns, coeffs)]
     scale, flat = integer_form([x for c in target for x in c.coords])
     numerators = [flat[k::4] for k in range(4)]
-    for solver in (int_solver(columns), replay_solver(rows)):
+    assert ReplaySolver(rows).solve(target) == coeffs
+    for solver in (int_solver(columns), LinearSolver(rows)):
         assert solver.solve(numerators, scale, 5) == coeffs
         assert [c.conductor for c in solver.solve(numerators, scale, 5)] == [5] * 5
         with pytest.raises(ValueError):
@@ -814,21 +888,23 @@ def test_one_digit_lift_makes_one_pass_and_one_packed_check():
 
 def list_modular_factor(columns, p):
     """LU factorisation mod p of the int matrix with these columns, one
-    Python-level product per entry: (pivot rows, multipliers, upper rows,
-    inverse diagonal), or None when some column has no pivot mod p."""
+    Python-level product per entry, skipping each column with no pivot mod
+    p: (pivot rows, pivot columns, multipliers, upper rows at the pivot
+    columns, inverse diagonal)."""
     work = [[a % p for a in row] for row in zip(*columns)]
     unused = list(range(len(work)))
     multipliers = {i: [] for i in unused}
-    pivot_rows, lower, upper, inv_diag = [], [], [], []
+    pivot_rows, pivot_cols, lower, tails, inv_diag = [], [], [], [], []
     for j in range(len(columns)):
         pr = next((i for i in unused if work[i][j]), None)
         if pr is None:
-            return None
+            continue
         unused.remove(pr)
         pivot_rows.append(pr)
+        pivot_cols.append(j)
         lower.append(multipliers.pop(pr))
         tail = work[pr][j + 1 :]
-        upper.append(tail)
+        tails.append(tail)
         inv = pow(work[pr][j], -1, p)
         inv_diag.append(inv)
         for i in unused:
@@ -837,7 +913,9 @@ def list_modular_factor(columns, p):
             multipliers[i].append(f)
             if f:
                 row[j + 1 :] = [(a - f * b) % p for a, b in zip(row[j + 1 :], tail)]
-    return pivot_rows, lower, upper, inv_diag
+    upper = [[tail[c - j - 1] for c in pivot_cols[k + 1 :]]
+             for k, (j, tail) in enumerate(zip(pivot_cols, tails))]
+    return pivot_rows, pivot_cols, lower, upper, inv_diag
 
 
 def list_solve_mod_p(lower, upper, inv_diag, rhs, p):
@@ -853,19 +931,15 @@ def list_solve_mod_p(lower, upper, inv_diag, rhs, p):
 
 
 def assert_factor_matches_lists(columns, p, rng, rhs_count=3):
-    """The packed factorisation mod p equals the list-based one: None or
-    not, pivot rows, multipliers, upper rows, inverse diagonal, and the
+    """The packed factorisation mod p equals the list-based one: pivot rows
+    and columns, multipliers, upper rows, inverse diagonal, and the
     triangular solves on random right-hand sides."""
-    with mock.patch.object(exact, "_MODULUS", p):
-        got = exact._modular_factor(columns, [1] * len(columns))
+    got = exact._LU(list(zip(*columns)), len(columns), p)
     want = list_modular_factor(columns, p)
-    assert (got is None) == (want is None)
-    if got is None:
-        return
-    assert (got.pivot_rows, got.lower, got.upper, got.inv_diag) == want
+    assert (got.pivot_rows, got.pivot_cols, got.lower, got.inv_diag) == want[:3] + want[4:]
     for _ in range(rhs_count):
         rhs = [rng.randrange(p) for _ in want[0]]
-        assert got._solve_mod_p(rhs) == list_solve_mod_p(*want[1:], rhs, p)
+        assert got.solve(rhs, len(rhs)) == list_solve_mod_p(*want[2:], rhs, p)
 
 
 def level6_columns(rows):
@@ -903,13 +977,13 @@ def test_mismatch_tells_a_pivot_row_from_another_row():
     d = math.lcm(*(v.denominator for v in x))
     y = [int(v * d) for v in x]
     b = [int(v * d) for v in image]
-    assert factor._mismatch(y, 1, b)[0] == 0
-    assert factor._mismatch([2 * v for v in y], 2, b)[0] == 0
+    assert factor._mismatch(y, 1, [b])[0] == 0
+    assert factor._mismatch([2 * v for v in y], 2, [b])[0] == 0
     for row in factor.pivot_rows + factor.others:
         for delta in (1, -1, 2**70, -(2**200)):
             off = list(b)
             off[row] += delta
-            mismatch, pivot_mask = factor._mismatch(y, 1, off)
+            mismatch, pivot_mask = factor._mismatch(y, 1, [off])
             assert mismatch != 0
             assert bool(mismatch & pivot_mask) == (row in factor.pivot_rows)
 
@@ -946,7 +1020,7 @@ def test_target_off_in_one_pivot_row():
         solver = LinearSolver(columns, [1] * 5)
         factor = solver._modular
         rows = [[CycNumber.from_rational(c[i]) for c in columns] for i in range(nrows)]
-        oracle = replay_solver(rows)
+        oracle = ReplaySolver(rows)
         scale, b = integer_form(image)
         for row in factor.pivot_rows:
             off = list(b)

@@ -25,6 +25,7 @@ from test_detect import brute_macmahon, dp_macmahon  # noqa: E402
 from test_exact import (  # noqa: E402
     FractionCyc, assert_canonical_as, assert_factor_matches_lists, int_solve, int_solver)
 from test_qseries import cyc_product_oracle, fraction_product_oracle  # noqa: E402
+from replay_oracle import ReplaySolver  # noqa: E402
 
 BIG = 2**200
 
@@ -145,7 +146,7 @@ def test_random_forms_succeed_or_fail_with_one_line(tokens):
         assert lines[0].startswith(("parse error", "error:")), lines[0]
 
 
-# -- LinearSolver: the modular path against the replay eliminator ----------
+# -- LinearSolver: the modular eliminator against the replay oracle --------
 
 small_rationals = st.one_of(
     st.just(Fraction(0)),
@@ -189,7 +190,52 @@ def test_modular_solver_matches_replay(case, modulus):
     with mock.patch.object(exact, "_MODULUS", modulus):
         solver = int_solver(list(zip(*rows)))
         got = [_keys(int_solve(solver, t)) for t in targets]
-    oracle = LinearSolver(rows)
+    oracle = ReplaySolver(rows)
+    assert (solver.rank, solver.free_columns()) == (oracle.rank, oracle.free_columns())
+    assert got == [_keys(oracle.solve(t)) for t in targets]
+    assert got[0] is not None
+
+
+@st.composite
+def cyclotomic_solver_cases(draw):
+    """Rows over Q(zeta_M), M in 3, 4, 5, 8, 12, built from `rank` random
+    columns (entries rational or not, zeros common) and Q(zeta_M)
+    combinations of them, and targets inside and (usually) outside the
+    column span."""
+    M = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    phi = exact.euler_phi(M)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    element = st.one_of(
+        st.just(CycNumber.zero(M)),
+        small.map(CycNumber.from_rational),
+        st.lists(small, min_size=phi, max_size=phi).map(lambda c: CycNumber(M, c)))
+    column = st.lists(element, min_size=nrows, max_size=nrows)
+    basis = draw(st.lists(column, min_size=rank, max_size=rank))
+    columns = list(basis)
+
+    def combine(coeffs, cols):
+        return [sum((c * col[i] for c, col in zip(coeffs, cols)), CycNumber.zero(M))
+                for i in range(nrows)]
+
+    while len(columns) < ncols:
+        coeffs = draw(st.lists(element, min_size=rank, max_size=rank))
+        columns.insert(draw(st.integers(0, len(columns))), combine(coeffs, basis))
+    inside = combine(draw(st.lists(element, min_size=ncols, max_size=ncols)), columns)
+    rows = [list(row) for row in zip(*columns)]
+    return rows, [inside, draw(column)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_solver_cases(), st.sampled_from([exact._MODULUS, 15, 40]))
+def test_cyclotomic_solver_matches_replay(case, modulus):
+    # a small split prime makes unlucky primes and long lifts common
+    rows, targets = case
+    with mock.patch.object(exact, "_MODULUS", modulus):
+        solver = LinearSolver(rows)
+        got = [_keys(solver.solve(t)) for t in targets]
+    oracle = ReplaySolver(rows)
     assert (solver.rank, solver.free_columns()) == (oracle.rank, oracle.free_columns())
     assert got == [_keys(oracle.solve(t)) for t in targets]
     assert got[0] is not None

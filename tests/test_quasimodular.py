@@ -21,6 +21,7 @@ from qmf.quasimodular import (
     decompose,
 )
 from qmf.detect import prime_detect_verdict
+from replay_oracle import ReplaySolver
 
 PART_RANK = {"eis": 0, "new": 1, "old": 2}
 
@@ -205,9 +206,13 @@ SESSION_SPACES = [(1, 12), (2, 12), (3, 10), (4, 8), (6, 8)]
 
 
 def solve_series(solver, f, rows):
-    """Sort keys of the solver's coordinates for f's first rows, or None."""
-    den, nums = f.numerators()
-    got = solver.solve([t[:rows] for t in nums], den, f.conductor)
+    """Sort keys of the solver's coordinates for f's first rows, or None;
+    the replay oracle takes f's coefficients as CycNumbers."""
+    if isinstance(solver, ReplaySolver):
+        got = solver.solve(list(f.coefficients())[:rows])
+    else:
+        den, nums = f.numerators()
+        got = solver.solve([t[:rows] for t in nums], den, f.conductor)
     return None if got is None else [c.sort_key() for c in got]
 
 
@@ -216,9 +221,8 @@ def test_integer_basis_solves_match_the_replay(level, maxweight):
     atoms = assemble_basis(level, maxweight)
     rows = PrecisionPolicy(level, maxweight, len(atoms)).p_req
     solver = quasimodular._basis_solver(atoms, rows)
-    with mock.patch.object(exact, "_modular_factor", lambda *matrix: None):
-        oracle = quasimodular._basis_solver(atoms, rows)
-    assert solver._modular is not None and oracle._modular is None
+    columns = [a.expand(rows).coefficients() for a in atoms]
+    oracle = ReplaySolver([[col[n] for col in columns] for n in range(rows)])
     assert solver.rank == oracle.rank == len(atoms)
     rng = random.Random(f"integer-basis-{level}-{maxweight}")
     series = [a.expand(rows) for a in atoms]
@@ -238,10 +242,11 @@ def test_integer_basis_solves_match_the_replay(level, maxweight):
     assert got[1] == [c.sort_key() for c in cyclo]
     assert got[2] is None
     assert decompose(outside, level, maxweight).residual
-    # a basis of rank below its column count mod p takes the replay
+    # a basis of rank below its column count mod 7 moves on to the next
+    # prime, with the same answers
     with mock.patch.object(exact, "_MODULUS", 7):
         deficient = quasimodular._basis_solver(atoms, rows)
-    assert deficient._modular is None and deficient.rank == len(atoms)
+    assert deficient._modular.p != 7 and deficient.rank == len(atoms)
     assert [solve_series(deficient, f, rows) for f in targets] == got
 
 
