@@ -570,8 +570,7 @@ class _LU:
     def forward(self, rhs: list[int], k: int) -> tuple[list[int], int]:
         """Forward substitution through the first k pivots: their residues,
         and the packed (unreduced) slots below."""
-        p, shift = self.p, 8 * self.slot_size
-        low = (1 << shift) - 1
+        p, shift, low = self.p, 8 * self.slot_size, (1 << 8 * self.slot_size) - 1
         acc, out = _pack(rhs, self.slot_size), []
         for col in self.neg_lower[:k]:
             v = (acc & low) % p
@@ -690,9 +689,9 @@ class _DixonFactor:
         |(A*y)_i| + |d*b_i| make it zero exactly when every row holds, and
         its low slots zero exactly when the pivot rows hold."""
         phi, k = self.phi, len(y) // self.phi
-        heights = (sum(map(abs, y[j * phi:(j + 1) * phi])) for j in range(k))
+        heights = map(sum, zip(*[map(abs, y)] * phi))
         bound = (self.fold_max * sum(map(operator.mul, self.col_max, heights))
-                 + d * max((abs(v) for t in b for v in t), default=0))
+                 + d * max(map(abs, chain.from_iterable(b)), default=0))
         size, columns = self._packing(bound)
         mismatch = 0
         for got, t in zip(_combination(columns, y, self.M), b):
@@ -863,10 +862,11 @@ class LinearSolver:
         got = factor.solve([t or [0] * self.nrows for t in target])
         if got is None:
             return None
-        (nums, den), phi = got, factor.phi
-        values = (CycNumber._make(L, den * scale, nums[j:j + phi]) for j in range(0, len(nums), phi))
-        pivots = set(factor.pivot_cols)
-        return [next(values) if j in pivots else CycNumber.zero(L) for j in range(self.ncols)]
+        nums, den = got
+        out = list(map(CycNumber._make, repeat(L), repeat(den * scale), zip(*[iter(nums)] * factor.phi)))
+        for j in factor.free:
+            out.insert(j, CycNumber.zero(L))
+        return out
 
     def free_columns(self) -> list[int]:
         return list(self._modular.free)
