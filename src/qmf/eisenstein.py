@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .characters import DirichletCharacter, enumerate_primitive, trivial_character
@@ -65,21 +64,33 @@ def e2_series(precision: int) -> QSeries:
     return 1 - 24 * _sigma_sieve(trivial_character(), 1, precision)
 
 
-@dataclass(frozen=True)
 class EisensteinAtom:
-    """One spanning series of the weight-k Eisenstein space (or bare E2)."""
+    """One spanning series of the weight-k Eisenstein space (or bare E2).
+    Immutable, equal and hashed by its three fields; chi None marks the
+    bare quasimodular E2."""
 
-    weight: int
-    chi: DirichletCharacter | None  # None marks the bare quasimodular E2
-    t: int
+    __slots__ = ("weight", "chi", "t")
 
-    def __post_init__(self):
-        if self.weight < 2 or self.weight % 2:
+    def __init__(self, weight: int, chi: DirichletCharacter | None, t: int):
+        if weight < 2 or weight % 2:
             raise ValueError("atoms have even weight >= 2")
-        if self.t < 1:
+        if t < 1:
             raise ValueError("dilation t must be at least 1")
-        if self.chi is None and (self.weight != 2 or self.t != 1):
+        if chi is None and (weight != 2 or t != 1):
             raise ValueError("bare E2 is the weight-2, t=1 atom")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "t", t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EisensteinAtom is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EisensteinAtom) and (
+            (self.weight, self.chi, self.t) == (other.weight, other.chi, other.t))
+
+    def __hash__(self) -> int:
+        return hash((self.weight, self.chi, self.t))
 
     @property
     def kind(self) -> str:

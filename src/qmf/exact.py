@@ -27,7 +27,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -203,13 +203,9 @@ class CycNumber:
             )
         # lcm of reduced denominators: the canonical form needs no gcd pass
         den = math.lcm(*(c.denominator for c in coords))
-        self._set(conductor, den, tuple(c.numerator * (den // c.denominator) for c in coords))
-
-    def _set(self, conductor: int, den: int, nums: tuple[int, ...]) -> None:
-        setter = object.__setattr__
-        setter(self, "conductor", conductor)
-        setter(self, "den", den)
-        setter(self, "nums", nums)
+        _set_conductor(self, conductor)
+        _set_den(self, den)
+        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in coords))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("CycNumber is immutable")
@@ -223,9 +219,12 @@ class CycNumber:
             g = math.gcd(den, *nums)
             if g != 1:
                 den //= g
-                nums = [x // g for x in nums]
+                if any(nums):  # zero needs no division
+                    nums = [x // g for x in nums]
         self = object.__new__(cls)
-        self._set(conductor, den, tuple(nums))
+        _set_conductor(self, conductor)
+        _set_den(self, den)
+        _set_nums(self, tuple(nums))
         return self
 
     @staticmethod
@@ -392,6 +391,13 @@ class CycNumber:
         return f"CycNumber(M={self.conductor}, {format_cyc(self)})"
 
 
+# The slots' own setters: __setattr__ refuses every assignment, and these
+# skip the attribute lookup of object.__setattr__ on each of the many
+# CycNumbers a solve returns.
+_set_conductor, _set_den, _set_nums = (CycNumber.__dict__[name].__set__
+                                       for name in CycNumber.__slots__)
+
+
 def format_cyc(x: CycNumber) -> str:
     """Space-separated power-basis coordinates, each as p or p/q."""
     return " ".join(str(c) for c in x.coords)
@@ -453,7 +459,8 @@ def _combination(packed: list[list[int]], y: list[int], M: int) -> list[int]:
     y[j*phi : (j+1)*phi]; packing is linear, so only the sums must fit."""
     phi = len(packed)
     if phi == 1:
-        return [sum(map(operator.mul, y, packed[0]))]
+        # a combination of a few atoms has mostly zero coordinates
+        return [sum(map(operator.mul, compress(y, y), compress(packed[0], y)))]
     raw = [0] * (2 * phi - 1)
     for j in range(len(y) // phi):
         yj = [(s, v) for s, v in enumerate(y[j * phi:(j + 1) * phi]) if v]
@@ -567,6 +574,31 @@ class _LU:
         self.neg_upper = [_pack([-tails[i][cols[k] - cols[i] - 1] % p for i in range(k)], size)
                           for k in range(n)]
 
+    def continued(self, c0: int, columns: list[list[int]]) -> "_LU | None":
+        """The LU, in this pivot order, of the pivot square whose first c0
+        columns are this one's and whose later columns are `columns`, each
+        its residues on the pivot rows, or None when a pivot vanishes mod
+        p.  Each later column goes through the pivots before it (a
+        left-looking LU), so the cost is that of the square."""
+        p, size = self.p, self.slot_size
+        shift, low = 8 * size, (1 << 8 * size) - 1
+        out = object.__new__(_LU)
+        out.p, out.slot_size = p, size
+        out.inv_diag, out.neg_lower = self.inv_diag[:c0], self.neg_lower[:c0]
+        out.neg_upper = self.neg_upper[:c0]
+        n = c0 + len(columns)
+        for j, column in enumerate(columns, c0):
+            upper, rest = out.forward(column, j)
+            pivot = (rest & low) % p
+            if not pivot:
+                return None
+            inv = pow(pivot, -1, p)
+            out.inv_diag.append(inv)
+            out.neg_lower.append(_pack([-a * inv % p for a in _unpack(rest >> shift, size, n - j - 1)],
+                                       size))
+            out.neg_upper.append(_pack([-u % p for u in upper], size))
+        return out
+
     def forward(self, rhs: list[int], k: int) -> tuple[list[int], int]:
         """Forward substitution through the first k pivots: their residues,
         and the packed (unreduced) slots below."""
@@ -618,23 +650,14 @@ class _DixonFactor:
         self.order = rows + self.others
         # under the other roots the pivot columns before the first
         # cyclotomic one, c0, and the first c0 steps of the square's LU are
-        # unchanged: the later columns go through those steps, and their
-        # Schur complement is factored in the same pivot order
-        n, size = len(cols), lu.slot_size
-        c0 = next((k for k, j in enumerate(cols) if any(columns[j][1:])), n)
+        # unchanged, so only the later columns are factored again
+        c0 = next((k for k, j in enumerate(cols) if any(columns[j][1:])), len(cols))
         later = [residues(columns[j], rows, powers[1:]) for j in cols[c0:]]
         for e in range(phi - 1):
-            parts = [lu.forward(values[e], c0) for values in later]
-            square = _LU(zip(*([a % p for a in _unpack(rest, size, n - c0)] for _, rest in parts)),
-                         n - c0, p, size)
-            if square.pivot_rows != list(range(n - c0)):
+            square = lu.continued(c0, [values[e] for values in later])
+            if square is None:
                 self.lus = None
                 break
-            square.inv_diag = lu.inv_diag[:c0] + square.inv_diag
-            square.neg_lower = lu.neg_lower[:c0] + square.neg_lower
-            square.neg_upper = lu.neg_upper[:c0] + [
-                _pack([-u % p for u in top], size) + (col << 8 * size * c0)
-                for (top, _), col in zip(parts, square.neg_upper)]
             self.lus.append(square)
         self.flat_scales = [scales[j] for j in cols for _ in range(phi)]
         _, self.fold_max, norm2 = _zeta_powers(M)
@@ -642,6 +665,8 @@ class _DixonFactor:
         l1 = [list(map(sum, zip(*(map(abs, c) for c in columns[j] if c)))) for j in cols]
         self.col_norms = [norm2 * sum(col[i] ** 2 for i in rows) for col in l1]
         self.col_max = [max(col, default=0) for col in l1]
+        self.col_top = max(self.col_max, default=0)
+        self.flat_col_max = [c for c in self.col_max for _ in range(phi)]
         self.row_sum = max((sum(col[i] for col in l1) for i in rows), default=0)
         self.packing = self.square_packing = None
 
@@ -667,7 +692,7 @@ class _DixonFactor:
         The kept packing grows at most twofold per solve, so one large-height
         solve does not widen the checks of the small solves after it."""
         kept = self.packing
-        size = _signed_slot_size(max(bound, *self.col_max, 0))
+        size = _signed_slot_size(max(bound, self.col_top))
         if kept is not None and kept[0] >= size:
             return kept
         packing = (size, self._pack_columns(self.order, size))
@@ -688,14 +713,13 @@ class _DixonFactor:
         and the mask of the leading pivot rows' slots: slots wide enough for
         |(A*y)_i| + |d*b_i| make it zero exactly when every row holds, and
         its low slots zero exactly when the pivot rows hold."""
-        phi, k = self.phi, len(y) // self.phi
-        heights = map(sum, zip(*[map(abs, y)] * phi))
-        bound = (self.fold_max * sum(map(operator.mul, self.col_max, heights))
+        k = len(y) // self.phi
+        bound = (self.fold_max * sum(map(operator.mul, self.flat_col_max, map(abs, y)))
                  + d * max(map(abs, chain.from_iterable(b)), default=0))
         size, columns = self._packing(bound)
         mismatch = 0
         for got, t in zip(_combination(columns, y, self.M), b):
-            mismatch |= got - d * _pack_signed([t[i] for i in self.order], size)
+            mismatch |= got - d * _pack_signed(list(map(t.__getitem__, self.order)), size)
         return mismatch, (1 << 8 * size * k) - 1
 
     def solve(self, b, k: int | None = None) -> tuple[list[int], int] | None:
@@ -704,7 +728,8 @@ class _DixonFactor:
         None when there is no such x.  x_j is nums[j*phi : (j+1)*phi]."""
         p, phi = self.p, self.phi
         k = len(self.pivot_cols) if k is None else k
-        rhs = [[t[i] for i in self.pivot_rows[:k]] for t in b]
+        rows = self.pivot_rows[:k]
+        rhs = [list(map(t.__getitem__, rows)) for t in b]
         digit = self._solve_mod_p(rhs)
         lifted, modulus, digits = digit, p, 1
         hadamard_bits = residual = None

@@ -25,7 +25,6 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -351,13 +350,28 @@ class NewformRecord:
         return f"NewformRecord({self.name()}, {self.source_text()})"
 
 
-@dataclass(frozen=True)
 class CuspAtom:
     """g(n tau) for a newform g of level L, giving a basis vector of the
-    weight-k cusp space at any level N with n*L | N."""
+    weight-k cusp space at any level N with n*L | N.  Immutable, equal and
+    hashed by its two fields."""
 
-    record: NewformRecord
-    n: int
+    __slots__ = ("record", "n")
+
+    def __init__(self, record: NewformRecord, n: int):
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CuspAtom is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CuspAtom) and (self.record, self.n) == (other.record, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.record, self.n))
+
+    def __repr__(self) -> str:
+        return f"CuspAtom(record={self.record!r}, n={self.n!r})"
 
     @property
     def weight(self) -> int:
@@ -392,9 +406,10 @@ _ingest_count = 0  # bumped by ingest and reset_caches
 
 
 def catalog_state() -> tuple[str, int]:
-    """The cache directory and the ingest count: everything built from the
-    catalog holds for one state, so caches key off it."""
-    return str(cache_dir().resolve()), _ingest_count
+    """The cache directory, resolved, and the ingest count: everything built
+    from the catalog holds for one state, so caches key off it.  realpath
+    is what Path.resolve() does, without building a Path on every call."""
+    return os.path.realpath(_cache_path()), _ingest_count
 
 
 @functools.cache
@@ -406,7 +421,11 @@ def _builtin_records(level: int, weight: int) -> tuple[NewformRecord, ...]:
 
 
 def cache_dir() -> Path:
-    return Path(os.environ.get("QMF_CACHE_DIR", ".qmf-cache"))
+    return Path(_cache_path())
+
+
+def _cache_path() -> str:
+    return os.environ.get("QMF_CACHE_DIR", ".qmf-cache")
 
 
 @functools.cache
@@ -1016,14 +1035,33 @@ def _sqrt_cyclotomic(value: Fraction) -> CycNumber:
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass
 class HeckeReport:
-    record: str
-    precision: int
-    ok: bool
-    multiplicative_checks: int
-    prime_power_checks: int
-    failure: str | None = None
+    """The outcome of verify_hecke: how many checks ran, and the first
+    failure, if any.  Equal by its fields, so unhashable."""
+
+    __slots__ = ("record", "precision", "ok", "multiplicative_checks",
+                 "prime_power_checks", "failure")
+
+    def __init__(self, record: str, precision: int, ok: bool, multiplicative_checks: int,
+                 prime_power_checks: int, failure: str | None = None):
+        self.record = record
+        self.precision = precision
+        self.ok = ok
+        self.multiplicative_checks = multiplicative_checks
+        self.prime_power_checks = prime_power_checks
+        self.failure = failure
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, HeckeReport) and self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"HeckeReport({shown})"
 
 
 def verify_hecke(rec: NewformRecord, precision: int) -> HeckeReport:
@@ -1109,7 +1147,7 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
         dump_qseries(series, handle, level=L, weight=k, label=rec.label)
     with _registry_lock:
         # a directory not read yet loads every file on disk, not only this one
-        _ingested(str(root.resolve())).setdefault((L, k), {})[rec.label] = rec
+        _ingested(os.path.realpath(root)).setdefault((L, k), {})[rec.label] = rec
         _ingest_count += 1
     return rec
 

@@ -281,11 +281,10 @@ class QSeries:
         self._set(precision, conductor, den, nums)
 
     def _set(self, precision, conductor, den, nums):
-        setter = object.__setattr__
-        setter(self, "precision", precision)
-        setter(self, "conductor", conductor)
-        setter(self, "_den", den)
-        setter(self, "_nums", nums)
+        _set_precision(self, precision)
+        _set_conductor(self, conductor)
+        _set_den(self, den)
+        _set_nums(self, nums)
 
     @classmethod
     def _make(cls, precision: int, conductor: int, den: int, nums) -> "QSeries":
@@ -298,8 +297,13 @@ class QSeries:
             if g != 1:
                 den //= g
                 nums = [[x // g for x in t] for t in nums]
+        return cls._canonical(precision, conductor, den, tuple(map(tuple, nums)))
+
+    @classmethod
+    def _canonical(cls, precision: int, conductor: int, den: int, nums) -> "QSeries":
+        # nums a tuple of int tuples, already in the canonical form over den
         self = object.__new__(cls)
-        self._set(precision, conductor, den, tuple(map(tuple, nums)))
+        self._set(precision, conductor, den, nums)
         return self
 
     def __setattr__(self, name, value):
@@ -308,7 +312,9 @@ class QSeries:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(precision: int) -> "QSeries":
-        return QSeries([], precision)
+        if precision < 1:
+            raise ValueError("precision must be at least 1")
+        return QSeries._canonical(precision, 1, 1, ((0,) * precision,))
 
     @staticmethod
     def constant(value, precision: int) -> "QSeries":
@@ -391,7 +397,11 @@ class QSeries:
         return QSeries._make(self.precision, self.conductor, self._den, nums)
 
     def scale(self, factor) -> "QSeries":
+        if isinstance(factor, (int, Fraction)):
+            return self._scale_rational(factor.numerator, factor.denominator)
         factor = _wrap(factor)
+        if factor.conductor == 1:
+            return self._scale_rational(factor.nums[0], factor.den)
         M, p = math.lcm(self.conductor, factor.conductor), self.precision
         factor = factor.embed(M)
         # multiply the numerators by the factor's integer coordinates, then
@@ -401,6 +411,19 @@ class QSeries:
         terms = ((i + j, [a * v for v in y])
                  for i, a in enumerate(factor.nums) if a for j, y in ys)
         return QSeries._make(p, M, self._den * factor.den, _reduce_zeta(terms, M, p))
+
+    def _scale_rational(self, n: int, d: int) -> "QSeries":
+        # times n/d in lowest terms, d > 0: the canonical form needs only the
+        # gcd of n with the denominator and of d with the numerators, and
+        # each numerator is multiplied once
+        nums, g = self._nums, math.gcd(self._den, n)
+        h = math.gcd(d, *itertools.chain.from_iterable(nums)) if d != 1 else 1
+        n //= g
+        if h == 1:
+            nums = tuple(tuple([n * x for x in t]) for t in nums)
+        else:
+            nums = tuple(tuple([x // h * n for x in t]) for t in nums)
+        return QSeries._canonical(self.precision, self.conductor, self._den // g * (d // h), nums)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
@@ -480,6 +503,12 @@ class QSeries:
                 break
         body = " + ".join(shown) if shown else "0"
         return f"QSeries({body} + O(q^{self.precision}))"
+
+
+# The slots' own setters: __setattr__ refuses every assignment, and these
+# skip the attribute lookup of object.__setattr__.
+_set_precision, _set_conductor, _set_den, _set_nums = (
+    QSeries.__dict__[name].__set__ for name in QSeries.__slots__)
 
 
 def _rational(value) -> Fraction | int:

@@ -12,7 +12,6 @@ the rank check fails at the default depth.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
 from .errors import CatalogIncompleteError, RankDeficientError
@@ -40,17 +39,30 @@ __all__ = [
 ALL_PARTS = ("eis", "new", "old")
 
 
-@dataclass(frozen=True)
 class BasisAtom:
     """One basis vector of a graded assembly: D^r applied to a payload.
 
     part is "eis", "new", or "old"; the constant function 1 is the unique
-    atom with payload None and belongs to the Eisenstein part.
+    atom with payload None and belongs to the Eisenstein part.  Immutable,
+    equal and hashed by its three fields.
     """
 
-    part: str
-    payload: EisensteinAtom | CuspAtom | None
-    r: int
+    __slots__ = ("part", "payload", "r")
+
+    def __init__(self, part: str, payload: EisensteinAtom | CuspAtom | None, r: int):
+        object.__setattr__(self, "part", part)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BasisAtom is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BasisAtom) and (
+            (self.part, self.payload, self.r) == (other.part, other.payload, other.r))
+
+    def __hash__(self) -> int:
+        return hash((self.part, self.payload, self.r))
 
     @property
     def weight(self) -> int:
@@ -139,13 +151,31 @@ def _old_atoms(N: int, k: int) -> list[CuspAtom]:
     ]
 
 
-@dataclass(frozen=True)
 class PrecisionPolicy:
-    """Coefficient depth needed for a decomposition to be trustworthy."""
+    """Coefficient depth needed for a decomposition to be trustworthy.
+    Immutable, equal and hashed by its three fields."""
 
-    level: int
-    maxweight: int
-    atom_count: int
+    __slots__ = ("level", "maxweight", "atom_count")
+
+    def __init__(self, level: int, maxweight: int, atom_count: int):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "maxweight", maxweight)
+        object.__setattr__(self, "atom_count", atom_count)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrecisionPolicy is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PrecisionPolicy) and (
+            (self.level, self.maxweight, self.atom_count)
+            == (other.level, other.maxweight, other.atom_count))
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.maxweight, self.atom_count))
+
+    def __repr__(self) -> str:
+        return (f"PrecisionPolicy(level={self.level!r}, maxweight={self.maxweight!r}, "
+                f"atom_count={self.atom_count!r})")
 
     @property
     def p_req(self) -> int:
@@ -210,10 +240,12 @@ _BASIS_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _basis_entry(
     N: int, maxweight: int, state: tuple[str, int]
-) -> tuple[list[BasisAtom], dict[int, LinearSolver]]:
-    """The assembly of (N, maxweight) under one catalog state, and its
-    solvers by depth, which decompose fills as it needs them."""
-    return assemble_basis(N, maxweight), {}
+) -> tuple[list[BasisAtom], int, dict[int, LinearSolver]]:
+    """The assembly of (N, maxweight) under one catalog state, its
+    PrecisionPolicy depth, and its solvers by depth, which decompose fills
+    as it needs them."""
+    atoms = assemble_basis(N, maxweight)
+    return atoms, PrecisionPolicy(N, maxweight, len(atoms)).p_req, {}
 
 
 def _basis_solver(atoms: list[BasisAtom], rows: int) -> LinearSolver:
@@ -240,8 +272,7 @@ def decompose(
     supplied coefficient is in use the precision error reports the depth a
     retry should carry.
     """
-    atoms, solvers = _basis_entry(N, maxweight, catalog_state())
-    p_req = PrecisionPolicy(N, maxweight, len(atoms)).p_req
+    atoms, p_req, solvers = _basis_entry(N, maxweight, catalog_state())
     if f.precision < p_req:
         raise InsufficientPrecisionError(p_req, f.precision, "input series")
     rows = p_req if initial_rows is None else max(2, initial_rows)

@@ -646,6 +646,20 @@ def test_newform_expansion_does_not_load_decomposition(tmp_path):
         tmp_path, ("expand", "--form", "newform[11,2,a]", "--prec", "20"))
     assert "qmf.newforms" in loaded
     assert "qmf.quasimodular" not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_expand_and_decompose_do_not_load_dataclasses(tmp_path):
+    # the atoms, the precision policy and the Hecke report are plain slots
+    # classes: importing dataclasses would cost every cold command about 7 ms
+    series = tmp_path / "f.qs"
+    loaded = heavy_modules_loaded(
+        tmp_path,
+        ("expand", "--form", "E2 + dilate[2](Delta)", "--prec", "92", "--out", str(series)),
+        ("decompose", "--series", str(series), "--level", "2", "--maxweight", "12"),
+    )
+    assert "qmf.quasimodular" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_decompose_level9_newform_outside_ambient_field(tmp_path, capsys):

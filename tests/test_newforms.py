@@ -18,6 +18,7 @@ from qmf.newforms import (
     DerivationError,
     NewformRecord,
     catalog_lookup,
+    catalog_state,
     cusp_basis,
     dim_cusp,
     dim_cusp_new,
@@ -621,6 +622,34 @@ def test_ingest_keeps_files_another_process_wrote(tmp_path):
     assert _ingest_in_new_process(tmp_path / "x.qs", cache) == ["2.10.x"]
     assert _ingest_in_new_process(tmp_path / "y.qs", cache) == ["2.10.x", "2.10.y"]
     assert sorted(p.name for p in cache.iterdir()) == ["2.10.x.qs", "2.10.y.qs"]
+
+
+@pytest.mark.parametrize("kind", ["relative", "symlinked", "missing"])
+def test_catalog_state_resolves_the_cache_directory_like_pathlib(tmp_path, monkeypatch, kind):
+    # catalog_state takes os.path.realpath of QMF_CACHE_DIR, and ingest
+    # registers its record under that same string, so the ingested form is
+    # in the catalog of the state that follows
+    real = tmp_path / "real"
+    real.mkdir()
+    monkeypatch.chdir(tmp_path)
+    if kind == "relative":
+        directory = "real/../real"
+    elif kind == "symlinked":
+        (tmp_path / "link").symlink_to(real, target_is_directory=True)
+        directory = str(tmp_path / "link")
+    else:
+        directory = "missing/deeper"
+    monkeypatch.setenv("QMF_CACHE_DIR", directory)
+    reset_caches()
+    try:
+        assert catalog_state()[0] == str(Path(directory).resolve())
+        delta = newforms_for(1, 12)[0]
+        _ingest_series(tmp_path, delta.expand(30), 1, 12, "x")
+        assert catalog_state()[0] == str(Path(directory).resolve())
+        assert "x" in nf._ingested(catalog_state()[0])[1, 12]
+        assert [r.name() for r in catalog_lookup(1, 12)] == ["1.12.delta", "1.12.x"]
+    finally:
+        reset_caches()
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,8 @@ scaled_series = st.sampled_from([1, 3, 4, 5]).flatmap(
 factors = st.one_of(
     st.sampled_from([0, CycNumber.zero(), CycNumber.zero(5)]),
     rationals,
+    st.integers(-BIG, -1),
+    st.booleans(),
     st.builds(CycNumber.from_rational, rationals),
     *(_cyclotomic(M) for M in (3, 4, 5)),
 )
@@ -110,6 +112,9 @@ def test_scale_matches_coefficientwise_products(coeffs, factor):
     # canonical: a positive denominator sharing no factor with all numerators
     den, nums = got.numerators()
     assert den > 0 and math.gcd(den, *(x for t in nums for x in t)) == 1
+    # a rational factor keeps the series' field
+    if not isinstance(factor, CycNumber) or factor.conductor == 1:
+        assert got.conductor == series.conductor
 
 
 @settings(max_examples=40, deadline=None)

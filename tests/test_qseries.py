@@ -67,6 +67,22 @@ def test_series_construction_and_access():
                                (2, CycNumber.from_rational(252))]
 
 
+@pytest.mark.parametrize("precision", [1, 2, 92])
+def test_zero_has_the_storage_of_an_empty_series(precision):
+    got, want = QSeries.zero(precision), QSeries([], precision)
+    assert (got.precision, got.conductor, got.numerators()) == (
+        want.precision, want.conductor, want.numerators())
+    assert got == want and got.is_zero()
+
+
+def test_zero_refuses_what_the_constructor_refuses():
+    for precision in (0, -3):
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            QSeries.zero(precision)
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            QSeries([], precision)
+
+
 def test_e2_square_coefficient():
     # E2 = 1 - 24 q - 72 q^2 - 96 q^3 ...; the q coefficient of E2*E2 is -48
     e2 = QSeries([1, -24, -72, -96])
