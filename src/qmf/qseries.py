@@ -312,9 +312,7 @@ class QSeries:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(precision: int) -> "QSeries":
-        if precision < 1:
-            raise ValueError("precision must be at least 1")
-        return QSeries._canonical(precision, 1, 1, ((0,) * precision,))
+        return QSeries._make(precision, 1, 1, ((0,) * precision,))
 
     @staticmethod
     def constant(value, precision: int) -> "QSeries":

@@ -240,6 +240,14 @@ def test_conductor_280_quadratic_inverse():
     y = x.inverse()
     assert y == (3 - root * Fraction(5, 7)) * (1 / Fraction(9 * 7 - 250, 7))
     assert FractionCyc(280, x.coords) * FractionCyc(280, y.coords) == 1
+    # once the tables of the conductor exist, the solve factors one LU, under
+    # the first root of Phi_280; the pivot square under each of the other 95
+    # roots is continued from it, with no LU set-up of its own
+    with mock.patch.object(exact._LU, "__init__", autospec=True,
+                           side_effect=exact._LU.__init__) as inits:
+        again = x.inverse()
+    assert inits.call_count == 1
+    assert (again.den, again.nums) == (y.den, y.nums)
 
 
 def test_mixed_conductor_arithmetic():
