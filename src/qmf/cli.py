@@ -7,9 +7,10 @@ G[k,N], U[a], eta[d^e,...], and Delta, combined with rational scalars,
 +, -, * and operator application.  Parentheses, operator applications and
 unary minus nest at most MAX_NESTING levels deep, and the derivative
 orders along one nested chain, as in D^r(D^s(f)), add up to at most
-MAX_DERIVATIVE_ORDER.  Exit codes: 0 clean, 1 error (one line on
-stderr, never a traceback), 2 for a false verdict or a decomposition
-residual.
+MAX_DERIVATIVE_ORDER.  --prec, --xmax and --nmax are at most
+MAX_PRECISION (1000000), checked before anything expands.  Exit codes:
+0 clean, 1 error (one line on stderr, never a traceback), 2 for a false
+verdict or a decomposition residual.
 """
 from __future__ import annotations
 
@@ -49,6 +50,11 @@ MAX_NESTING = 100
 # one nested chain the numbers are out of any sensible range (and past
 # Python's int-to-string limit).
 MAX_DERIVATIVE_ORDER = 100
+# The largest --prec, --xmax and --nmax: ten times the largest census the
+# tests run.  A cold census of Delta at the cap takes about 14 s and peaks
+# near 280 MB (numbers in CHANGES.md); far above it a command would run for
+# minutes or run out of memory.
+MAX_PRECISION = 1_000_000
 
 
 class FormSpecError(ValueError):
@@ -605,6 +611,11 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    for option in ("prec", "xmax", "nmax"):
+        value = getattr(args, option, None)
+        if value is not None and value > MAX_PRECISION:
+            print(f"error: --{option} {value} is above the cap {MAX_PRECISION}", file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except FormSpecError as exc:

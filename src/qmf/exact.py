@@ -214,13 +214,14 @@ class CycNumber:
     @classmethod
     def _make(cls, conductor: int, den: int, nums) -> "CycNumber":
         """Element from phi(conductor) ints over den > 0; reduces them to the
-        canonical form."""
+        canonical form.  A zero is the shared CycNumber.zero(conductor)."""
+        if not any(nums):
+            return CycNumber.zero(conductor)
         if den != 1:
             g = math.gcd(den, *nums)
             if g != 1:
                 den //= g
-                if any(nums):  # zero needs no division
-                    nums = [x // g for x in nums]
+                nums = [x // g for x in nums]
         self = object.__new__(cls)
         _set_conductor(self, conductor)
         _set_den(self, den)
@@ -233,8 +234,14 @@ class CycNumber:
         return CycNumber._make(1, value.denominator, (value.numerator,))
 
     @staticmethod
+    @functools.cache
     def zero(conductor: int = 1) -> "CycNumber":
-        return CycNumber._make(conductor, 1, (0,) * euler_phi(conductor))
+        # one instance per conductor: CycNumbers are immutable
+        self = object.__new__(CycNumber)
+        _set_conductor(self, conductor)
+        _set_den(self, 1)
+        _set_nums(self, (0,) * euler_phi(conductor))
+        return self
 
     @staticmethod
     def one(conductor: int = 1) -> "CycNumber":
@@ -537,7 +544,13 @@ class _LU:
     p, and a column with none is free.  lower[k] holds the multipliers of
     pivots 0..k-1 in pivot row k.  Each row is one packed int, column j in
     slot 0 once columns 0..j-1 are eliminated; an unused row takes f times
-    the pivot row's negated tail mod p, one update below p^2 per column."""
+    the pivot row's negated tail mod p, one update below p^2 per column.
+
+    Once its whole pivot square has been used for more solves than it has
+    pivots (use()), the LU keeps the square's inverse mod p, packed by
+    columns in the same slots, and each later solve of the whole square is
+    one sum of products and one unpack.  A square solved at most n times,
+    such as a Hecke coordinate solver's, builds none."""
 
     def __init__(self, rows, ncols: int, p: int, size: int | None = None):
         self.p = p
@@ -573,6 +586,7 @@ class _LU:
                           for m in range(n)]
         self.neg_upper = [_pack([-tails[i][cols[k] - cols[i] - 1] % p for i in range(k)], size)
                           for k in range(n)]
+        self.uses, self.inverse_columns = 0, None
 
     def continued(self, c0: int, columns: list[list[int]]) -> "_LU | None":
         """The LU, in this pivot order, of the pivot square whose first c0
@@ -586,6 +600,7 @@ class _LU:
         out.p, out.slot_size = p, size
         out.inv_diag, out.neg_lower = self.inv_diag[:c0], self.neg_lower[:c0]
         out.neg_upper = self.neg_upper[:c0]
+        out.uses, out.inverse_columns = 0, None
         n = c0 + len(columns)
         for j, column in enumerate(columns, c0):
             upper, rest = out.forward(column, j)
@@ -610,9 +625,29 @@ class _LU:
             acc = (acc >> shift) + v * col
         return out, acc
 
+    def use(self) -> None:
+        """Count one solve of the whole pivot square; past n of them, keep
+        the inverse: column j is the solution for the unit vector e_j, and
+        slot i of sum_j rhs_j * column_j stays below n*p^2, within a slot."""
+        n = len(self.inv_diag)
+        self.uses += 1
+        if self.uses > n > 0 and self.inverse_columns is None:
+            self.inverse_columns = [
+                _pack(self._substitute([0] * j + [1] + [0] * (n - j - 1), n), self.slot_size)
+                for j in range(n)]
+
     def solve(self, rhs: list[int], k: int) -> list[int]:
-        """x with (leading k x k block of the pivot square) * x = rhs mod p:
-        each step reads one slot and adds a multiple of one packed column."""
+        """x with (leading k x k block of the pivot square) * x = rhs mod p,
+        rhs residues mod p: by the kept inverse for the whole square, else
+        by substitution, where each step reads one slot and adds a multiple
+        of one packed column."""
+        columns = self.inverse_columns
+        if columns is not None and k == len(columns):
+            p = self.p
+            return [x % p for x in _unpack(sum(map(operator.mul, rhs, columns)), self.slot_size, k)]
+        return self._substitute(rhs, k)
+
+    def _substitute(self, rhs: list[int], k: int) -> list[int]:
         p, shift = self.p, 8 * self.slot_size
         acc = _pack(self.forward(rhs, k)[0], self.slot_size)
         x = [0] * k
@@ -686,16 +721,17 @@ class _DixonFactor:
                  for c in (self.columns[j][t] for j in self.pivot_cols)]
                 for t in range(self.phi)]
 
-    def _packing(self, bound: int) -> tuple[int, list[list[int]]]:
-        """(size, columns): the pivot columns over all rows, pivot rows
-        first, packed signed with 2^(8*size-1) above bound and every entry.
-        The kept packing grows at most twofold per solve, so one large-height
-        solve does not widen the checks of the small solves after it."""
+    def _packing(self, bound: int) -> tuple[int, list[list[int]], int]:
+        """(size, columns, offset): the pivot columns over all rows, pivot
+        rows first, packed signed with 2^(8*size-1) above bound and every
+        entry, and the _signed_offset of that many slots.  The kept packing
+        grows at most twofold per solve, so one large-height solve does not
+        widen the checks of the small solves after it."""
         kept = self.packing
         size = _signed_slot_size(max(bound, self.col_top))
         if kept is not None and kept[0] >= size:
             return kept
-        packing = (size, self._pack_columns(self.order, size))
+        packing = (size, self._pack_columns(self.order, size), _signed_offset(size, len(self.order)))
         if kept is None or size <= 2 * kept[0]:
             self.packing = packing
         return packing
@@ -716,10 +752,12 @@ class _DixonFactor:
         k = len(y) // self.phi
         bound = (self.fold_max * sum(map(operator.mul, self.flat_col_max, map(abs, y)))
                  + d * max(map(abs, chain.from_iterable(b)), default=0))
-        size, columns = self._packing(bound)
+        size, columns, offset = self._packing(bound)
+        order, half = self.order, 1 << 8 * size - 1
         mismatch = 0
         for got, t in zip(_combination(columns, y, self.M), b):
-            mismatch |= got - d * _pack_signed(list(map(t.__getitem__, self.order)), size)
+            # the target packed signed (_pack_signed) in one pass over order
+            mismatch |= got - d * (_pack([t[i] + half for i in order], size) - offset)
         return mismatch, (1 << 8 * size * k) - 1
 
     def solve(self, b, k: int | None = None) -> tuple[list[int], int] | None:
@@ -727,7 +765,10 @@ class _DixonFactor:
         columns (all by default) and b one int sequence per coordinate, or
         None when there is no such x.  x_j is nums[j*phi : (j+1)*phi]."""
         p, phi = self.p, self.phi
-        k = len(self.pivot_cols) if k is None else k
+        if k is None or k == len(self.pivot_cols):
+            k = len(self.pivot_cols)
+            for lu in self.lus if phi == 1 else self.lus + [self.interpolation]:
+                lu.use()
         rows = self.pivot_rows[:k]
         rhs = [list(map(t.__getitem__, rows)) for t in b]
         digit = self._solve_mod_p(rhs)
@@ -780,6 +821,9 @@ def _reconstruct(residues: list[int], m: int) -> tuple[list[int], int] | None:
     nums: list[int] = []
     d = 1
     for u in residues:
+        if not u:
+            nums.append(0)
+            continue
         r0, r1, s0, s1 = m, u * d % m, 0, 1
         while r1 > bound:
             q = r0 // r1
@@ -887,10 +931,10 @@ class LinearSolver:
         got = factor.solve([t or [0] * self.nrows for t in target])
         if got is None:
             return None
-        nums, den = got
-        out = list(map(CycNumber._make, repeat(L), repeat(den * scale), zip(*[iter(nums)] * factor.phi)))
-        for j in factor.free:
-            out.insert(j, CycNumber.zero(L))
+        nums, den = got[0], got[1] * scale
+        out = [CycNumber.zero(L)] * self.ncols
+        for j, x in zip(factor.pivot_cols, zip(*[iter(nums)] * factor.phi)):
+            out[j] = CycNumber._make(L, den, x)
         return out
 
     def free_columns(self) -> list[int]:

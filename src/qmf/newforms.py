@@ -112,17 +112,13 @@ def cusp_count(N: int) -> int:
 
 
 def genus_gamma0(N: int) -> int:
-    g = (
-        1
-        + Fraction(index_gamma0(N), 12)
-        - Fraction(epsilon2(N), 4)
-        - Fraction(epsilon3(N), 3)
-        - Fraction(cusp_count(N), 2)
-    )
-    assert g.denominator == 1
-    return int(g)
+    """Genus of X_0(N), in integers: 12g = 12 + index - 3 e2 - 4 e3 - 6 cusps."""
+    twelve_g = 12 + index_gamma0(N) - 3 * epsilon2(N) - 4 * epsilon3(N) - 6 * cusp_count(N)
+    assert twelve_g % 12 == 0
+    return twelve_g // 12
 
 
+@functools.cache
 def dim_cusp(N: int, k: int) -> int:
     """dim S_k(Gamma0(N)) for even k >= 0."""
     if k < 0 or k % 2:
@@ -166,6 +162,7 @@ def _beta(n: int) -> int:
     return out
 
 
+@functools.cache
 def dim_cusp_new(N: int, k: int) -> int:
     """Dimension of the new subspace of S_k(Gamma0(N)), which equals the
     number of weight-k newforms of exact level N."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -373,10 +374,17 @@ class QSeries:
         M = math.lcm(self.conductor, other.conductor)
         den = math.lcm(self._den, other._den)
         fx, fy = den // self._den, sign * (den // other._den)
-        nums = [
-            [fx * u + fy * v for u, v in zip(x, y)]
-            for x, y in zip(self._coords(M, p), other._coords(M, p))
-        ]
+        xs = self._nums if (M, p) == (self.conductor, self.precision) else self._coords(M, p)
+        ys = other._nums if (M, p) == (other.conductor, other.precision) else other._coords(M, p)
+        # fx * x + fy * y with no multiply by a left factor of 1, which most
+        # adds into a running sum have, nor then by a right factor of +-1
+        if fx == 1 and fy in (1, -1):
+            combine = operator.add if fy == 1 else operator.sub
+            nums = [list(map(combine, x, y)) for x, y in zip(xs, ys)]
+        elif fx == 1:
+            nums = [[u + fy * v for u, v in zip(x, y)] for x, y in zip(xs, ys)]
+        else:
+            nums = [[fx * u + fy * v for u, v in zip(x, y)] for x, y in zip(xs, ys)]
         return QSeries._make(p, M, den, nums)
 
     def __add__(self, other):

@@ -296,7 +296,9 @@ def decompose(
         rows = min(rows * 2, f.precision)
         escalations += 1
     den, nums = f.numerators()
-    coords = solver.solve([t[:rows] for t in nums], den, f.conductor)
+    if rows < f.precision:
+        nums = [t[:rows] for t in nums]
+    coords = solver.solve(nums, den, f.conductor)
     if coords is None:
         return Decomposition(atoms, None, True, rows, escalations)
     return Decomposition(atoms, coords, False, rows, escalations)

@@ -546,6 +546,28 @@ def test_derivative_order_cap(capsys):
     assert f"2: {-72 * 2**100}" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--form", "E2", "--prec", "100000000"],
+    ["basis", "--level", "1", "--maxweight", "2", "--prec", "1000001"],
+    ["newforms", "--level", "1", "--weight", "12", "--prec", "1000001"],
+    ["macmahon", "--a", "3", "--nmax", "100000000"],
+    ["detect", "--form", "Delta", "--level", "1", "--xmax", "1000001"],
+    ["census", "--form", "Delta", "--level", "1", "--xmax", "1000000000", "--delta", "0.05"],
+])
+def test_absurd_precision_fails_in_one_line_before_expanding(capsys, monkeypatch, argv):
+    import qmf.cli
+
+    def refuse(*args):
+        raise AssertionError("expanded past the precision cap")
+
+    for name in ("eval_form", "macmahon", "dumps_qseries"):
+        monkeypatch.setattr(qmf.cli, name, refuse)
+    rc, out, err = run(capsys, *argv)
+    option, value = argv[-4:-2] if argv[0] == "census" else argv[-2:]
+    assert (rc, out) == (1, "")
+    assert err == f"error: {option} {value} is above the cap {qmf.cli.MAX_PRECISION}\n"
+
+
 def test_internal_error_is_one_line(capsys, monkeypatch):
     import qmf.cli
 

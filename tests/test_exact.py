@@ -872,9 +872,10 @@ def spy_method(cls, name):
 
 def test_one_digit_lift_makes_one_pass_and_one_packed_check():
     # a one-digit lift: one forward and one back substitution mod p (one
-    # _solve_mod_p), one reconstruction, one packed check over all rows
-    # (the first solve also packs the 5 columns), and no residual is formed
-    # for a next digit
+    # _solve_mod_p, two 5-slot packs), one reconstruction, one packed check
+    # over all rows (the first solve also packs the 5 columns, and the
+    # check packs the 12-row target once), and no residual is formed for a
+    # next digit
     rng = random.Random("dots")
     _, columns = rational_rows(rng, 12, 5)
     target = combine(columns, [Fraction(k, 3) for k in range(1, 6)])
@@ -883,13 +884,40 @@ def test_one_digit_lift_makes_one_pass_and_one_packed_check():
             spy_method(exact._DixonFactor, "_mismatch") as checks, \
             spy_method(exact._DixonFactor, "_square_columns") as squares, \
             mock.patch.object(exact, "_reconstruct", wraps=exact._reconstruct) as tries, \
-            mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs, \
+            mock.patch.object(exact, "_pack", wraps=exact._pack) as packs, \
             mock.patch.object(exact, "_unpack_signed", wraps=exact._unpack_signed) as unpacks:
         assert [c.as_rational() for c in int_solve(solver, target)] == [
             Fraction(k, 3) for k in range(1, 6)]
     assert (passes.call_count, tries.call_count, checks.call_count) == (1, 1, 1)
-    assert [len(call.args[0]) for call in packs.call_args_list] == [12] * 6
+    assert sorted(len(call.args[0]) for call in packs.call_args_list) == [5, 5] + [12] * 6
     assert squares.call_count == unpacks.call_count == 0
+
+
+def test_square_keeps_its_inverse_only_after_more_solves_than_pivots():
+    # n solves of the whole pivot square build no inverse; the (n+1)-th
+    # builds it once, by one substitution per unit vector, and itself and
+    # every later solve read their digit off the inverse; solves of a
+    # leading block (the free column relations) never count
+    rng = random.Random("kept inverse")
+    columns, x, image = int_system(rng, 9, 4)
+    solver = LinearSolver(columns, [1] * 4)
+    lu = solver._modular.lus[0]
+    n = len(lu.inv_diag)
+    scale, b = integer_form(image)
+    solver._modular.solve([b], n - 1)
+    for _ in range(n):
+        assert [c.as_rational() for c in solver.solve([b], scale)] == x
+    assert (lu.uses, lu.inverse_columns) == (n, None)
+    with spy_method(exact._LU, "_substitute") as substitutions:
+        assert [c.as_rational() for c in solver.solve([b], scale)] == x
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    assert [call.args[1] for call in substitutions.call_args_list] == units
+    kept = lu.inverse_columns
+    assert len(kept) == n
+    with spy_method(exact._LU, "_substitute") as substitutions:
+        for _ in range(3):
+            assert [c.as_rational() for c in solver.solve([b], scale)] == x
+    assert substitutions.call_count == 0 and lu.inverse_columns is kept
 
 
 # -- the packed factorisation against the list-based one it replaced --------
@@ -1086,21 +1114,23 @@ def test_large_height_solve_repacks_wider_and_keeps_the_narrow():
     want = [Fraction(3 ** (40 + j), 7 ** (20 + j) + 1) for j in range(len(series))]
     big = sum((s * c for s, c in zip(series[1:], want[1:])), series[0] * want[0])
     den, nums = big.numerators()
-    with mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs:
+    with mock.patch.object(exact, "_pack", wraps=exact._pack) as packs:
         assert [c.as_rational() for c in solver.solve([list(nums[0])], den)] == want
-    assert len(packs.call_args_list) > len(columns)
-    assert max(call.args[1] for call in packs.call_args_list) > 2 * narrow
+    # every packing over all 92 rows: the 55 columns and the target
+    all_rows = [call.args[1] for call in packs.call_args_list if len(call.args[0]) == 92]
+    assert len(all_rows) > len(columns)
+    assert max(all_rows) > 2 * narrow
     assert factor.packing[0] == narrow
     off = list(nums[0])
     off[factor.others[0]] += 1
     assert solver.solve([off], den) is None
     assert factor.packing[0] == narrow
     den, nums = small.numerators()
-    with mock.patch.object(exact, "_pack_signed", wraps=exact._pack_signed) as packs, \
+    with mock.patch.object(exact, "_pack", wraps=exact._pack) as packs, \
             spy_method(exact._DixonFactor, "_mismatch") as checks:
         assert solver.solve([list(nums[0])], den) == small_coords
-    # each check packs the target alone
-    assert packs.call_count == checks.call_count
+    # each check packs the 92-row target alone
+    assert [len(call.args[0]) for call in packs.call_args_list].count(92) == checks.call_count
     assert factor.packing[0] == narrow
 
 

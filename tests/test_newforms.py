@@ -97,6 +97,33 @@ def test_new_dims_invert_the_level_tower():
             assert total == dim_cusp(N, k)
 
 
+def test_integer_dimension_formulas_match_the_fraction_formulas():
+    # g = 1 + index/12 - e2/4 - e3/3 - cusps/2, and for even k >= 4
+    # dim S_k = (k-1)/12 index + (k//4 - (k-1)/4) e2 + (k//3 - (k-1)/3) e3
+    # - cusps/2 (the genus substituted into the formula in integers); the
+    # new dimensions by Moebius inversion twice over the divisor lattice
+    def fraction_dim(N, k):
+        index, e2, e3, cusps = (index_gamma0(N), nf.epsilon2(N), nf.epsilon3(N),
+                                nf.cusp_count(N))
+        if k == 2:
+            value = 1 + Fraction(index, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(cusps, 2)
+        else:
+            value = (Fraction(k - 1, 12) * index + (k // 4 - Fraction(k - 1, 4)) * e2
+                     + (k // 3 - Fraction(k - 1, 3)) * e3 - Fraction(cusps, 2))
+        assert value.denominator == 1
+        return int(value)
+
+    def beta(n):
+        return sum(exact.moebius(d) * exact.moebius(n // d) for d in divisors(n))
+
+    for N in range(1, 501):
+        assert genus_gamma0(N) == fraction_dim(N, 2)
+        for k in range(2, 13, 2):
+            assert dim_cusp(N, k) == fraction_dim(N, k)
+            assert dim_cusp_new(N, k) == sum(beta(N // d) * fraction_dim(d, k) for d in divisors(N))
+    assert dim_cusp.cache_info().hits and dim_cusp_new.cache_info().currsize >= 3000
+
+
 def test_eisenstein_dim_matches_enumeration():
     for N in range(1, 31):
         for k in (2, 4, 6, 8):

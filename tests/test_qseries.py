@@ -423,6 +423,33 @@ def test_canonical_storage_makes_equal_series_equal():
     assert f.truncate(2).agrees_with(f)
 
 
+@pytest.mark.parametrize("conductor", [1, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dens", [(1, 1), (6, 6), (6, 1), (1, 6), (4, 6)])
+def test_add_and_sub_match_the_fraction_oracle(dens, sign, conductor):
+    # the left factor of the common denominator is 1 when the left
+    # denominator is the lcm, the right one when the right is, both when
+    # they are equal; the right operand is shorter, and over Q(zeta_3) the
+    # rational right operand is embedded while the left is read as is
+    rng = random.Random(f"{dens} {sign} {conductor}")
+    dx, dy = dens
+    zeta = CycNumber.root_of_unity(conductor)
+    xs = [zeta ** rng.randint(0, 2) * Fraction(rng.randint(-10**20, 10**20), dx)
+          for _ in range(30)]
+    xs[0] = CycNumber.from_rational(Fraction(1, dx))  # the denominator is dx
+    ys = [Fraction(rng.randint(-50, 50), dy) for _ in range(25)]
+    ys[0] = Fraction(1, dy)
+    x, y = QSeries(xs), QSeries(ys)
+    assert x.numerators()[0] == dx and y.numerators()[0] == dy
+    got = x + y if sign == 1 else x - y
+    want = [a + sign * b for a, b in zip(xs, ys)]
+    assert (got.precision, got.conductor) == (25, conductor)
+    assert got.coefficients() == tuple(want)
+    assert got.numerators() == QSeries(want).numerators()
+    flipped = y + x if sign == 1 else y - x
+    assert flipped.coefficients() == tuple(sign * c for c in want)
+
+
 def test_eta_expansion_matches_miller_for_delta_to_20001():
     P = 20001
     got = delta_eta().expand(P)
