@@ -12,7 +12,7 @@ import functools
 import math
 from typing import Iterator
 
-from .exact import CycNumber, divisors, euler_phi, factorize
+from .scalars import CycNumber, divisors, euler_phi, factorize
 
 __all__ = [
     "DirichletCharacter",

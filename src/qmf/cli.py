@@ -19,16 +19,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .detect import (
-    census,
-    g_series,
-    macmahon,
-    prime_detect_verdict,
-    validate_census,
-    validate_detect,
-)
 from .errors import CatalogIncompleteError, DerivationError, RankDeficientError
 from .qseries import (
+    MAX_PRECISION,
     EtaProduct,
     InsufficientPrecisionError,
     QSeries,
@@ -36,12 +29,26 @@ from .qseries import (
     load_qseries,
 )
 
-# The characters, eisenstein, newforms and quasimodular layers are imported
-# inside the atoms and commands that use them, so that census, detect and
-# macmahon start without loading (and, with no bytecode cache, compiling)
-# them.
+# The layers above qseries are imported inside the atoms and commands that
+# use them, so a command loads (and, with no bytecode cache, compiles) only
+# what it runs: census, detect and macmahon load detect but not characters,
+# eisenstein, newforms, quasimodular or the eliminator in exact; expand,
+# decompose, basis and newforms load no detect unless a form names G[...]
+# or U[...].
 
 __all__ = ["FormSpecError", "eval_form", "main", "console_main"]
+
+
+def __getattr__(name):
+    # `qmf.cli.macmahon`, which bench/selftest.py reads, is detect's
+    # function, looked up there on each read, so importing qmf.cli still
+    # loads no detect
+    if name == "macmahon":
+        from .detect import macmahon
+
+        return macmahon
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Each nesting level costs the recursive-descent parser about five stack
 # frames, so this keeps parsing far below Python's default recursion limit.
@@ -50,11 +57,6 @@ MAX_NESTING = 100
 # one nested chain the numbers are out of any sensible range (and past
 # Python's int-to-string limit).
 MAX_DERIVATIVE_ORDER = 100
-# The largest --prec, --xmax and --nmax: ten times the largest census the
-# tests run.  A cold census of Delta at the cap takes about 14 s and peaks
-# near 280 MB (numbers in CHANGES.md); far above it a command would run for
-# minutes or run out of memory.
-MAX_PRECISION = 1_000_000
 
 
 class FormSpecError(ValueError):
@@ -255,6 +257,8 @@ class _FormParser:
                 inner.series.dilate(t, self.precision), inner.weight, inner.order
             )
         if name == "G":
+            from .detect import g_series
+
             k, N = self.bracket_numbers(2)
             try:
                 series = g_series(k, N, self.precision)
@@ -262,6 +266,8 @@ class _FormParser:
                 raise FormSpecError(where, str(exc)) from None
             return _Form(series, k)
         if name == "U":
+            from .detect import macmahon
+
             (a,) = self.bracket_numbers(1)
             if a < 1:
                 raise FormSpecError(where, "U index must be positive")
@@ -489,6 +495,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .detect import prime_detect_verdict, validate_detect
+
     validate_detect(args.level, args.xmax)
     series, _ = eval_form(args.form, args.xmax + 1)
     report = prime_detect_verdict(series, args.level, args.xmax)
@@ -497,6 +505,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .detect import census, validate_census
+
     validate_census(args.level, args.xmax, args.delta)
     series, _ = eval_form(args.form, args.xmax + 1)
     report = census(series, args.level, args.xmax, args.delta)
@@ -505,6 +515,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_macmahon(args) -> int:
+    from .detect import macmahon
+
     table = macmahon(args.a, args.nmax)
     row = " ".join(f"{n}:{v}" for n, v in enumerate(table.values) if v)
     print(row)
@@ -611,6 +623,7 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    # load_qseries puts the same cap on the precision a file declares
     for option in ("prec", "xmax", "nmax"):
         value = getattr(args, option, None)
         if value is not None and value > MAX_PRECISION:

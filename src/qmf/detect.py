@@ -11,11 +11,12 @@ informational density bound.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from .exact import primes_upto
 from .qseries import InsufficientPrecisionError, QSeries, _convolve
+from .scalars import primes_upto
 
 __all__ = [
     "CensusReport",
@@ -65,6 +66,13 @@ class MacMahonTable:
         return QSeries(self.values, self.precision)
 
 
+# Bound on the memoised tables: the chain lengths one form names (the
+# README's prime test names two), and few enough that tables near the
+# precision cap do not pile up in a long-lived process.
+_MACMAHON_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_MACMAHON_CACHE_SIZE)
 def macmahon(a: int, precision: int) -> MacMahonTable:
     """Tabulate M_a(n) for n < precision by MacMahon's recurrence
 
@@ -73,7 +81,9 @@ def macmahon(a: int, precision: int) -> MacMahonTable:
     U_1 = sum sigma_1(n) q^n, as Andrews-Rose state it (J. reine angew.
     Math. 676, 2013): one divisor sieve and a-1 integer products, each
     divided exactly.  U_a has valuation a(a+1)/2, so a longer chain than
-    the precision allows is the zero table without any product.
+    the precision allows is the zero table without any product.  Tables
+    are immutable and memoised, so a form that names U[a] several times
+    tabulates it once.
     """
     if a < 1:
         raise ValueError("chain length a must be positive")

@@ -22,8 +22,8 @@ from collections import defaultdict
 from functools import lru_cache
 
 from .characters import DirichletCharacter, enumerate_primitive, trivial_character
-from .exact import CycNumber, divisors, zeta_at_negative
 from .qseries import QSeries
+from .scalars import CycNumber, divisors, zeta_at_negative
 
 __all__ = [
     "EisensteinAtom",

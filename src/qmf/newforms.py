@@ -30,15 +30,9 @@ from pathlib import Path
 
 from .eisenstein import eisenstein_basis
 from .errors import CatalogIncompleteError, DerivationError
-from .exact import (
-    CycNumber,
-    LinearSolver,
-    divisors,
-    factorize,
-    null_space,
-    primes_upto,
-)
+from .exact import LinearSolver, null_space
 from .qseries import EtaProduct, QSeries, dump_qseries, load_qseries
+from .scalars import CycNumber, divisors, euler_phi, factorize, primes_upto
 
 __all__ = [
     "CatalogIncompleteError",
@@ -106,8 +100,6 @@ def epsilon3(N: int) -> int:
 
 
 def cusp_count(N: int) -> int:
-    from .exact import euler_phi
-
     return sum(euler_phi(math.gcd(d, N // d)) for d in divisors(N))
 
 

@@ -30,8 +30,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .exact import ConductorMismatchError, CycNumber, _zeta_powers, euler_phi, format_cyc
-from .exact import _pack_signed, _signed_slot_size, _unpack_signed
+from .scalars import ConductorMismatchError, CycNumber, _zeta_powers, euler_phi, format_cyc
+from .scalars import _pack_signed, _signed_slot_size, _unpack_signed
 
 __all__ = [
     "EtaProduct",
@@ -57,6 +57,12 @@ _DECIMAL_MIN_BITS = 100_000
 _DECIMAL_MAX_SLOT_BITS = 13_000
 # Eta powers of series shorter than this use the Miller recurrence.
 _ETA_SQUARING_MIN = 256
+# The largest precision a command expands to (--prec, --xmax, --nmax) or a
+# q-series file may declare: ten times the largest census the tests run.  A
+# cold census of Delta at the cap takes about 14 s and peaks near 280 MB
+# (numbers in CHANGES.md); far above it a command would run for minutes or
+# run out of memory.
+MAX_PRECISION = 1_000_000
 
 _ZERO = CycNumber.zero()
 
@@ -145,7 +151,7 @@ def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
 
     Slots have base B > 2 * bound, so every product coefficient c has
     |c| < B/2 and the slots never wrap.  Binary slots are the signed slots
-    of exact: the product's residue mod B^count, centred, holds the low
+    of scalars: the product's residue mod B^count, centred, holds the low
     count slots as balanced base-B digits.  Decimal slots pack each operand
     as (positive part) - (negative part), and the balanced digits are read
     back from the product's magnitude, low slot first, with a carry.
@@ -208,7 +214,7 @@ def _reduce_zeta(terms, conductor: int, precision: int) -> tuple[tuple[int, ...]
     """Power-basis coordinates of the sum of c * zeta^k over the pairs (k, c)
     of terms, each c an int sequence, modulo the conductor's cyclotomic
     polynomial: the terms of one power are summed first, then each power
-    goes to its coordinates (exact._zeta_powers)."""
+    goes to its coordinates (scalars._zeta_powers)."""
     raw: dict[int, list] = {}
     for k, c in terms:
         cur = raw.get(k)
@@ -702,7 +708,9 @@ def dumps_qseries(series: QSeries, **headers) -> str:
 
 
 def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
-    """Parse the wire format; returns the series and any optional headers."""
+    """Parse the wire format; returns the series and any optional headers.
+    The declared precision is at most MAX_PRECISION, checked before the
+    series is built."""
     if isinstance(source, str):
         lines = source.splitlines()
     else:
@@ -710,7 +718,7 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
     if not lines or lines[0].strip() != "# qseries v1":
         raise ValueError("missing `# qseries v1` signature line")
     headers: dict[str, object] = {}
-    body: dict[int, list[Fraction]] = {}
+    body: dict[int, tuple[int, list[int]]] = {}
     for raw in lines[1:]:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -722,7 +730,7 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
             if key in _HEADER_KEYS:
                 headers[key] = rest if key == "label" else int(rest)
             else:
-                body[int(key)] = [Fraction(tok) for tok in rest.split()]
+                body[int(key)] = _parse_coordinates(rest.split())
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"unparseable line in q-series file: {raw!r}") from None
     if "conductor" not in headers or "precision" not in headers:
@@ -731,13 +739,59 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
     precision = headers.pop("precision")
     if conductor < 1:
         raise ValueError(f"q-series file declares conductor {conductor}; it must be positive")
+    if precision > MAX_PRECISION:
+        raise ValueError(
+            f"q-series file declares precision {precision}; it is above the cap {MAX_PRECISION}"
+        )
     width = euler_phi(conductor)
-    entries: dict[int, CycNumber] = {}
-    for n, coords in body.items():
-        if len(coords) != width:
+    for n, (_, nums) in body.items():
+        if len(nums) != width:
             raise ValueError(
-                f"coefficient at q^{n} has {len(coords)} coordinates, conductor {conductor} needs {width}"
+                f"coefficient at q^{n} has {len(nums)} coordinates, conductor {conductor} needs {width}"
             )
-        entries[n] = CycNumber(conductor, coords)
-    series = QSeries.from_dict(entries, precision)
-    return series, headers
+    for n in body:
+        if not 0 <= n < precision:
+            raise ValueError(f"exponent {n} outside precision {precision}")
+    if not body:
+        return QSeries.zero(precision), headers
+    # every coefficient over the lcm of their denominators
+    den = math.lcm(*(d for d, _ in body.values()))
+    cols = [[0] * precision for _ in range(width)]
+    for n, (d, nums) in body.items():
+        f = den // d
+        for col, x in zip(cols, nums):
+            col[n] = x * f
+    return QSeries._make(precision, conductor, den, cols), headers
+
+
+# ASCII digits, minus and slash: the characters of the p and -p/q tokens
+# that _parse_coordinates reads as ints; any other token goes through
+# Fraction, so the file format accepts exactly what Fraction parses.
+_PLAIN_TOKEN = frozenset("-0123456789/")
+
+
+def _parse_coordinates(tokens: list[str]) -> tuple[int, list[int]]:
+    """(d, nums): the rationals that tokens spell, as ints over d, the lcm
+    of their reduced denominators (the canonical form of a CycNumber).
+    Raises ValueError or ZeroDivisionError where Fraction(token) does."""
+    text = "".join(tokens)
+    if not _PLAIN_TOKEN.issuperset(text):
+        pairs = [(x.numerator, x.denominator) for x in map(Fraction, tokens)]
+    elif "/" not in text:
+        return 1, list(map(int, tokens))
+    else:
+        pairs = []
+        for token in tokens:
+            top, slash, bottom = token.partition("/")
+            if not slash:
+                pairs.append((int(top), 1))
+                continue
+            if not bottom.isdigit():
+                raise ValueError(f"not a rational: {token!r}")
+            n, d = int(top), int(bottom)
+            if not d:
+                raise ZeroDivisionError(token)
+            g = math.gcd(n, d)
+            pairs.append((n // g, d // g))
+    d = math.lcm(*(q for _, q in pairs))
+    return d, [p * (d // q) for p, q in pairs]

@@ -15,7 +15,7 @@ import functools
 
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
 from .errors import CatalogIncompleteError, RankDeficientError
-from .exact import CycNumber, LinearSolver, divisors, format_cyc
+from .exact import LinearSolver
 from .newforms import (
     CuspAtom,
     catalog_state,
@@ -25,6 +25,7 @@ from .newforms import (
     sturm_bound,
 )
 from .qseries import InsufficientPrecisionError, QSeries
+from .scalars import CycNumber, divisors, format_cyc
 
 __all__ = [
     "BasisAtom",

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import qmf
+import qmf.cli
 from qmf.cli import FormSpecError, eval_form, main
 from qmf.newforms import reset_caches
 from qmf.qseries import load_qseries
@@ -556,16 +558,67 @@ def test_derivative_order_cap(capsys):
 ])
 def test_absurd_precision_fails_in_one_line_before_expanding(capsys, monkeypatch, argv):
     import qmf.cli
+    import qmf.detect
 
     def refuse(*args):
         raise AssertionError("expanded past the precision cap")
 
-    for name in ("eval_form", "macmahon", "dumps_qseries"):
+    for name in ("eval_form", "dumps_qseries"):
         monkeypatch.setattr(qmf.cli, name, refuse)
+    # macmahon imports the table from detect when it runs
+    monkeypatch.setattr(qmf.detect, "macmahon", refuse)
     rc, out, err = run(capsys, *argv)
     option, value = argv[-4:-2] if argv[0] == "census" else argv[-2:]
     assert (rc, out) == (1, "")
     assert err == f"error: {option} {value} is above the cap {qmf.cli.MAX_PRECISION}\n"
+
+
+def capped_file(tmp_path, headers):
+    # a series file whose declared precision is one above the cap, with
+    # a(6) != a(2)a(3), so no Hecke check could pass it either
+    path = tmp_path / "capped.qs"
+    path.write_text(f"# qseries v1\nconductor: 1\nprecision: {qmf.cli.MAX_PRECISION + 1}\n"
+                    f"{headers}1: 1\n2: 1\n3: 1\n")
+    return path
+
+
+def test_decompose_refuses_a_file_precision_above_the_cap(tmp_path, capsys):
+    import qmf.qseries
+
+    assert qmf.cli.MAX_PRECISION is qmf.qseries.MAX_PRECISION
+    path = capped_file(tmp_path, "maxweight: 12\n")
+    rc, out, err = run(capsys, "decompose", "--series", str(path), "--level", "1")
+    assert (rc, out) == (1, "")
+    assert err == (f"error: q-series file declares precision {qmf.cli.MAX_PRECISION + 1}; "
+                   f"it is above the cap {qmf.cli.MAX_PRECISION}\n")
+
+
+def test_ingest_refuses_a_file_precision_above_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "cache"))
+    reset_caches()
+    try:
+        path = capped_file(tmp_path, "level: 1\nweight: 12\nlabel: x\n")
+        rc, out, err = run(capsys, "newforms", "--ingest", str(path))
+        assert (rc, out) == (1, "")
+        assert err == (f"error: q-series file declares precision {qmf.cli.MAX_PRECISION + 1}; "
+                       f"it is above the cap {qmf.cli.MAX_PRECISION}\n")
+        assert not (tmp_path / "cache").exists()
+    finally:
+        monkeypatch.delenv("QMF_CACHE_DIR")
+        reset_caches()
+
+
+def test_a_form_tabulates_each_macmahon_chain_length_once():
+    # the README prime test names U[1] three times and U[2] once: two sieves
+    import qmf.detect
+
+    qmf.detect.macmahon.cache_clear()
+    form = "(D^2)(U[1]) - 3*(D^1)(U[1]) + 2*U[1] - 8*U[2]"
+    with mock.patch.object(qmf.detect, "_divisor_sums", wraps=qmf.detect._divisor_sums) as sieves:
+        series, _ = eval_form(form, 301)
+        assert eval_form(form, 301)[0] == series
+    assert sieves.call_count == 2
+    assert qmf.detect.macmahon.cache_info().maxsize == qmf.detect._MACMAHON_CACHE_SIZE
 
 
 def test_internal_error_is_one_line(capsys, monkeypatch):
@@ -592,6 +645,12 @@ def test_moved_exceptions_keep_their_old_import_paths():
     assert qmf.quasimodular.CatalogIncompleteError is qmf.errors.CatalogIncompleteError
     assert qmf.newforms.CatalogIncompleteError is qmf.errors.CatalogIncompleteError
     assert qmf.newforms.DerivationError is qmf.errors.DerivationError
+    # cli imports detect only when a command runs, and still serves its name
+    import qmf.detect
+
+    assert qmf.cli.macmahon is qmf.detect.macmahon
+    with pytest.raises(AttributeError):
+        qmf.cli.census
 
 
 def test_insufficient_precision_error_line_is_unchanged(tmp_path, capsys):
@@ -628,7 +687,7 @@ def test_derivation_and_rank_error_lines_are_unchanged(capsys, monkeypatch, old_
 
 
 _HEAVY_MODULES = ("qmf.newforms", "qmf.quasimodular", "qmf.eisenstein",
-                  "qmf.characters", "dataclasses")
+                  "qmf.characters", "qmf.exact", "qmf.detect", "dataclasses")
 
 
 def heavy_modules_loaded(tmp_path, *commands):
@@ -652,6 +711,8 @@ def heavy_modules_loaded(tmp_path, *commands):
 
 
 def test_scan_commands_load_only_the_layers_they_run(tmp_path):
+    # a cold import loads neither the eliminator in exact nor detect, and
+    # the scan commands load detect alone
     assert heavy_modules_loaded(tmp_path) == []
     assert heavy_modules_loaded(
         tmp_path,
@@ -660,7 +721,7 @@ def test_scan_commands_load_only_the_layers_they_run(tmp_path):
         ("detect", "--form", "(D^2)(U[1]) - 3*(D^1)(U[1]) + 2*U[1] - 8*U[2]",
          "--level", "1", "--xmax", "100"),
         ("macmahon", "--a", "3", "--nmax", "100"),
-    ) == []
+    ) == ["qmf.detect"]
 
 
 def test_newform_expansion_does_not_load_decomposition(tmp_path):
@@ -682,6 +743,8 @@ def test_expand_and_decompose_do_not_load_dataclasses(tmp_path):
     )
     assert "qmf.quasimodular" in loaded
     assert "dataclasses" not in loaded
+    # nor detect, which no atom of the form names
+    assert "qmf.detect" not in loaded
 
 
 def test_decompose_level9_newform_outside_ambient_field(tmp_path, capsys):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from qmf import exact
+from qmf import exact, scalars
 from qmf.exact import (
     ConductorMismatchError,
     CycNumber,
@@ -25,6 +25,25 @@ from qmf.exact import (
 )
 from qmf.quasimodular import assemble_basis
 from replay_oracle import ReplaySolver
+
+
+@pytest.mark.parametrize("module", [scalars, exact])
+def test_each_half_of_the_scalar_split_stays_below_the_parser_token_doubling(module):
+    # CPython 3.11's parser doubles its token array past 8192 tokens, so a
+    # module past it costs every cold compile about 0.5 MB more; the parser
+    # sees no comments and no non-logical newlines
+    import tokenize
+
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(module.__file__, "rb") as fh:
+        tokens = [t for t in tokenize.tokenize(fh.readline) if t.type not in skipped]
+    assert len(tokens) < 8192
+
+
+def test_scalar_names_of_exact_are_the_scalars_objects():
+    assert set(scalars.__all__) <= set(exact.__all__)
+    for name in scalars.__all__:
+        assert getattr(exact, name) is getattr(scalars, name)
 
 
 def test_elementary_helpers():
@@ -870,6 +889,15 @@ def spy_method(cls, name):
     return mock.patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
 
 
+@contextlib.contextmanager
+def spy_packs():
+    """One mock that records every _pack call, from the eliminator in exact
+    and from the signed packing in scalars, and runs the original."""
+    packs = mock.Mock(wraps=scalars._pack)
+    with mock.patch.object(exact, "_pack", packs), mock.patch.object(scalars, "_pack", packs):
+        yield packs
+
+
 def test_one_digit_lift_makes_one_pass_and_one_packed_check():
     # a one-digit lift: one forward and one back substitution mod p (one
     # _solve_mod_p, two 5-slot packs), one reconstruction, one packed check
@@ -884,7 +912,7 @@ def test_one_digit_lift_makes_one_pass_and_one_packed_check():
             spy_method(exact._DixonFactor, "_mismatch") as checks, \
             spy_method(exact._DixonFactor, "_square_columns") as squares, \
             mock.patch.object(exact, "_reconstruct", wraps=exact._reconstruct) as tries, \
-            mock.patch.object(exact, "_pack", wraps=exact._pack) as packs, \
+            spy_packs() as packs, \
             mock.patch.object(exact, "_unpack_signed", wraps=exact._unpack_signed) as unpacks:
         assert [c.as_rational() for c in int_solve(solver, target)] == [
             Fraction(k, 3) for k in range(1, 6)]
@@ -1114,7 +1142,7 @@ def test_large_height_solve_repacks_wider_and_keeps_the_narrow():
     want = [Fraction(3 ** (40 + j), 7 ** (20 + j) + 1) for j in range(len(series))]
     big = sum((s * c for s, c in zip(series[1:], want[1:])), series[0] * want[0])
     den, nums = big.numerators()
-    with mock.patch.object(exact, "_pack", wraps=exact._pack) as packs:
+    with spy_packs() as packs:
         assert [c.as_rational() for c in solver.solve([list(nums[0])], den)] == want
     # every packing over all 92 rows: the 55 columns and the target
     all_rows = [call.args[1] for call in packs.call_args_list if len(call.args[0]) == 92]
@@ -1126,7 +1154,7 @@ def test_large_height_solve_repacks_wider_and_keeps_the_narrow():
     assert solver.solve([off], den) is None
     assert factor.packing[0] == narrow
     den, nums = small.numerators()
-    with mock.patch.object(exact, "_pack", wraps=exact._pack) as packs, \
+    with spy_packs() as packs, \
             spy_method(exact._DixonFactor, "_mismatch") as checks:
         assert solver.solve([list(nums[0])], den) == small_coords
     # each check packs the 92-row target alone

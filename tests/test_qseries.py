@@ -1,11 +1,13 @@
 import io
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from qmf import qseries
-from qmf.exact import CycNumber
+from qmf.scalars import CycNumber, euler_phi
 from qmf.newforms import _BUILTIN_ETA
 from qmf.qseries import (
     EtaProduct,
@@ -229,6 +231,113 @@ def test_file_with_nonpositive_conductor_names_it(conductor):
     text = f"# qseries v1\nconductor: {conductor}\nprecision: 4\n1: 1\n"
     with pytest.raises(ValueError, match=f"conductor {conductor}; it must be positive"):
         load_qseries(text)
+
+
+def fraction_parse(text):
+    """The q-series file parse as it was before load_qseries read integers,
+    kept as its oracle: every coordinate a Fraction, each coefficient a
+    CycNumber, the series QSeries.from_dict."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "# qseries v1":
+        raise ValueError("missing `# qseries v1` signature line")
+    headers, body = {}, {}
+    for raw in lines[1:]:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, rest = line.partition(":")
+        key, rest = key.strip(), rest.strip()
+        try:
+            if key in qseries._HEADER_KEYS:
+                headers[key] = rest if key == "label" else int(rest)
+            else:
+                body[int(key)] = [Fraction(tok) for tok in rest.split()]
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"unparseable line in q-series file: {raw!r}") from None
+    if "conductor" not in headers or "precision" not in headers:
+        raise ValueError("q-series file must declare conductor and precision")
+    conductor, precision = headers.pop("conductor"), headers.pop("precision")
+    if conductor < 1:
+        raise ValueError(f"q-series file declares conductor {conductor}; it must be positive")
+    width = euler_phi(conductor)
+    entries = {}
+    for n, coords in body.items():
+        if len(coords) != width:
+            raise ValueError(
+                f"coefficient at q^{n} has {len(coords)} coordinates, conductor {conductor} needs {width}"
+            )
+        entries[n] = CycNumber(conductor, coords)
+    return QSeries.from_dict(entries, precision), headers
+
+
+def parse_outcome(parse, text):
+    """What a parse makes of text: the series' exact data and the headers,
+    or the error it raises."""
+    try:
+        series, headers = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return series.precision, series.conductor, series.numerators(), headers
+
+
+def random_cyclotomic_file(rng, conductor, precision, nonzeros):
+    coeffs = [CycNumber.zero(conductor)] * precision
+    for n in rng.sample(range(precision), nonzeros):
+        coeffs[n] = CycNumber(conductor, [
+            Fraction(rng.randint(-99, 99), rng.randint(1, 99)) if rng.random() < 0.7 else 0
+            for _ in range(euler_phi(conductor))])
+    return dumps_qseries(QSeries(coeffs, precision), level=8, weight=12, label="c")
+
+
+@pytest.mark.parametrize("conductor, precision", [(1, 400), (109, 40)])
+def test_load_matches_the_fraction_parse(conductor, precision):
+    # rational and Q(zeta_109) files read to the very same canonical integers
+    rng = random.Random(f"load {conductor}")
+    text = random_cyclotomic_file(rng, conductor, precision, precision // 3)
+    want = parse_outcome(fraction_parse, text)
+    assert want[1] == conductor and want[2][0] > 1
+    assert parse_outcome(load_qseries, text) == want
+    # a file in another hand: every fraction unreduced
+    edited = re.sub(r"(-?\d+)/(\d+)", lambda m: f"{3 * int(m[1])}/{3 * int(m[2])}", text)
+    assert edited != text
+    assert parse_outcome(load_qseries, edited) == want
+
+
+@pytest.mark.parametrize("tokens", [
+    "3/6 -4/8 0/5 007", "-0 +3 1.5 1e2", "1_000 2", "\u0663 1", "12345678901234567890/3 -1",
+    "5/0 1", "0/0 1", "5/ 1", "/5 1", "5/-3 1", "--5 1", "- 1", "1/2/3 1", "x 1", "1", "1 2 3", "",
+])
+def test_load_reads_each_token_as_fraction_does(tokens):
+    # integers and p/q take the int parse, anything else goes through
+    # Fraction; both accept and refuse the same tokens with the same error
+    tokens = tokens.encode().decode("unicode_escape")
+    for precision in (4, 0, -1):
+        text = f"# qseries v1\nconductor: 3\nprecision: {precision}\n1: {tokens}\n2: 1 0\n"
+        assert parse_outcome(load_qseries, text) == parse_outcome(fraction_parse, text)
+
+
+def test_load_builds_the_series_from_integers():
+    # no Fraction per coordinate and one QSeries._make for the whole file
+    rng = random.Random("one make")
+    text = random_cyclotomic_file(rng, 109, 30, 10)
+    want = fraction_parse(text)
+    real_make = QSeries._make
+    with mock.patch.object(qseries, "Fraction", side_effect=AssertionError("Fraction built")), \
+            mock.patch.object(QSeries, "_make", side_effect=real_make) as makes:
+        got = load_qseries(text)
+    assert got == want
+    assert makes.call_count == 1
+
+
+def test_load_refuses_a_precision_above_the_cap():
+    text = f"# qseries v1\nconductor: 1\nprecision: {qseries.MAX_PRECISION + 1}\n1: 1\n"
+    with mock.patch.object(QSeries, "_make", side_effect=AssertionError("series built")):
+        with pytest.raises(ValueError, match=(
+                f"^q-series file declares precision {qseries.MAX_PRECISION + 1}; "
+                f"it is above the cap {qseries.MAX_PRECISION}$")):
+            load_qseries(text)
+    series, _ = load_qseries(text.replace(str(qseries.MAX_PRECISION + 1), str(qseries.MAX_PRECISION)))
+    assert series.precision == qseries.MAX_PRECISION
 
 
 def test_agrees_with():
