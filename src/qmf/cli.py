@@ -635,9 +635,10 @@ def main(argv=None) -> int:
         print(f"parse error {exc}", file=sys.stderr)
         return 1
     except CatalogIncompleteError as exc:
+        reason = f": {exc.detail}" if exc.detail else ""
         print(
             f"catalog incomplete: no newform table for level {exc.level}, "
-            f"weight {exc.weight}",
+            f"weight {exc.weight}{reason}",
             file=sys.stderr,
         )
         return 1

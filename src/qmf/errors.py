@@ -12,11 +12,13 @@ __all__ = ["CatalogIncompleteError", "DerivationError", "RankDeficientError"]
 
 class CatalogIncompleteError(LookupError):
     """A needed newform space is not covered by catalog, ingested, or
-    derivable records.  Carries the missing (level, weight)."""
+    derivable records.  Carries the missing (level, weight) and the reason
+    the records could not be completed (empty when none is known)."""
 
     def __init__(self, level: int, weight: int, detail: str = ""):
         self.level = level
         self.weight = weight
+        self.detail = detail
         msg = f"newform space (level {level}, weight {weight}) is not available"
         if detail:
             msg += f": {detail}"

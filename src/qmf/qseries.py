@@ -9,11 +9,15 @@ precision as the min of the operands and embeds both into Q(zeta_lcm).
 
 Products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009): each
-operand is packed into one big number whose slots are wide enough that no
-slot can wrap, the two numbers are multiplied once, and the product slots
-are read back.  Long operands are packed in decimal, so libmpdec multiplies
-them with a number-theoretic transform; mid-size ones are packed into a
-Python int; short or sparse ones go through a schoolbook convolution.
+operand is packed into one big number of signed slots (each coefficient
+plus half the slot base, minus that offset once), the two numbers are
+multiplied once, and the product slots are read back after the offset is
+added again.  The slots are sized by a proven bound on every product
+coefficient, the smaller of max|a| max|b| min(nnz) and ||a|| ||b||
+(Cauchy-Schwarz), so no slot can wrap.  Long operands are packed in
+decimal, so libmpdec multiplies them with a number-theoretic transform;
+mid-size ones are packed into a Python int; short or sparse ones go
+through a schoolbook convolution.
 Eta powers eta(d tau)^e with e >= 1 are built from Jacobi's sparse
 eta^3 = sum (-1)^k (2k+1) q^(k(k+1)/2), squared repeatedly, times the
 sparse pentagonal-number series eta^(e mod 3); negative exponents and
@@ -55,14 +59,23 @@ _DECIMAL_MIN_BITS = 100_000
 # Wider slots stay in int packing: each decimal slot goes through int <-> str,
 # which must stay under Python's default 4300-digit limit.
 _DECIMAL_MAX_SLOT_BITS = 13_000
+# Slots per string of a decimal packing: the digit strings are joined a
+# chunk at a time, so no list of one string per slot is ever built.
+_DECIMAL_CHUNK = 1024
 # Eta powers of series shorter than this use the Miller recurrence.
 _ETA_SQUARING_MIN = 256
 # The largest precision a command expands to (--prec, --xmax, --nmax) or a
 # q-series file may declare: ten times the largest census the tests run.  A
-# cold census of Delta at the cap takes about 14 s and peaks near 280 MB
+# cold census of Delta at the cap takes about 9 s and peaks near 190 MB
 # (numbers in CHANGES.md); far above it a command would run for minutes or
 # run out of memory.
 MAX_PRECISION = 1_000_000
+# The largest conductor a q-series file may declare, checked before
+# anything factors it; the derived newform tables reach conductor 280.  The
+# table of zeta powers that arithmetic in Q(zeta_M) builds once takes
+# 0.3 s and 50 MB at M = 2310 (the primorial 2*3*5*7*11), but 1.1 s and
+# 140 MB at M = 3003 and 12 s at the prime M = 9973.
+MAX_CONDUCTOR = 2310
 
 _ZERO = CycNumber.zero()
 
@@ -89,20 +102,29 @@ def _wrap(value) -> CycNumber:
 # integer kernel: products of int sequences
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], precision: int) -> list[int]:
-    """The first `precision` coefficients of the product of two int series."""
+def _convolve(a: Sequence[int], b: Sequence[int], precision: int,
+              release: bool = False) -> list[int]:
+    """The first `precision` coefficients of the product of two int series.
+
+    With release, a and b are lists that the caller drops after the call,
+    so a decimal Kronecker product may empty them as it packs them, and
+    their coefficients are not held through the multiplication.
+    """
     square = a is b
-    a = a[:precision]
-    b = a if square else b[:precision]
     va = next((i for i, x in enumerate(a) if x), None)
     vb = va if square else next((i for i, x in enumerate(b) if x), None)
     if va is None or vb is None or va + vb >= precision:
         return [0] * precision
-    # strip the valuations, so only the window below precision is packed
+    # strip the valuations and cut at precision, so only the window below
+    # it is packed; an operand already in its window is not copied
     shift = va + vb
     count = precision - shift
-    a = a[va : va + count]
-    b = a if square else b[vb : vb + count]
+    if va or len(a) > count:
+        a = a[va : va + count]
+    if square:
+        b = a
+    elif vb or len(b) > count:
+        b = b[vb : vb + count]
     nnz_a = len(a) - a.count(0)
     nnz_b = nnz_a if square else len(b) - b.count(0)
     if min(nnz_a, nnz_b) < _KRONECKER_MIN_TERMS:
@@ -112,9 +134,15 @@ def _convolve(a: Sequence[int], b: Sequence[int], precision: int) -> list[int]:
     else:
         top_a = max(max(a), -min(a))
         top_b = top_a if square else max(max(b), -min(b))
-        # every product coefficient is a sum of at most min(nnz) terms
-        bound = top_a * top_b * min(nnz_a, nnz_b)
-        body = _kronecker(a, b, bound, count, square)
+        norm_a = sum(map(operator.mul, a, a))
+        norm_b = norm_a if square else sum(map(operator.mul, b, b))
+        # every product coefficient is a sum of at most min(nnz) terms, and
+        # by Cauchy-Schwarz at most ||a|| * ||b|| in size; it is an integer,
+        # so it is at most the floor of that too
+        bound = min(top_a * top_b * min(nnz_a, nnz_b), math.isqrt(norm_a * norm_b))
+        body = _kronecker(a, b, bound, count, square, release)
+    if not shift and len(body) == precision:
+        return body
     out = [0] * shift
     out.extend(body)
     out.extend([0] * (precision - len(out)))
@@ -146,68 +174,85 @@ def _sparse_pairs(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
     return out
 
 
-def _kronecker(a, b, bound: int, count: int, square: bool) -> list[int]:
+def _kronecker(a, b, bound: int, count: int, square: bool, release: bool) -> list[int]:
     """Product slots 0..count-1 of a*b, where no slot exceeds bound in size.
 
     Slots have base B > 2 * bound, so every product coefficient c has
-    |c| < B/2 and the slots never wrap.  Binary slots are the signed slots
-    of scalars: the product's residue mod B^count, centred, holds the low
-    count slots as balanced base-B digits.  Decimal slots pack each operand
-    as (positive part) - (negative part), and the balanced digits are read
-    back from the product's magnitude, low slot first, with a carry.
+    |c| < B/2 and the slots never wrap.  Both bases use signed slots: an
+    operand is packed as the digits v + B/2 minus the offset of B/2 in
+    every slot, so the packed number is sum(v_k * B^k).  The product plus
+    the offset, floor-truncated to count slots, holds c_k + B/2 in slot k,
+    and each slot is read once.  Binary slots are those of scalars; decimal
+    slots are one digit string per operand, which libmpdec multiplies with
+    a number-theoretic transform.  With release, a decimal packing empties
+    a and b as it reads them (see _convolve).
     """
     slots = len(a) + len(b) - 1
     count = min(count, slots)
     bits = (2 * bound).bit_length()
-    if bits <= _DECIMAL_MAX_SLOT_BITS and min(len(a), len(b)) * bits >= _DECIMAL_MIN_BITS:
-        digits = len(str(2 * bound))
-        base = 10**digits
-        ctx = decimal.Context(
-            prec=decimal.MAX_PREC,
-            Emax=decimal.MAX_EMAX,
-            Emin=decimal.MIN_EMIN,
-            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
-        )
-        pa = _pack_decimal(a, digits, ctx)
-        pb = pa if square else _pack_decimal(b, digits, ctx)
-        product = ctx.multiply(pa, pb)
-        del pa, pb
-        negative = product.is_signed()
-        product = ctx.abs(product)
-        # only the low count slots are read, so the high ones are dropped
-        # before the magnitude becomes a string
-        cut = count * digits
-        high = product.scaleb(-cut, ctx).to_integral_value(decimal.ROUND_DOWN, ctx)
-        text = str(ctx.subtract(product, high.scaleb(cut, ctx)))
-        del product, high
-        top = len(text)
-        magnitude = (
-            int(text[max(e - digits, 0) : e]) if e > 0 else 0
-            for e in range(top, top - cut, -digits)
-        )
-    else:
+    if bits > _DECIMAL_MAX_SLOT_BITS or min(len(a), len(b)) * bits < _DECIMAL_MIN_BITS:
         size = _signed_slot_size(bound)
         packed = _pack_signed(a, size)
         product = packed * (packed if square else _pack_signed(b, size))
         return _unpack_signed(product, size, count)
-    half = base // 2
+    digits = len(str(2 * bound))
+    half = 10**digits // 2
     assert bound < half, "Kronecker slot too narrow"
-    out = []
-    carry = 0
-    for v in magnitude:
-        v += carry
-        carry = v >= half
-        out.append(v - base if carry else v)
-    return [-v for v in out] if negative else out
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+    )
+    pa = _pack_decimal(a, digits, ctx, release)
+    pb = pa if square else _pack_decimal(b, digits, ctx, release)
+    product = ctx.multiply(pa, pb)
+    del pa, pb
+    product = ctx.add(product, _decimal_offset(digits, count, ctx))
+    # only the low count slots are read, so the high ones are dropped
+    # before the number becomes a string
+    cut = count * digits
+    high = product.scaleb(-cut, ctx).to_integral_value(decimal.ROUND_FLOOR, ctx)
+    low = ctx.subtract(product, high.scaleb(cut, ctx))
+    del product, high
+    text = str(low).zfill(cut)
+    del low
+    return [int(text[e - digits : e]) - half for e in range(cut, 0, -digits)]
 
 
-def _pack_decimal(seq: Sequence[int], digits: int, ctx) -> decimal.Decimal:
-    # most significant slot first; each string is dropped once parsed
-    zero = "0" * digits
-    pos = "".join(str(x).zfill(digits) if x > 0 else zero for x in reversed(seq))
-    pos = decimal.Decimal(pos)
-    neg = "".join(str(-x).zfill(digits) if x < 0 else zero for x in reversed(seq))
-    return ctx.subtract(pos, decimal.Decimal(neg))
+def _pack_decimal(seq: Sequence[int], digits: int, ctx, release: bool) -> decimal.Decimal:
+    """sum(v_k * 10^(digits*k)) over the entries v_k of seq, each of size
+    below 10^digits / 2: the digits of v_k + 10^digits / 2, most
+    significant slot first, minus the offset.  With release, seq is a list
+    and is emptied from the top as its chunks are written."""
+    half = 10**digits // 2
+    count = end = len(seq)
+    chunks = []
+    while end:
+        start = max(end - _DECIMAL_CHUNK, 0)
+        chunks.append("".join([str(v + half).zfill(digits) for v in reversed(seq[start:end])]))
+        if release:
+            del seq[start:]
+        end = start
+    text = "".join(chunks)
+    del chunks
+    packed = decimal.Decimal(text)
+    del text
+    return ctx.subtract(packed, _decimal_offset(digits, count, ctx))
+
+
+def _decimal_offset(digits: int, count: int, ctx) -> decimal.Decimal:
+    """10^digits / 2 in each of count slots, built by doubling the run of
+    slots: a few exact additions cost less than parsing its digits."""
+    half = decimal.Decimal(5).scaleb(digits - 1, ctx)
+    out, slots = half, 1
+    for bit in bin(count)[3:]:
+        out = ctx.add(out.scaleb(slots * digits, ctx), out)
+        slots *= 2
+        if bit == "1":
+            out = ctx.add(out.scaleb(digits, ctx), half)
+            slots += 1
+    return out
 
 
 def _reduce_zeta(terms, conductor: int, precision: int) -> tuple[tuple[int, ...], ...]:
@@ -589,7 +634,8 @@ def _jacobi_cube(step: int, precision: int) -> list[int]:
 def _eta_power(step: int, power: int, precision: int) -> list[int]:
     """prod (1 - q^(step*n))^power as (eta^3)^(power // 3) * eta^(power % 3),
     the cube power by repeated squaring; Miller for short series and for
-    negative exponents."""
+    negative exponents.  Each list of the chain is released to the product
+    that consumes it last, so no full-length operand outlives its packing."""
     if power < 1 or precision < _ETA_SQUARING_MIN:
         return _euler_power(step, power, precision)
     cubes, rest = divmod(power, 3)
@@ -599,16 +645,17 @@ def _eta_power(step: int, power: int, precision: int) -> list[int]:
         eta[0] = 1
         for e, s in _pentagonal_support(precision, step):
             eta[e] = s
-        out = eta if rest == 1 else _convolve(eta, eta, precision)
+        out = eta if rest == 1 else _convolve(eta, eta, precision, release=True)
     if cubes:
         base = _jacobi_cube(step, precision)
         while True:
             if cubes & 1:
-                out = base if out is None else _convolve(out, base, precision)
+                # base is squared again unless this is the last bit
+                out = base if out is None else _convolve(out, base, precision, release=cubes == 1)
             cubes >>= 1
             if not cubes:
                 break
-            base = _convolve(base, base, precision)
+            base = _convolve(base, base, precision, release=base is not out)
     return out
 
 
@@ -652,8 +699,9 @@ class EtaProduct:
         acc: list[int] | None = None
         for d, e in self.factors:
             part = _eta_power(d, e, body)
-            acc = part if acc is None else _convolve(acc, part, body)
-        return QSeries._make(precision, 1, 1, [[0] * shift + acc])
+            acc = part if acc is None else _convolve(acc, part, body, release=True)
+        # integers over 1 are canonical
+        return QSeries._canonical(precision, 1, 1, (tuple(itertools.chain([0] * shift, acc)),))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EtaProduct) and self.factors == other.factors
@@ -709,8 +757,8 @@ def dumps_qseries(series: QSeries, **headers) -> str:
 
 def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
     """Parse the wire format; returns the series and any optional headers.
-    The declared precision is at most MAX_PRECISION, checked before the
-    series is built."""
+    The declared precision is at most MAX_PRECISION and the conductor at
+    most MAX_CONDUCTOR, both checked before the series is built."""
     if isinstance(source, str):
         lines = source.splitlines()
     else:
@@ -742,6 +790,10 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
     if precision > MAX_PRECISION:
         raise ValueError(
             f"q-series file declares precision {precision}; it is above the cap {MAX_PRECISION}"
+        )
+    if conductor > MAX_CONDUCTOR:
+        raise ValueError(
+            f"q-series file declares conductor {conductor}; it is above the cap {MAX_CONDUCTOR}"
         )
     width = euler_phi(conductor)
     for n, (_, nums) in body.items():

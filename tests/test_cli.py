@@ -362,7 +362,8 @@ def test_newforms_ingest_refuses_an_eisenstein_series(tmp_path, capsys, monkeypa
 
 def test_newforms_7_10_fails_in_one_line(tmp_path):
     # 7.10's eigenline split finds 0 of its 5 lines, so the derivation
-    # fails; a cold process reports it in one line, exit 1, no traceback
+    # fails; a cold process reports it in one line that names the library's
+    # reason, exit 1, no traceback
     env = dict(os.environ, QMF_CACHE_DIR=str(tmp_path / "cache"),
                PYTHONPATH=str(Path(qmf.__file__).resolve().parents[1]))
     proc = subprocess.run(
@@ -370,7 +371,8 @@ def test_newforms_7_10_fails_in_one_line(tmp_path):
          "--prec", "30"],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "catalog incomplete: no newform table for level 7, weight 10\n"
+    assert proc.stderr == ("catalog incomplete: no newform table for level 7, weight 10: "
+                           "eigenline splitting found 0 lines, expected 5\n")
 
 
 def test_expand_form_corpus_is_unchanged(capsys):
@@ -593,6 +595,28 @@ def test_decompose_refuses_a_file_precision_above_the_cap(tmp_path, capsys):
                    f"it is above the cap {qmf.cli.MAX_PRECISION}\n")
 
 
+def test_decompose_refuses_a_huge_file_conductor_at_once(tmp_path):
+    # a prime near 10^18: factoring it before any cap kept this busy for
+    # many seconds; a cold process now refuses it in one line
+    import time
+
+    import qmf.qseries
+
+    path = tmp_path / "huge.qs"
+    path.write_text("# qseries v1\nconductor: 1000000000000000003\nprecision: 30\n1: 1\n")
+    env = dict(os.environ, QMF_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=str(Path(qmf.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmf.cli", "decompose", "--series", str(path), "--level", "1",
+         "--maxweight", "12"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: q-series file declares conductor 1000000000000000003; "
+                           f"it is above the cap {qmf.qseries.MAX_CONDUCTOR}\n")
+
+
 def test_ingest_refuses_a_file_precision_above_the_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "cache"))
     reset_caches()
@@ -662,8 +686,21 @@ def test_insufficient_precision_error_line_is_unchanged(tmp_path, capsys):
 
 
 def test_catalog_incomplete_error_line_is_unchanged(capsys):
+    # the line keeps its prefix, and the library's reason follows it
     rc, out, err = run(capsys, "newforms", "--level", "26", "--weight", "2")
-    assert (rc, out, err) == (1, "", "catalog incomplete: no newform table for level 26, weight 2\n")
+    assert (rc, out, err) == (1, "", "catalog incomplete: no newform table for level 26, weight 2: "
+                                     "no product construction reaches weight 2\n")
+
+
+def test_catalog_incomplete_line_without_a_reason(capsys, monkeypatch):
+    from qmf.errors import CatalogIncompleteError
+
+    def missing(args):
+        raise CatalogIncompleteError(5, 10)
+
+    monkeypatch.setattr(qmf.cli, "cmd_newforms", missing)
+    rc, out, err = run(capsys, "newforms", "--level", "5", "--weight", "10")
+    assert (rc, out, err) == (1, "", "catalog incomplete: no newform table for level 5, weight 10\n")
 
 
 @pytest.mark.parametrize("old_home, name", [

@@ -741,7 +741,7 @@ def test_ingested_label_of_another_form_fails(tmp_path, cache_a):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr == "catalog incomplete: no newform table for level 8, weight 8\n"
+    assert done.stderr == f"catalog incomplete: no newform table for level 8, weight 8: {message}\n"
 
 
 def test_one_form_under_two_labels_fails(tmp_path, cache_a):

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import re
 from fractions import Fraction
@@ -340,6 +341,22 @@ def test_load_refuses_a_precision_above_the_cap():
     assert series.precision == qseries.MAX_PRECISION
 
 
+def test_load_refuses_a_conductor_above_the_cap():
+    # checked before euler_phi factors the conductor or any series is built
+    text = f"# qseries v1\nconductor: {qseries.MAX_CONDUCTOR + 1}\nprecision: 4\n"
+    at_cap = f"1: {' '.join(['1'] + ['0'] * (euler_phi(qseries.MAX_CONDUCTOR) - 1))}\n"
+    with mock.patch.object(qseries, "euler_phi", side_effect=AssertionError("factored")), \
+            mock.patch.object(QSeries, "_make", side_effect=AssertionError("series built")):
+        with pytest.raises(ValueError, match=(
+                f"^q-series file declares conductor {qseries.MAX_CONDUCTOR + 1}; "
+                f"it is above the cap {qseries.MAX_CONDUCTOR}$")):
+            load_qseries(text)
+    series, _ = load_qseries(text.replace(str(qseries.MAX_CONDUCTOR + 1), str(qseries.MAX_CONDUCTOR))
+                             + at_cap)
+    assert series.conductor == qseries.MAX_CONDUCTOR
+    assert series.coefficient(1) == 1 and series.valuation() == 1
+
+
 def test_agrees_with():
     a = QSeries([1, 2, 3, 4])
     b = QSeries([1, 2, 3])
@@ -503,6 +520,101 @@ def test_kronecker_slot_holds_the_extreme_bound(length, bits):
         g = QSeries([top] * length)
         got = (f * g).coefficients()
         assert [c.as_rational() for c in got] == [sign * (k + 1) * top * top for k in range(length)]
+
+
+def spy_on_kronecker(monkeypatch):
+    # one [bound, packs_decimal] per Kronecker product
+    calls = []
+    real_kronecker, real_pack = qseries._kronecker, qseries._pack_decimal
+
+    def kronecker(a, b, bound, *rest):
+        calls.append([bound, False])
+        return real_kronecker(a, b, bound, *rest)
+
+    def pack(*args):
+        calls[-1][1] = True
+        return real_pack(*args)
+
+    monkeypatch.setattr(qseries, "_kronecker", kronecker)
+    monkeypatch.setattr(qseries, "_pack_decimal", pack)
+    return calls
+
+
+@pytest.mark.parametrize("bits, packs_decimal", [(30, False), (300, True)])
+@pytest.mark.parametrize("smaller", ["nnz", "cauchy_schwarz"])
+def test_lopsided_products_take_the_smaller_bound(monkeypatch, bits, packs_decimal, smaller):
+    # nnz: flat operands with 400 and 40 nonzero terms, so
+    # max|a| max|b| min(nnz) = 40 T^2 is below ||a|| ||b|| = T^2 sqrt(16000);
+    # cauchy_schwarz: one term of size H in each, the rest of size 1, so
+    # ||a|| ||b|| is about H^2, far below H^2 min(nnz)
+    rng = random.Random(bits)
+    length, top = 400, 2**bits - 1
+    if smaller == "nnz":
+        xs = [rng.choice((-top, top)) for _ in range(length)]
+        ys = [0] * length
+        for k in rng.sample(range(length), 40):
+            ys[k] = rng.choice((-top, top))
+        want_bound = top * top * 40
+    else:
+        xs = [rng.choice((-1, 1)) for _ in range(length)]
+        ys = [rng.choice((-1, 0, 1)) for _ in range(length)]
+        xs[3], ys[0] = -top, top
+        norm_x = sum(x * x for x in xs)
+        norm_y = sum(y * y for y in ys)
+        want_bound = math.isqrt(norm_x * norm_y)
+        assert want_bound < top * top * min(len(xs) - xs.count(0), len(ys) - ys.count(0))
+    calls = spy_on_kronecker(monkeypatch)
+    got = QSeries(xs) * QSeries(ys)
+    assert [c.as_rational() for c in got.coefficients()] == fraction_product_oracle(xs, ys, length)
+    assert calls == [[want_bound, packs_decimal]]
+
+
+def test_negative_top_terms_on_the_decimal_path(monkeypatch):
+    # negative top terms in one or both operands, and in a square; over the
+    # seeds the top kept slot, and so the kept slots read as one number,
+    # comes out negative as well as positive
+    calls = spy_on_kronecker(monkeypatch)
+    length, signs = 400, set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        xs, ys = random_fractions(rng, length, 300), random_fractions(rng, length, 300)
+        xs[0] = ys[0] = Fraction(1)
+        xs[-1] = -abs(xs[-1]) or Fraction(-1)
+        ys[-1] = (-1) ** seed * (abs(ys[-1]) or Fraction(1))
+        for f, g in ((xs, ys), (xs, xs)):
+            want = fraction_product_oracle(f, g, length)
+            got = QSeries(f) * QSeries(g)
+            assert [c.as_rational() for c in got.coefficients()] == want
+            signs.add(want[-1] < 0)
+    assert signs == {True, False}
+    assert [packs for _, packs in calls] == [True] * 12
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("power", [24, 25, 26])
+def test_eta_powers_with_decimal_squarings_match_miller(monkeypatch, step, power):
+    # at P = 3000 both dense squarings pack in decimal, and for powers 25
+    # and 26 the last product, eta or eta^2 times eta^24, does too; each
+    # releases the operands it consumes
+    calls = spy_on_kronecker(monkeypatch)
+    P = 3000
+    assert qseries._eta_power(step, power, P) == _euler_power(step, power, P)
+    assert [packs for _, packs in calls] == [True] * (2 if power == 24 else 3)
+
+
+def test_eta_power_peak_memory_to_20000():
+    # the squaring chain releases each operand once it is packed and packs
+    # each in one digit string per chunk: the traced peak was 3.1 MB with
+    # positive and negative strings and the operands held to the end
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        qseries._eta_power(1, 24, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_cyclotomic_products_match_oracle():
