@@ -1,8 +1,10 @@
-"""Exact linear solving over cyclotomic fields.
+"""Exact linear solving over cyclotomic fields, by one rational eliminator.
 
-LinearSolver solves every matrix over Q(zeta_M) with one eliminator: Dixon
-p-adic lifting modulo a prime p = 1 mod M under each of the phi(M) maps
-Z[zeta_M] -> F_p, with rational reconstruction.  The rank profile mod p is
+LinearSolver factors every matrix over Q: Dixon p-adic lifting modulo a
+prime p, with rational reconstruction.  A matrix over Q(zeta_M) is
+restricted to Q, column j becoming the phi(M) columns of the coordinates
+of zeta^s times column j, s < phi(M); a rational matrix solves a target
+over Q(zeta_L) one coordinate at a time.  The rank profile mod p is
 certified by solving each free column exactly (else the next prime is
 tried), and an answer is returned only after A*x == b holds on every row.
 
@@ -21,11 +23,10 @@ numbers) are imported here too, so `qmf.exact.X` is the same object as
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count
+from itertools import chain, compress, count
 from typing import Sequence
 
 from .scalars import (
@@ -33,12 +34,10 @@ from .scalars import (
     CycNumber,
     _pack,
     _pack_signed,
-    _reduce_mod_cyclotomic,
     _signed_offset,
     _signed_slot_size,
     _unpack,
     _unpack_signed,
-    _zeta_powers,
     bernoulli,
     cyclotomic_polynomial,
     divisors,
@@ -70,57 +69,21 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact linear solving over Q(zeta_M)
+# exact linear solving over Q
 
-# The modular path works modulo primes p = 1 mod M, the largest at most
-# _MODULUS first: the phi(M) roots r of Phi_M mod p give ring maps Z[zeta_M]
-# -> F_p, zeta -> r, which together identify Z[zeta_M] / p with F_p^phi(M).
+# Dixon's lifting works modulo primes, the largest at most _MODULUS first.
 _MODULUS = 2**61 - 1
 
 
-def _split_primes(M: int):
-    """The primes p = 1 mod M at most _MODULUS, largest first, then above."""
-    top = _MODULUS - (_MODULUS - 1) % M
-    return filter(is_prime, chain(range(top, 1, -M), count(top + M, M)))
+def _primes():
+    """The primes at most _MODULUS, largest first, then those above it."""
+    return filter(is_prime, chain(range(_MODULUS, 1, -1), count(_MODULUS + 1)))
 
 
-@functools.cache
-def _embeddings(M: int, p: int) -> tuple[list[list[int]], "_LU"]:
-    """(powers, interpolation): powers[e][t] = r_e^t mod p over the roots
-    r_e of Phi_M mod p, and the LU of that matrix, taking a(r_e) to a_t."""
-    h = next(h for h in (pow(g, (p - 1) // M, p) for g in count(1))
-             if all(pow(h, M // q, p) != 1 for q in factorize(M)))
-    powers = [list(accumulate([pow(h, k, p)] * (euler_phi(M) - 1), lambda a, r: a * r % p, initial=1))
-              for k in range(M) if math.gcd(k, M) == 1]
-    return powers, _LU(powers, len(powers), p)
-
-
-def _combination(packed: list[list[int]], y: list[int], M: int) -> list[int]:
-    """sum_j y_j * column_j over Z[zeta_M], one packed int per coordinate,
-    packed[t][j] coordinate t of column j (0 when zero), y_j =
-    y[j*phi : (j+1)*phi]; packing is linear, so only the sums must fit."""
-    phi = len(packed)
-    if phi == 1:
-        # a combination of a few atoms has mostly zero coordinates
-        return [sum(map(operator.mul, compress(y, y), compress(packed[0], y)))]
-    raw = [0] * (2 * phi - 1)
-    for j in range(len(y) // phi):
-        yj = [(s, v) for s, v in enumerate(y[j * phi:(j + 1) * phi]) if v]
-        for t, cols in enumerate(packed):
-            if cols[j]:
-                for s, v in yj:
-                    raw[t + s] += v * cols[j]
-    return _reduce_mod_cyclotomic(raw, M)
-
-
-def _mix(coeffs: list[list[int]], vectors: list, p: int, count: int) -> list[list[int]]:
-    """[sum_b row[b] * vectors[b] mod p for row in coeffs] for vectors of
-    count residues (None for zeros): count elements evaluated at the roots
-    of Phi_M at once."""
-    size = _residue_slot_size(p, len(vectors))
-    packed = [_pack(v, size) if v else 0 for v in vectors]
-    return [[x % p for x in _unpack(sum(map(operator.mul, row, packed)), size, count)]
-            for row in coeffs]
+def _combination(packed: list[int], y: list[int]) -> int:
+    """sum_j y_j * packed[j]; packing is linear, so only the sum must fit,
+    and a combination of a few atoms skips its many zero y_j."""
+    return sum(map(operator.mul, compress(y, y), compress(packed, y)))
 
 
 def _residue_slot_size(p: int, updates: int) -> int:
@@ -143,9 +106,9 @@ class _LU:
     one sum of products and one unpack.  A square solved at most n times,
     such as a Hecke coordinate solver's, builds none."""
 
-    def __init__(self, rows, ncols: int, p: int, size: int | None = None):
+    def __init__(self, rows, ncols: int, p: int):
         self.p = p
-        size = self.slot_size = size or _residue_slot_size(p, ncols)
+        size = self.slot_size = _residue_slot_size(p, ncols)
         shift, low = 8 * size, (1 << 8 * size) - 1
         work = [_pack([a % p for a in row], size) for row in rows]
         unused = list(range(len(work)))
@@ -179,43 +142,6 @@ class _LU:
                           for k in range(n)]
         self.uses, self.inverse_columns = 0, None
 
-    def continued(self, c0: int, columns: list[list[int]]) -> "_LU | None":
-        """The LU, in this pivot order, of the pivot square whose first c0
-        columns are this one's and whose later columns are `columns`, each
-        its residues on the pivot rows, or None when a pivot vanishes mod
-        p.  Each later column goes through the pivots before it (a
-        left-looking LU), so the cost is that of the square."""
-        p, size = self.p, self.slot_size
-        shift, low = 8 * size, (1 << 8 * size) - 1
-        out = object.__new__(_LU)
-        out.p, out.slot_size = p, size
-        out.inv_diag, out.neg_lower = self.inv_diag[:c0], self.neg_lower[:c0]
-        out.neg_upper = self.neg_upper[:c0]
-        out.uses, out.inverse_columns = 0, None
-        n = c0 + len(columns)
-        for j, column in enumerate(columns, c0):
-            upper, rest = out.forward(column, j)
-            pivot = (rest & low) % p
-            if not pivot:
-                return None
-            inv = pow(pivot, -1, p)
-            out.inv_diag.append(inv)
-            out.neg_lower.append(_pack([-a * inv % p for a in _unpack(rest >> shift, size, n - j - 1)],
-                                       size))
-            out.neg_upper.append(_pack([-u % p for u in upper], size))
-        return out
-
-    def forward(self, rhs: list[int], k: int) -> tuple[list[int], int]:
-        """Forward substitution through the first k pivots: their residues,
-        and the packed (unreduced) slots below."""
-        p, shift, low = self.p, 8 * self.slot_size, (1 << 8 * self.slot_size) - 1
-        acc, out = _pack(rhs, self.slot_size), []
-        for col in self.neg_lower[:k]:
-            v = (acc & low) % p
-            out.append(v)
-            acc = (acc >> shift) + v * col
-        return out, acc
-
     def use(self) -> None:
         """Count one solve of the whole pivot square; past n of them, keep
         the inverse: column j is the solution for the unit vector e_j, and
@@ -239,8 +165,15 @@ class _LU:
         return self._substitute(rhs, k)
 
     def _substitute(self, rhs: list[int], k: int) -> list[int]:
-        p, shift = self.p, 8 * self.slot_size
-        acc = _pack(self.forward(rhs, k)[0], self.slot_size)
+        # forward through the first k pivots, then back from the last one
+        p, size = self.p, self.slot_size
+        shift, low = 8 * size, (1 << 8 * size) - 1
+        acc, forward = _pack(rhs, size), []
+        for col in self.neg_lower[:k]:
+            v = (acc & low) % p
+            forward.append(v)
+            acc = (acc >> shift) + v * col
+        acc = _pack(forward, size)
         x = [0] * k
         for j in range(k - 1, -1, -1):
             top = acc >> shift * j
@@ -251,68 +184,36 @@ class _LU:
 
 
 class _DixonFactor:
-    """A matrix over Q(zeta_M), columns[j][t] its power-basis coordinate t
-    of column j as ints over scales[j] (None when zero, t > 0), factored
-    mod p = 1 mod M, and a Dixon p-adic solver (Dixon, Numer. Math. 1982):
-    the whole matrix with its rank profile under the first root of Phi_M,
-    the pivot square in the same pivot order under the others (`lus` is
-    None when a pivot moves).  Digits are interpolated from the roots."""
+    """A rational matrix, columns[j] its int column over scales[j], factored
+    mod p by one _LU with its rank profile, and a Dixon p-adic solver of it
+    (Dixon, Numer. Math. 1982): each digit is one solve mod p, and the
+    solution is reconstructed from the digits."""
 
-    def __init__(self, columns, scales, M: int, p: int, nrows: int):
-        self.p, self.M, self.columns = p, M, columns
-        self.powers, self.interpolation = powers, _ = _embeddings(M, p)
-        phi = self.phi = len(powers)
-
-        def residues(col, rows, roots):
-            return _mix(roots, [[c[i] % p for i in rows] if c else None for c in col],
-                        p, len(rows))
-
-        lu = _LU(zip(*(col[0] if phi == 1 else residues(col, range(nrows), powers[:1])[0]
-                       for col in columns)), len(columns), p)
-        self.lus = [lu]
+    def __init__(self, columns, scales, p: int, nrows: int):
+        self.p, self.columns = p, columns
+        lu = self.lu = _LU(zip(*columns), len(columns), p)
         rows, cols = self.pivot_rows, self.pivot_cols = lu.pivot_rows, lu.pivot_cols
         self.free = sorted(set(range(len(columns))).difference(cols))
         self.others = sorted(set(range(nrows)).difference(rows))
         self.order = rows + self.others
-        # under the other roots the pivot columns before the first
-        # cyclotomic one, c0, and the first c0 steps of the square's LU are
-        # unchanged, so only the later columns are factored again
-        c0 = next((k for k, j in enumerate(cols) if any(columns[j][1:])), len(cols))
-        later = [residues(columns[j], rows, powers[1:]) for j in cols[c0:]]
-        for e in range(phi - 1):
-            square = lu.continued(c0, [values[e] for values in later])
-            if square is None:
-                self.lus = None
-                break
-            self.lus.append(square)
-        self.flat_scales = [scales[j] for j in cols for _ in range(phi)]
-        _, self.fold_max, norm2 = _zeta_powers(M)
-        # l1[j][i]: the sum of |coordinates| of entry i of pivot column j
-        l1 = [list(map(sum, zip(*(map(abs, c) for c in columns[j] if c)))) for j in cols]
-        self.col_norms = [norm2 * sum(col[i] ** 2 for i in rows) for col in l1]
-        self.col_max = [max(col, default=0) for col in l1]
+        self.pivot_scales = [scales[j] for j in cols]
+        self.col_norms = [sum(columns[j][i] ** 2 for i in rows) for j in cols]
+        self.col_max = [max(map(abs, columns[j]), default=0) for j in cols]
         self.col_top = max(self.col_max, default=0)
-        self.flat_col_max = [c for c in self.col_max for _ in range(phi)]
-        self.row_sum = max((sum(col[i] for col in l1) for i in rows), default=0)
+        self.row_sum = max((sum(abs(columns[j][i]) for j in cols) for i in rows), default=0)
         self.packing = self.square_packing = None
 
-    def _solve_mod_p(self, rhs: list[list[int]]) -> list[int]:
-        """The digit y mod p, y_j = y[j*phi : (j+1)*phi], with square * y ==
-        rhs mod p on the leading pivots; rhs holds one list per coordinate."""
-        p, k = self.p, len(rhs[0])
-        if self.phi == 1:
-            return self.lus[0].solve([v % p for v in rhs[0]], k)
-        values = _mix(self.powers, [[v % p for v in r] for r in rhs], p, k)
-        xs = [lu.solve(v, k) for lu, v in zip(self.lus, values)]
-        return [a for x in zip(*xs) for a in self.interpolation.solve(list(x), self.phi)]
+    def _solve_mod_p(self, rhs: list[int]) -> list[int]:
+        """The digit y mod p with square * y == rhs mod p on the leading
+        pivots."""
+        p = self.p
+        return self.lu.solve([v % p for v in rhs], len(rhs))
 
-    def _pack_columns(self, rows, size: int) -> list[list[int]]:
-        # [t][j]: coordinate t of pivot column j on rows, packed signed
-        return [[_pack_signed([c[i] for i in rows], size) if c else 0
-                 for c in (self.columns[j][t] for j in self.pivot_cols)]
-                for t in range(self.phi)]
+    def _pack_columns(self, rows, size: int) -> list[int]:
+        # each pivot column on rows, packed signed
+        return [_pack_signed([self.columns[j][i] for i in rows], size) for j in self.pivot_cols]
 
-    def _packing(self, bound: int) -> tuple[int, list[list[int]], int]:
+    def _packing(self, bound: int) -> tuple[int, list[int], int]:
         """(size, columns, offset): the pivot columns over all rows, pivot
         rows first, packed signed with 2^(8*size-1) above bound and every
         entry, and the _signed_offset of that many slots.  The kept packing
@@ -327,41 +228,36 @@ class _DixonFactor:
             self.packing = packing
         return packing
 
-    def _square_columns(self) -> tuple[int, list[list[int]]]:
+    def _square_columns(self) -> tuple[int, list[int]]:
         """(size, columns): the pivot square packed signed in slots that
-        hold square*digit for every digit with coordinates in [0, p)."""
+        hold square*digit for every digit with entries in [0, p)."""
         if self.square_packing is None:
-            size = _signed_slot_size(self.fold_max * self.row_sum * self.phi * (self.p - 1))
+            size = _signed_slot_size(self.row_sum * (self.p - 1))
             self.square_packing = (size, self._pack_columns(self.pivot_rows, size))
         return self.square_packing
 
     def _mismatch(self, y: list[int], d: int, b) -> tuple[int, int]:
-        """A*y - d*b packed over all rows, its coordinates or-ed together,
-        and the mask of the leading pivot rows' slots: slots wide enough for
-        |(A*y)_i| + |d*b_i| make it zero exactly when every row holds, and
-        its low slots zero exactly when the pivot rows hold."""
-        k = len(y) // self.phi
-        bound = (self.fold_max * sum(map(operator.mul, self.flat_col_max, map(abs, y)))
-                 + d * max(map(abs, chain.from_iterable(b)), default=0))
+        """A*y - d*b packed over all rows, and the mask of the leading pivot
+        rows' slots: slots wide enough for |(A*y)_i| + |d*b_i| make it zero
+        exactly when every row holds, and its low slots zero exactly when
+        the pivot rows hold."""
+        bound = (sum(map(operator.mul, self.col_max, map(abs, y)))
+                 + d * max(map(abs, b), default=0))
         size, columns, offset = self._packing(bound)
-        order, half = self.order, 1 << 8 * size - 1
-        mismatch = 0
-        for got, t in zip(_combination(columns, y, self.M), b):
-            # the target packed signed (_pack_signed) in one pass over order
-            mismatch |= got - d * (_pack([t[i] + half for i in order], size) - offset)
-        return mismatch, (1 << 8 * size * k) - 1
+        half = 1 << 8 * size - 1
+        # the target packed signed (_pack_signed) in one pass over order
+        target = _pack([b[i] + half for i in self.order], size) - offset
+        return _combination(columns, y) - d * target, (1 << 8 * size * len(y)) - 1
 
     def solve(self, b, k: int | None = None) -> tuple[list[int], int] | None:
         """(nums, d) with A_k*x == b for x = nums / d, A_k the first k pivot
-        columns (all by default) and b one int sequence per coordinate, or
-        None when there is no such x.  x_j is nums[j*phi : (j+1)*phi]."""
-        p, phi = self.p, self.phi
+        columns (all by default) and b an int sequence over the rows, or
+        None when there is no such x."""
+        p = self.p
         if k is None or k == len(self.pivot_cols):
             k = len(self.pivot_cols)
-            for lu in self.lus if phi == 1 else self.lus + [self.interpolation]:
-                lu.use()
-        rows = self.pivot_rows[:k]
-        rhs = [list(map(t.__getitem__, rows)) for t in b]
+            self.lu.use()
+        rhs = list(map(b.__getitem__, self.pivot_rows[:k]))
         digit = self._solve_mod_p(rhs)
         lifted, modulus, digits = digit, p, 1
         hadamard_bits = residual = None
@@ -376,32 +272,49 @@ class _DixonFactor:
                     y, d = got
                     mismatch, pivot_mask = self._mismatch(y, d, b)
                     if not mismatch:
-                        return list(map(operator.mul, y, self.flat_scales)), d
+                        return list(map(operator.mul, y, self.pivot_scales)), d
                     if not mismatch & pivot_mask:
                         # y/d solves the pivot rows exactly and uniquely and
                         # another row fails: b is outside the span
                         return None
             if hadamard_bits is None:
-                # Cramer and Hadamard on the k*phi rational system of the
-                # coordinates, its columns' squared norms at most col_norms:
-                # the solution's numerators and common denominator are at
-                # most sqrt(bound / 2), bound = 2 * prod(max(c, nb))^phi <
-                # 2^hadamard_bits, the modulus that recovers it
-                nb = sum(v * v for r in rhs for v in r)
-                hadamard_bits = 1 + phi * sum(max(c, nb).bit_length() for c in self.col_norms[:k])
+                # Cramer and Hadamard on the k x k pivot system, its columns'
+                # squared norms at most col_norms: the solution's numerators
+                # and common denominator are at most sqrt(bound / 2), bound =
+                # 2 * prod(max(c, nb)) < 2^hadamard_bits, the modulus that
+                # recovers it
+                nb = sum(v * v for v in rhs)
+                hadamard_bits = 1 + sum(max(c, nb).bit_length() for c in self.col_norms[:k])
                 last = modulus.bit_length() > hadamard_bits
             if last:
                 raise ArithmeticError("p-adic lifting passed the Hadamard bound")
             if residual is None:
                 residual = rhs
                 size, square = self._square_columns()
-            # (residual - square*digit) / p, exact in every coordinate
-            product = [_unpack_signed(v, size, k) for v in _combination(square, digit, self.M)]
-            residual = [[(v - s) // p for v, s in zip(r, t)] for r, t in zip(residual, product)]
+            # (residual - square*digit) / p, exact in every row
+            product = _unpack_signed(_combination(square, digit), size, k)
+            residual = [(v - s) // p for v, s in zip(residual, product)]
             digit = self._solve_mod_p(residual)
             lifted = [a + modulus * x for a, x in zip(lifted, digit)]
             modulus *= p
             digits += 1
+
+
+def _certified(columns, scales, nrows: int) -> _DixonFactor:
+    """The rational matrix factored at the first prime whose free columns
+    solve exactly against the pivot columns before them (relations[f], as
+    (nums, den)), so with the rank profile over Q; finitely many primes
+    fail."""
+    for p in _primes():
+        factor = _DixonFactor(columns, scales, p, nrows)
+        factor.relations = {}
+        for f in factor.free:
+            got = factor.solve(columns[f], bisect.bisect(factor.pivot_cols, f))
+            if got is None:
+                break
+            factor.relations[f] = got[0], got[1] * scales[f]
+        else:
+            return factor
 
 
 def _reconstruct(residues: list[int], m: int) -> tuple[list[int], int] | None:
@@ -431,10 +344,9 @@ def _reconstruct(residues: list[int], m: int) -> tuple[list[int], int] | None:
     return nums, d
 
 
-def _numerators(entries: Sequence[CycNumber], M: int) -> tuple[int, list]:
+def _numerators(entries: Sequence[CycNumber], M: int) -> tuple[int, list[list[int]]]:
     """(scale, coordinates) of CycNumbers in Q(zeta_M): the lcm of their
-    denominators, and per power-basis coordinate the numerators over it,
-    None for a coordinate t > 0 that is zero throughout."""
+    denominators, and per power-basis coordinate the numerators over it."""
     entries = [c if c.conductor in (1, M) else c.embed(M) for c in entries]
     scale = math.lcm(1, *(c.den for c in entries))
     coords = [[0] * len(entries) for _ in range(euler_phi(M))]
@@ -443,93 +355,123 @@ def _numerators(entries: Sequence[CycNumber], M: int) -> tuple[int, list]:
         for t, v in enumerate(c.nums):
             if v:
                 coords[t][i] = v * f
-    return scale, coords[:1] + [t if any(t) else None for t in coords[1:]]
+    return scale, coords
 
 
-def _embed_numerators(coords, M: int, L: int, nrows: int) -> list:
-    # coordinates over Q(zeta_M), as from _numerators, seen in Q(zeta_L)
-    entries = [CycNumber._make(M, 1, [t[i] if t else 0 for t in coords]) for i in range(nrows)]
-    return _numerators(entries, L)[1]
+def _restricted(coords: list[list[int]], M: int) -> list[list[int]]:
+    """The phi(M) rational columns of a column over Q(zeta_M), coords[t] its
+    power-basis coordinate t: for s < phi(M) the coordinates of zeta^s times
+    the column, stacked coordinate after coordinate.  Each step multiplies
+    by zeta: the coordinates shift up one, and zeta^phi folds back by
+    Phi_M."""
+    poly, zero = cyclotomic_polynomial(M), [0] * len(coords[0])
+    out = [list(chain.from_iterable(coords))]
+    for _ in range(len(coords) - 1):
+        lead, coords = coords[-1], [zero] + coords[:-1]
+        if any(lead):
+            coords = [[a - c * v for a, v in zip(t, lead)] if c else t for t, c in zip(coords, poly)]
+        out.append(list(chain.from_iterable(coords)))
+    return out
 
 
 class LinearSolver:
     """Exact factorization of a matrix over Q(zeta_M), reusable for many
-    right-hand sides, by the certified modular eliminator _DixonFactor.
+    right-hand sides, by the certified rational eliminator _DixonFactor.
 
     The matrix comes as CycNumber rows, M the lcm of their conductors, or
     as int columns with scales, column j standing for matrix[j] / scales[j]
     (M = 1).  A target is, with scale, int numerators over it, one sequence
     per power-basis coordinate of Q(zeta_conductor); a solver of CycNumber
     rows also takes one CycNumber per row.  Coordinates come back in
-    Q(zeta_L), L the lcm of M and the target's conductor (the matrix is
-    factored once per L), 0 at free columns.  rank and free_columns() are
-    the rank profile over Q(zeta_M); solve() returns exactly checked
-    coordinates, or None when x solves the pivot rows exactly and another
-    row fails, which certifies b outside the span."""
+    Q(zeta_L), L the lcm of M and the target's conductor, 0 at free columns.
+
+    A rational matrix solves the target one coordinate at a time on its one
+    factor.  Otherwise matrix and target are restricted to Q at L, once per
+    L: column (j, s) stacks the coordinates of zeta_L^s * a_j, and x_j =
+    sum_s y_(j,s) zeta_L^s.  Each block (j, *) is all pivots or all free,
+    as K*a_j meets the span of the columns before it in a K-subspace, K =
+    Q(zeta_M): rank and free_columns() are the block profile over K.
+    solve() returns exactly checked coordinates, or None when x solves the
+    pivot rows exactly and another row fails (b is outside the span)."""
 
     def __init__(self, matrix, scales: Sequence[int] | None = None):
         self._int_columns = scales is not None
         if scales is None:
-            self.nrows = len(matrix)
-            M = math.lcm(1, *(c.conductor for row in matrix for c in row))
-            pairs = [_numerators(col, M) for col in zip(*matrix)]
-            scales, columns = [s for s, _ in pairs], [c for _, c in pairs]
+            self.nrows, self._entries = len(matrix), list(zip(*matrix))
+            self.ncols, self._factors = len(self._entries), {}
+            self._conductor = math.lcm(1, *(c.conductor for col in self._entries for c in col))
+            self._modular = self._factor(self._conductor)
         else:
-            M, self.nrows, columns = 1, len(matrix[0]), [[col] for col in matrix]
-        self.ncols = len(columns)
-        self._conductor, self._columns, self._scales, self._factors = M, columns, list(scales), {}
-        self._modular = self._factor(M)
-        self.rank = len(self._modular.pivot_cols)
+            self.nrows, self.ncols, self._conductor = len(matrix[0]), len(matrix), 1
+            self._modular = _certified(list(matrix), list(scales), self.nrows)
+        self.rank = len(self._modular.pivot_cols) // euler_phi(self._conductor)
 
     def _factor(self, L: int) -> _DixonFactor:
-        """The matrix over Q(zeta_L) factored at the first prime whose square
-        is invertible under every root and whose free columns solve exactly
-        against the pivot columns before them (relations[f], as (nums, den)),
-        so with the rank profile over Q(zeta_L); finitely many primes fail."""
-        if L in self._factors:
-            return self._factors[L]
-        M, nrows, scales = self._conductor, self.nrows, self._scales
-        columns = [col if L == M else _embed_numerators(col, M, L, nrows) for col in self._columns]
-        for p in _split_primes(L):
-            factor = _DixonFactor(columns, scales, L, p, nrows)
-            if factor.lus is None:
-                continue
-            factor.relations = {}
-            for f in factor.free:
-                got = factor.solve([c or [0] * nrows for c in columns[f]],
-                                   bisect.bisect(factor.pivot_cols, f))
-                if got is None:
-                    break
-                factor.relations[f] = got[0], got[1] * scales[f]
-            else:
-                self._factors[L] = factor
-                return factor
+        """The CycNumber rows restricted to Q at L, factored once per L."""
+        if L not in self._factors:
+            phi = euler_phi(L)
+            pairs = [_numerators(col, L) for col in self._entries]
+            self._factors[L] = _certified([c for _, coords in pairs for c in _restricted(coords, L)],
+                                          [s for s, _ in pairs for _ in range(phi)], self.nrows * phi)
+        return self._factors[L]
 
     def solve(self, target, scale: int | None = None, conductor: int = 1) -> list[CycNumber] | None:
         if scale is None:
             if self._int_columns:
                 raise TypeError("a solver built from int columns takes int targets over a scale")
-            conductor = math.lcm(1, *(c.conductor for c in target))
+            conductor = math.lcm(self._conductor, *(c.conductor for c in target))
             scale, target = _numerators(target, conductor)
-        if any(t is not None and len(t) != self.nrows for t in target):
+        if any(len(t) != self.nrows for t in target):
             raise ValueError("target length does not match row count")
         if scale < 0:
-            scale, target = -scale, [t and [-v for v in t] for t in target]
+            scale, target = -scale, [[-v for v in t] for t in target]
+        if self._conductor > 1:
+            return self._solve_restricted(target, scale, conductor)
+        if conductor > 1:
+            return self._solve_coordinates(target, scale, conductor)
+        factor = self._modular
+        got = factor.solve(target[0])
+        if got is None:
+            return None
+        nums, den = got[0], got[1] * scale
+        out = [CycNumber.zero()] * self.ncols
+        for j, x in zip(factor.pivot_cols, nums):
+            out[j] = CycNumber._make(1, den, (x,))
+        return out
+
+    def _solve_coordinates(self, target, scale: int, conductor: int) -> list[CycNumber] | None:
+        # a rational matrix: one solve per nonzero coordinate of the target
+        factor, solved = self._modular, []
+        for t in target:
+            got = factor.solve(t) if any(t) else ([0] * len(factor.pivot_cols), 1)
+            if got is None:
+                return None
+            solved.append(got)
+        den = math.lcm(*(d for _, d in solved))
+        out = [CycNumber.zero(conductor)] * self.ncols
+        for k, j in enumerate(factor.pivot_cols):
+            out[j] = CycNumber._make(conductor, den * scale, [nums[k] * (den // d) for nums, d in solved])
+        return out
+
+    def _solve_restricted(self, target, scale: int, conductor: int) -> list[CycNumber] | None:
+        # a matrix over Q(zeta_M), M > 1: one solve of the restriction at L
         L = math.lcm(self._conductor, conductor)
         if L != conductor:
-            target = _embed_numerators(target, conductor, L, self.nrows)
-        factor = self._factor(L)
-        got = factor.solve([t or [0] * self.nrows for t in target])
+            # the target's coordinates seen in Q(zeta_L)
+            target = _numerators([CycNumber._make(conductor, 1, row) for row in zip(*target)], L)[1]
+        factor, phi = self._factor(L), euler_phi(L)
+        got = factor.solve(list(chain.from_iterable(target)))
         if got is None:
             return None
         nums, den = got[0], got[1] * scale
         out = [CycNumber.zero(L)] * self.ncols
-        for j, x in zip(factor.pivot_cols, zip(*[iter(nums)] * factor.phi)):
-            out[j] = CycNumber._make(L, den, x)
+        for k in range(0, len(nums), phi):
+            out[factor.pivot_cols[k] // phi] = CycNumber._make(L, den, nums[k:k + phi])
         return out
 
     def free_columns(self) -> list[int]:
-        return list(self._modular.free)
+        phi = euler_phi(self._conductor)
+        return [f // phi for f in self._modular.free if f % phi == 0]
 
 
 def null_space(rows: list[list[int]]) -> list[list[Fraction]]:

@@ -264,7 +264,7 @@ def _reduce_zeta(terms, conductor: int, precision: int) -> tuple[tuple[int, ...]
     for k, c in terms:
         cur = raw.get(k)
         raw[k] = c if cur is None else [u + v for u, v in zip(cur, c)]
-    powers, out = _zeta_powers(conductor)[0], {}
+    powers, out = _zeta_powers(conductor), {}
     for k, c in raw.items():
         for t, f in powers[k % conductor]:
             cur = out.get(t)

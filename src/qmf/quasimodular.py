@@ -7,11 +7,14 @@ new part collects undilated newforms of every level dividing N, the old
 part their proper dilations, plus the constants.  Decomposition solves the exact linear system against a
 truncation deep enough to make the answer self-certifying: Sturm-style
 padding plus an explicit column-rank check, with doubling escalation if
-the rank check fails at the default depth.
+the rank check fails at the default depth.  Every solve is rational: atoms
+over Q(zeta_M), such as the quadratic eigenforms at 9.8 and 8.12, enter as
+their power-basis coordinate series (_CoordinateBasis).
 """
 from __future__ import annotations
 
 import functools
+import math
 
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
 from .errors import CatalogIncompleteError, RankDeficientError
@@ -241,7 +244,7 @@ _BASIS_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _basis_entry(
     N: int, maxweight: int, state: tuple[str, int]
-) -> tuple[list[BasisAtom], int, dict[int, LinearSolver]]:
+) -> tuple[list[BasisAtom], int, dict[int, "LinearSolver | _CoordinateBasis"]]:
     """The assembly of (N, maxweight) under one catalog state, its
     PrecisionPolicy depth, and its solvers by depth, which decompose fills
     as it needs them."""
@@ -249,17 +252,71 @@ def _basis_entry(
     return atoms, PrecisionPolicy(N, maxweight, len(atoms)).p_req, {}
 
 
-def _basis_solver(atoms: list[BasisAtom], rows: int) -> LinearSolver:
+def _basis_solver(atoms: list[BasisAtom], rows: int) -> "LinearSolver | _CoordinateBasis":
     # a rational basis goes in as integer columns, each atom's numerators
     # over its denominator; derived newforms may need a field beyond the
     # level's character values (the 9.8 newforms have conductor 40), and
-    # then the columns go in as CycNumbers and the solver works over the lcm
+    # then their coordinate series join those columns (_CoordinateBasis)
     series = [atom.expand(rows) for atom in atoms]
-    if any(s.conductor != 1 for s in series):
-        columns = [s.coefficients() for s in series]
-        return LinearSolver([[col[n] for col in columns] for n in range(rows)])
-    dens, nums = zip(*(s.numerators() for s in series))
-    return LinearSolver([t for (t,) in nums], dens)
+    if all(s.conductor == 1 for s in series):
+        dens, nums = zip(*(s.numerators() for s in series))
+        return LinearSolver([t for (t,) in nums], dens)
+    return _CoordinateBasis(series)
+
+
+class _CoordinateBasis:
+    """A basis with cyclotomic atoms, solved by rational solves only.  The
+    int-column solver takes the rational atoms, then the nonzero power-basis
+    coordinate series of the cyclotomic atoms g_i; on its pivots g_i =
+    sum_k B_ik (rational atom k) + sum_s A_is h_s, h_s the picked
+    coordinate series.  The rank over K (the atoms' fields) is the rational
+    atoms' rank plus that of A; back, the solver of the rows of A^T, maps a
+    target's coordinates on the h_s to the g_i."""
+
+    def __init__(self, series: list[QSeries]):
+        self.ncols, self.conductor = len(series), math.lcm(*(s.conductor for s in series))
+        self.rational = [k for k, s in enumerate(series) if s.conductor == 1]
+        self.cyclotomic = [i for i, s in enumerate(series) if s.conductor != 1]
+        pairs = [series[k].numerators() for k in self.rational]
+        columns, scales = [t for _, (t,) in pairs], [den for den, _ in pairs]
+        # one column per nonzero coordinate series up to a rational factor
+        # (at 8.12, 110 series give 3): a multiple adds nothing to the span
+        primitive = dict.fromkeys(_primitive(t) for i in self.cyclotomic
+                                  for t in series[i].numerators()[1] if any(t))
+        columns += primitive
+        scales += [1] * len(primitive)
+        self.solver = LinearSolver(columns, scales)
+        free, n = set(self.solver.free_columns()), len(self.rational)
+        self.picked = [s for s in range(n, len(columns)) if s not in free]
+        self.relations, rows_of_a = [], []
+        for i in self.cyclotomic:
+            den, nums = series[i].numerators()
+            coords = self.solver.solve(nums, den, series[i].conductor)
+            self.relations.append(coords[:n])
+            rows_of_a.append([coords[s] for s in self.picked])
+        self.back = LinearSolver([list(row) for row in zip(*rows_of_a)])
+        self.rank = n - len(free.intersection(range(n))) + self.back.rank
+
+    def solve(self, target, scale: int, conductor: int) -> list[CycNumber] | None:
+        # f = sum_k c_k (rational atom k) + sum_s c_s h_s; then x = back's
+        # solution for the c_s on the g_i, and x_k = c_k - sum_i x_i B_ik
+        coords = self.solver.solve(target, scale, conductor)
+        x = None if coords is None else self.back.solve([coords[s] for s in self.picked])
+        if x is None:
+            return None
+        L = math.lcm(self.conductor, conductor)
+        out = [None] * self.ncols
+        for i, xi in zip(self.cyclotomic, x):
+            out[i] = xi.embed(L)
+        for pos, k in enumerate(self.rational):
+            out[k] = (coords[pos] - sum(xi * b[pos] for xi, b in zip(x, self.relations))).embed(L)
+        return out
+
+
+def _primitive(t) -> tuple[int, ...]:
+    # the int sequence over its content, its first nonzero entry positive
+    g = math.gcd(*t) if next(v for v in t if v) > 0 else -math.gcd(*t)
+    return tuple(v // g for v in t)
 
 
 def decompose(

@@ -146,10 +146,8 @@ def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
 # cyclotomic field elements
 
 @functools.cache
-def _zeta_powers(M: int) -> tuple[list[list[tuple[int, int]]], int, int]:
-    """(powers, top, norm2): powers[m] the nonzero coordinates (t, c) of
-    zeta_M^m, 0 <= m < M, with top the largest |c| and norm2 the largest
-    squared norm among them."""
+def _zeta_powers(M: int) -> list[list[tuple[int, int]]]:
+    """powers[m]: the nonzero coordinates (t, c) of zeta_M^m, 0 <= m < M."""
     poly = cyclotomic_polynomial(M)
     v = [1] + [0] * (len(poly) - 2)
     powers = []
@@ -158,14 +156,13 @@ def _zeta_powers(M: int) -> tuple[list[list[tuple[int, int]]], int, int]:
         # times zeta: shift up one power, then fold zeta^phi back by Phi_M
         lead, v = v[-1], [0] + v[:-1]
         v = [a - lead * c for a, c in zip(v, poly)]
-    return (powers, max(abs(c) for terms in powers for _, c in terms),
-            max(sum(c * c for _, c in terms) for terms in powers))
+    return powers
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], M: int) -> list[int]:
     """Reduce a polynomial in zeta_M (low degree first) to the power basis;
     the coefficients may be packed ints, as reduction is linear."""
-    powers = _zeta_powers(M)[0]
+    powers = _zeta_powers(M)
     out = [0] * (len(cyclotomic_polynomial(M)) - 1)
     for m, x in enumerate(coeffs):
         if x:
@@ -340,7 +337,8 @@ class CycNumber:
 
     def inverse(self) -> "CycNumber":
         """Multiplicative inverse by one certified 1x1 LinearSolver solve,
-        [self] * y == [1]."""
+        [self] * y == [1]: its restriction to Q is the phi x phi matrix of
+        multiplication by self, solved against the coordinates of 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.conductor == 1:

@@ -234,13 +234,13 @@ def test_dense_conductor_109_inverse():
     (CycNumber(12, [Fraction(3, 2), 0, 0, 1]), 13),  # (3 + 2i) / 2, norm 169/16
 ])
 def test_unlucky_prime_inverse_moves_to_the_next_prime(monkeypatch, x, prime):
-    # d*x, d the denominator of x, lies in a prime ideal above each prime
-    # dividing its norm, so one root of Phi_M mod such a prime maps it to 0
+    # a prime dividing the norm of d*x, d the denominator of x, divides the
+    # determinant of its multiplication matrix, which is singular mod p
     want = x.inverse()
     monkeypatch.setattr(exact, "_MODULUS", prime)
     with primes_tried() as tried:
         got = x.inverse()
-    # the next prime p = 1 mod M does not divide the norm, so it certifies
+    # the next prime below does not divide the norm, so it certifies
     assert tried[0] == prime and len(tried) == 2
     assert got.conductor == x.conductor and got.coords == want.coords
     assert x * got == 1
@@ -259,9 +259,8 @@ def test_conductor_280_quadratic_inverse():
     y = x.inverse()
     assert y == (3 - root * Fraction(5, 7)) * (1 / Fraction(9 * 7 - 250, 7))
     assert FractionCyc(280, x.coords) * FractionCyc(280, y.coords) == 1
-    # once the tables of the conductor exist, the solve factors one LU, under
-    # the first root of Phi_280; the pivot square under each of the other 95
-    # roots is continued from it, with no LU set-up of its own
+    # once the tables of the conductor exist, the solve factors one LU: the
+    # 96 x 96 rational matrix of multiplication by x
     with mock.patch.object(exact._LU, "__init__", autospec=True,
                            side_effect=exact._LU.__init__) as inits:
         again = x.inverse()
@@ -687,9 +686,9 @@ def primes_tried():
     tried = []
     real = exact._DixonFactor.__init__
 
-    def init(self, columns, scales, M, p, nrows):
+    def init(self, columns, scales, p, nrows):
         tried.append(p)
-        real(self, columns, scales, M, p, nrows)
+        real(self, columns, scales, p, nrows)
 
     with mock.patch.object(exact._DixonFactor, "__init__", init):
         yield tried
@@ -826,6 +825,25 @@ def test_mixed_conductor_target_against_a_cyclotomic_matrix():
     assert sorted(solver._factors) == [4, 12]
 
 
+def test_integer_target_over_another_field_against_a_cyclotomic_matrix():
+    # int numerators over Q(zeta_3) against a Q(zeta_4) matrix are seen in
+    # Q(zeta_12), where the restriction is factored, and solve as the same
+    # target given as CycNumbers
+    rng = random.Random("mixed-int-target")
+    columns = (random_columns(rng, SOLVER_UNITS["rational"], 5, 1)
+               + random_columns(rng, [CycNumber.one(), CycNumber.root_of_unity(4)], 5, 2))
+    z3 = CycNumber.root_of_unity(3)
+    inside, outside = [z3 * c for c in columns[0]], [z3] * 5
+    solver = LinearSolver([list(row) for row in zip(*columns)])
+    for target in (inside, outside):
+        assert {c.conductor for c in target} == {3}
+        scale, flat = integer_form([x for c in target for x in c.coords])
+        got = solver.solve([flat[k::2] for k in range(2)], scale, 3)
+        assert exact_keys(got) == exact_keys(solver.solve(target))
+    assert got is None and solver.solve(inside) == [z3, 0, 0]
+    assert sorted(solver._factors) == [4, 12]
+
+
 def test_small_prime_lifts_over_many_steps(monkeypatch):
     # with p = 10007 the coordinates below need many p-adic digits before
     # rational reconstruction recovers them
@@ -929,10 +947,10 @@ def test_square_keeps_its_inverse_only_after_more_solves_than_pivots():
     rng = random.Random("kept inverse")
     columns, x, image = int_system(rng, 9, 4)
     solver = LinearSolver(columns, [1] * 4)
-    lu = solver._modular.lus[0]
+    lu = solver._modular.lu
     n = len(lu.inv_diag)
     scale, b = integer_form(image)
-    solver._modular.solve([b], n - 1)
+    solver._modular.solve(b, n - 1)
     for _ in range(n):
         assert [c.as_rational() for c in solver.solve([b], scale)] == x
     assert (lu.uses, lu.inverse_columns) == (n, None)
@@ -1041,13 +1059,13 @@ def test_mismatch_tells_a_pivot_row_from_another_row():
     d = math.lcm(*(v.denominator for v in x))
     y = [int(v * d) for v in x]
     b = [int(v * d) for v in image]
-    assert factor._mismatch(y, 1, [b])[0] == 0
-    assert factor._mismatch([2 * v for v in y], 2, [b])[0] == 0
+    assert factor._mismatch(y, 1, b)[0] == 0
+    assert factor._mismatch([2 * v for v in y], 2, b)[0] == 0
     for row in factor.pivot_rows + factor.others:
         for delta in (1, -1, 2**70, -(2**200)):
             off = list(b)
             off[row] += delta
-            mismatch, pivot_mask = factor._mismatch(y, 1, [off])
+            mismatch, pivot_mask = factor._mismatch(y, 1, off)
             assert mismatch != 0
             assert bool(mismatch & pivot_mask) == (row in factor.pivot_rows)
 

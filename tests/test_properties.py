@@ -290,62 +290,43 @@ def test_packed_factor_matches_the_list_factor(case, modulus):
 
 @st.composite
 def digit_systems(draw):
-    """Int columns over Q or Q(zeta_5), one list per power-basis coordinate,
-    of up to 8 columns and up to 3 more rows, entries of a drawn size, and a
-    seed for the right-hand sides."""
-    M = draw(st.sampled_from([1, 5]))
+    """Int columns of up to 8 columns and up to 3 more rows, entries of a
+    drawn size, and a seed for the right-hand sides."""
     ncols = draw(st.integers(1, 8))
     nrows = draw(st.integers(ncols, ncols + 3))
     top = 2 ** draw(st.sampled_from([1, 20, 64]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    columns = [[[rng.randint(-top, top) for _ in range(nrows)] for _ in range(exact.euler_phi(M))]
-               for _ in range(ncols)]
-    return M, columns, rng.random()
+    columns = [[rng.randint(-top, top) for _ in range(nrows)] for _ in range(ncols)]
+    return columns, rng.random()
 
 
 def list_digit(factor, columns, rhs):
-    """The digit of _solve_mod_p by the list-based oracle: under each root
-    r_e of Phi_M, the pivot square and rhs evaluated at r_e and solved by
-    list_solve_mod_p, then each column's values at the roots interpolated
-    back to its power-basis coordinates by another list solve."""
-    p, powers, phi = factor.p, factor.powers, factor.phi
-    at_roots = []
-    for roots in powers:
-        square = [[sum(c[i] * r for c, r in zip(columns[j], roots)) % p for i in factor.pivot_rows]
-                  for j in factor.pivot_cols]
-        values = [sum(t[i] * r for t, r in zip(rhs, roots)) % p for i in range(len(rhs[0]))]
-        rows, cols, lower, upper, inv_diag = list_modular_factor(square, p)
-        assert len(cols) == len(square)
-        at_roots.append(list_solve_mod_p(lower, upper, inv_diag, [values[i] for i in rows], p))
-    rows, _, lower, upper, inv_diag = list_modular_factor([list(c) for c in zip(*powers)], p)
-    return [a for x in zip(*at_roots)
-            for a in list_solve_mod_p(lower, upper, inv_diag, [x[e] for e in rows], p)]
+    """The digit of _solve_mod_p by the list-based oracle: the pivot square
+    and rhs solved by list_solve_mod_p."""
+    p = factor.p
+    square = [[c[i] % p for i in factor.pivot_rows] for c in (columns[j] for j in factor.pivot_cols)]
+    rows, cols, lower, upper, inv_diag = list_modular_factor(square, p)
+    assert len(cols) == len(square)
+    return list_solve_mod_p(lower, upper, inv_diag, [rhs[i] % p for i in rows], p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(digit_systems(), st.sampled_from([exact._MODULUS, 7, 101]))
 def test_digits_match_the_list_solve_before_and_after_the_inverse(case, modulus):
-    # every digit equals the oracle's while the squares are solved by
-    # substitution and once each LU (per root, and the interpolation) keeps
-    # its inverse; the split prime for Q(zeta_5) under 7 is 11
-    M, columns, seed = case
+    # every digit equals the oracle's while the square is solved by
+    # substitution and once the LU keeps its inverse
+    columns, seed = case
     with mock.patch.object(exact, "_MODULUS", modulus):
-        p = next(exact._split_primes(M))
-    factor = exact._DixonFactor(columns, [1] * len(columns), M, p, len(columns[0][0]))
+        p = next(exact._primes())
+    factor = exact._DixonFactor(columns, [1] * len(columns), p, len(columns[0]))
     n = len(factor.pivot_cols)
-    hypothesis.assume(factor.lus is not None and n)
-    lus = list(factor.lus)
-    if M > 1:
-        # a fresh interpolation LU, so that its uses start at zero
-        lus.append(exact._LU(factor.powers, factor.phi, p))
-        factor.interpolation = lus[-1]
+    hypothesis.assume(n)
     rng = random.Random(seed)
-    for _ in range(max(n, factor.phi) + 2):
-        rhs = [[rng.randrange(-2**70, 2**70) for _ in range(n)] for _ in range(factor.phi)]
+    for _ in range(n + 2):
+        rhs = [rng.randrange(-2**70, 2**70) for _ in range(n)]
         assert factor._solve_mod_p(rhs) == list_digit(factor, columns, rhs)
-        for lu in lus:
-            lu.use()
-    assert all(lu.inverse_columns is not None for lu in lus)
+        factor.lu.use()
+    assert factor.lu.inverse_columns is not None
 
 
 HUGE = 10**30

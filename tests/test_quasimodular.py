@@ -3,6 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -191,6 +192,62 @@ def test_round_trip_cyclotomic_coefficients():
             assert coeff == CycNumber.from_rational(Fraction(1, 3))
         else:
             assert coeff.is_zero()
+
+
+def test_level9_weight8_combinations_over_the_eigenform_field():
+    # 9.8 holds the quadratic eigenforms b and c over Q(zeta_40): seeded
+    # Q(zeta_40) combinations of all 55 atoms come back exactly, and one of
+    # them times zeta_3 comes back over Q(zeta_120)
+    atoms = assemble_basis(9, 8)
+    assert len(atoms) == 55
+    series = [a.expand(120) for a in atoms]
+    assert {s.conductor for s in series} == {1, 40}
+    rng = random.Random("9.8 combinations")
+    z40 = CycNumber.root_of_unity(40)
+    for _ in range(3):
+        coeffs = [z40 ** rng.randrange(40) * Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  + rng.randint(-2, 2) for _ in atoms]
+        f = sum((s.scale(c) for s, c in zip(series, coeffs)), QSeries.zero(120))
+        dec = decompose(f, 9, 8)
+        assert not dec.residual and dec.coords == coeffs
+        assert {c.conductor for c in dec.coords} == {40}
+    z3 = CycNumber.root_of_unity(3)
+    dec = decompose(f.scale(z3), 9, 8)
+    assert dec.coords == [c * z3 for c in coeffs]
+    assert {c.conductor for c in dec.coords} == {120}
+
+
+def test_level9_weight8_targets_outside_the_span():
+    atoms = assemble_basis(9, 8)
+    series = [a.expand(120) for a in atoms]
+    texts_ = texts(atoms)
+    b = texts_.index("D^0(newform[9,8,b])")
+    # dilate[2](Delta) is off the rational columns: the first solve fails
+    delta2 = newforms_for(1, 12)[0].expand(120).dilate(2, 120)
+    dec = decompose(series[b].scale(3) + delta2, 9, 8)
+    assert dec.residual and dec.report_text() == "residual: present"
+    # without newform c, c's coordinate series still lie in the columns
+    # (they span b's), but c is no Q(zeta_40) combination of the other
+    # atoms: the back-map's solve fails
+    c = texts_.index("D^0(newform[9,8,c])")
+    basis = quasimodular._basis_solver(atoms[:c] + atoms[c + 1:], 120)
+    assert basis.rank == len(atoms) - 1
+    den, nums = series[c].numerators()
+    assert basis.solver.solve(nums, den, 40) is not None
+    assert basis.solve(nums, den, 40) is None
+    den, nums = series[b].numerators()
+    assert [x for x in basis.solve(nums, den, 40) if x] == [CycNumber.one(40)]
+
+
+def test_level8_weight12_decompose_matches_the_golden():
+    # newform[8,12,c] over Q(zeta_109) to 400: rank 139 of 140 at the
+    # 193-row policy depth, so one escalation to 386 rows
+    atoms = assemble_basis(8, 12)
+    (c,) = [a for a in atoms if a.spec_text() == "D^0(newform[8,12,c])"]
+    dec = decompose(c.expand(400), 8, 12)
+    assert (dec.rows_used, dec.escalations) == (386, 1)
+    golden = Path(__file__).resolve().parent / "golden" / "decompose_8_12_c_prec400.txt"
+    assert dec.report_text() + "\n" == golden.read_text()
 
 
 def test_not_in_span():
