@@ -12,6 +12,7 @@ import functools
 import math
 from typing import Iterator
 
+from ._record import Record
 from .scalars import CycNumber, divisors, euler_phi, factorize
 
 __all__ = [
@@ -90,43 +91,36 @@ class _UnitGroup:
 _unit_group = functools.cache(_UnitGroup)
 
 
-class DirichletCharacter:
+class DirichletCharacter(Record):
     """A Dirichlet character mod u, identified by its exponent tuple."""
 
-    __slots__ = ("modulus", "exponents", "_group", "_conductor")
+    __slots__ = ("modulus", "exponents")
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        group = _unit_group(modulus)
-        if len(exponents) != len(group.orders):
+        orders = _unit_group(modulus).orders
+        if len(exponents) != len(orders):
             raise ValueError("exponent tuple does not match unit group structure")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(
-            self, "exponents", tuple(e % o for e, o in zip(exponents, group.orders))
-        )
-        object.__setattr__(self, "_group", group)
-        object.__setattr__(self, "_conductor", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirichletCharacter is immutable")
+        super().__init__(modulus, tuple(e % o for e, o in zip(exponents, orders)))
 
     @property
     def order(self) -> int:
         out = 1
-        for e, o in zip(self.exponents, self._group.orders):
+        for e, o in zip(self.exponents, _unit_group(self.modulus).orders):
             out = math.lcm(out, o // math.gcd(o, e))
         return out
 
     def __call__(self, n: int) -> CycNumber:
-        dl = self._group.dlog(n % self.modulus if self.modulus > 1 else 0)
+        group = _unit_group(self.modulus)
+        dl = group.dlog(n % self.modulus if self.modulus > 1 else 0)
         if self.modulus == 1:
             return CycNumber.one()
         if dl is None:
             return CycNumber.zero()
         order = self.order
         t = 0
-        for x, e, o in zip(dl, self.exponents, self._group.orders):
+        for x, e, o in zip(dl, self.exponents, group.orders):
             if e:
                 g = math.gcd(e, o)
                 # component value is a primitive (o/g)-th root raised to e/g
@@ -139,44 +133,25 @@ class DirichletCharacter:
     @property
     def conductor(self) -> int:
         """Smallest f | u such that the character is 1 on units that are 1 mod f."""
-        cached = self._conductor
-        if cached is not None:
-            return cached
-        u = self.modulus
-        cond = u
-        for f in divisors(u):
-            if all(
-                self(n) == 1
-                for n in range(1, u + 1)
-                if math.gcd(n, u) == 1 and n % f == 1 % f
-            ):
-                cond = f
-                break
-        object.__setattr__(self, "_conductor", cond)
-        return cond
+        return _conductor(self)
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
     def inverse(self) -> "DirichletCharacter":
         """The inverse (= conjugate) character."""
-        return DirichletCharacter(
-            self.modulus,
-            tuple(-e % o for e, o in zip(self.exponents, self._group.orders)),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DirichletCharacter)
-            and self.modulus == other.modulus
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.exponents))
+        return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
 
     def __repr__(self) -> str:
         return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
+
+
+@functools.cache
+def _conductor(chi: DirichletCharacter) -> int:
+    # f = u always qualifies: 1 is the only unit n <= u with n = 1 mod u
+    u = chi.modulus
+    return next(f for f in divisors(u) if all(
+        chi(n) == 1 for n in range(1, u + 1) if math.gcd(n, u) == 1 and n % f == 1 % f))
 
 
 def trivial_character(modulus: int = 1) -> DirichletCharacter:

@@ -15,6 +15,7 @@ import functools
 import math
 from fractions import Fraction
 
+from ._record import Record
 from .qseries import InsufficientPrecisionError, QSeries, _convolve
 from .scalars import primes_upto
 
@@ -34,28 +35,10 @@ __all__ = [
 ]
 
 
-class MacMahonTable:
-    """Exact values M_a(n) for 0 <= n < precision; immutable."""
+class MacMahonTable(Record):
+    """Exact values M_a(n) for 0 <= n < precision."""
 
     __slots__ = ("a", "precision", "values")
-
-    def __init__(self, a: int, precision: int, values: tuple[int, ...]):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MacMahonTable is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MacMahonTable):
-            return NotImplemented
-        return (self.a, self.precision, self.values) == (
-            other.a, other.precision, other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.precision, self.values))
 
     def value(self, n: int) -> int:
         if not 0 <= n < self.precision:
@@ -109,25 +92,10 @@ def macmahon(a: int, precision: int) -> MacMahonTable:
     return MacMahonTable(a, P, tuple(vals))
 
 
-class PrimeTestResult:
-    """The value of the prime test at n; immutable."""
+class PrimeTestResult(Record):
+    """The value of the prime test at n."""
 
     __slots__ = ("n", "value")
-
-    def __init__(self, n: int, value: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeTestResult is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrimeTestResult):
-            return NotImplemented
-        return (self.n, self.value) == (other.n, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.value))
 
     @property
     def prime(self) -> bool:
@@ -190,22 +158,10 @@ def f_kl(k: int, l: int, N: int, precision: int) -> QSeries:
     return (gk.apply_D(l) + gk) - (gl.apply_D(k) + gl)
 
 
-class DetectReport:
+class DetectReport(Record):
     """Both directions of the prime-detecting check up to a bound."""
 
     __slots__ = ("level", "bound", "vanishing_failures", "nonvanishing_failures")
-
-    def __init__(
-        self,
-        level: int,
-        bound: int,
-        vanishing_failures: list[int],
-        nonvanishing_failures: list[int],
-    ):
-        self.level = level
-        self.bound = bound
-        self.vanishing_failures = vanishing_failures
-        self.nonvanishing_failures = nonvanishing_failures
 
     @property
     def ok(self) -> bool:
@@ -265,7 +221,7 @@ def prime_detect_verdict(f: QSeries, N: int, X: int) -> DetectReport:
     return DetectReport(N, X, nonzero_primes, other_zeros)
 
 
-class CensusReport:
+class CensusReport(Record):
     """Exhaustive tally of vanishing prime coefficients up to X.
 
     The density bound X/log X / eps(X)^delta is informational; delta is a
@@ -274,36 +230,8 @@ class CensusReport:
     nonvanishing hypothesis behind the density statement.
     """
 
-    __slots__ = (
-        "x",
-        "level",
-        "delta_text",
-        "zero_primes",
-        "nonzero_count",
-        "eligible_count",
-        "epsilon_value",
-        "bound_value",
-    )
-
-    def __init__(
-        self,
-        x: int,
-        level: int,
-        delta_text: str,
-        zero_primes: list[int],
-        nonzero_count: int,
-        eligible_count: int,
-        epsilon_value: float,
-        bound_value: float,
-    ):
-        self.x = x
-        self.level = level
-        self.delta_text = delta_text
-        self.zero_primes = zero_primes
-        self.nonzero_count = nonzero_count
-        self.eligible_count = eligible_count
-        self.epsilon_value = epsilon_value
-        self.bound_value = bound_value
+    __slots__ = ("x", "level", "delta_text", "zero_primes", "nonzero_count",
+                 "eligible_count", "epsilon_value", "bound_value")
 
     @property
     def zero_count(self) -> int:

@@ -21,6 +21,7 @@ import math
 from collections import defaultdict
 from functools import lru_cache
 
+from ._record import Record
 from .characters import DirichletCharacter, enumerate_primitive, trivial_character
 from .qseries import QSeries
 from .scalars import CycNumber, divisors, zeta_at_negative
@@ -64,10 +65,9 @@ def e2_series(precision: int) -> QSeries:
     return 1 - 24 * _sigma_sieve(trivial_character(), 1, precision)
 
 
-class EisensteinAtom:
-    """One spanning series of the weight-k Eisenstein space (or bare E2).
-    Immutable, equal and hashed by its three fields; chi None marks the
-    bare quasimodular E2."""
+class EisensteinAtom(Record):
+    """One spanning series of the weight-k Eisenstein space (or bare E2);
+    chi None marks the bare quasimodular E2."""
 
     __slots__ = ("weight", "chi", "t")
 
@@ -78,19 +78,7 @@ class EisensteinAtom:
             raise ValueError("dilation t must be at least 1")
         if chi is None and (weight != 2 or t != 1):
             raise ValueError("bare E2 is the weight-2, t=1 atom")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EisensteinAtom is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EisensteinAtom) and (
-            (self.weight, self.chi, self.t) == (other.weight, other.chi, other.t))
-
-    def __hash__(self) -> int:
-        return hash((self.weight, self.chi, self.t))
+        super().__init__(weight, chi, t)
 
     @property
     def kind(self) -> str:

@@ -15,10 +15,6 @@ slots of W bits with 2^(W-1) above the solve's bound on |(A*y)_i| +
 |d*b_i|; balanced base-2^W digits are unique, so the packed A*y - d*b is
 zero exactly when every row holds, and its pivot slots tell a failing pivot
 row from a failing other row.
-
-The scalar names of `scalars` (CycNumber, the number theory, Bernoulli
-numbers) are imported here too, so `qmf.exact.X` is the same object as
-`qmf.scalars.X`.
 """
 from __future__ import annotations
 
@@ -30,7 +26,6 @@ from itertools import chain, compress, count
 from typing import Sequence
 
 from .scalars import (
-    ConductorMismatchError,
     CycNumber,
     _pack,
     _pack_signed,
@@ -38,34 +33,12 @@ from .scalars import (
     _signed_slot_size,
     _unpack,
     _unpack_signed,
-    bernoulli,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
-    factorize,
-    format_cyc,
     is_prime,
-    moebius,
-    primes_upto,
-    zeta_at_negative,
 )
 
-__all__ = [
-    "ConductorMismatchError",
-    "CycNumber",
-    "LinearSolver",
-    "bernoulli",
-    "cyclotomic_polynomial",
-    "divisors",
-    "euler_phi",
-    "factorize",
-    "format_cyc",
-    "is_prime",
-    "moebius",
-    "null_space",
-    "primes_upto",
-    "zeta_at_negative",
-]
+__all__ = ["CycNumber", "LinearSolver", "null_space"]
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +400,7 @@ class LinearSolver:
             scale, target = -scale, [[-v for v in t] for t in target]
         if self._conductor > 1:
             return self._solve_restricted(target, scale, conductor)
-        if conductor > 1:
-            return self._solve_coordinates(target, scale, conductor)
-        factor = self._modular
-        got = factor.solve(target[0])
-        if got is None:
-            return None
-        nums, den = got[0], got[1] * scale
-        out = [CycNumber.zero()] * self.ncols
-        for j, x in zip(factor.pivot_cols, nums):
-            out[j] = CycNumber._make(1, den, (x,))
-        return out
+        return self._solve_coordinates(target, scale, conductor)
 
     def _solve_coordinates(self, target, scale: int, conductor: int) -> list[CycNumber] | None:
         # a rational matrix: one solve per nonzero coordinate of the target
@@ -448,9 +411,10 @@ class LinearSolver:
                 return None
             solved.append(got)
         den = math.lcm(*(d for _, d in solved))
-        out = [CycNumber.zero(conductor)] * self.ncols
-        for k, j in enumerate(factor.pivot_cols):
-            out[j] = CycNumber._make(conductor, den * scale, [nums[k] * (den // d) for nums, d in solved])
+        coords = zip(*(nums if d == den else [x * (den // d) for x in nums] for nums, d in solved))
+        out, make, scaled = [CycNumber.zero(conductor)] * self.ncols, CycNumber._make, den * scale
+        for j, nums in zip(factor.pivot_cols, coords):
+            out[j] = make(conductor, scaled, nums)
         return out
 
     def _solve_restricted(self, target, scale: int, conductor: int) -> list[CycNumber] | None:

@@ -28,6 +28,7 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+from ._record import Record
 from .eisenstein import eisenstein_basis
 from .errors import CatalogIncompleteError, DerivationError
 from .exact import LinearSolver, null_space
@@ -301,7 +302,7 @@ class _HeckeImage(_Expr):
 # ---------------------------------------------------------------------------
 # newform records
 
-class NewformRecord:
+class NewformRecord(Record):
     """A normalized Hecke eigenform of exact level `level` and even weight.
 
     source is the _Expr that expands it: a _Leaf of an EtaProduct (closed
@@ -309,12 +310,6 @@ class NewformRecord:
     """
 
     __slots__ = ("level", "weight", "label", "source")
-
-    def __init__(self, level: int, weight: int, label: str, source):
-        self.level = level
-        self.weight = weight
-        self.label = label
-        self.source = source
 
     def expand(self, precision: int) -> QSeries:
         return self.source.expand(precision)
@@ -339,28 +334,11 @@ class NewformRecord:
         return f"NewformRecord({self.name()}, {self.source_text()})"
 
 
-class CuspAtom:
+class CuspAtom(Record):
     """g(n tau) for a newform g of level L, giving a basis vector of the
-    weight-k cusp space at any level N with n*L | N.  Immutable, equal and
-    hashed by its two fields."""
+    weight-k cusp space at any level N with n*L | N."""
 
     __slots__ = ("record", "n")
-
-    def __init__(self, record: NewformRecord, n: int):
-        object.__setattr__(self, "record", record)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CuspAtom is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CuspAtom) and (self.record, self.n) == (other.record, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.record, self.n))
-
-    def __repr__(self) -> str:
-        return f"CuspAtom(record={self.record!r}, n={self.n!r})"
 
     @property
     def weight(self) -> int:
@@ -563,7 +541,7 @@ def _derive_space(level: int, weight: int) -> list[NewformRecord]:
             f"found {len(eigen)} eigenlines, expected {dim_new} newforms"
         )
 
-    records = []
+    normalized = []
     for expr, series in eigen:
         a1 = series.coefficient(1)
         if a1.is_zero():
@@ -571,17 +549,15 @@ def _derive_space(level: int, weight: int) -> list[NewformRecord]:
         inv = a1.inverse()
         # scale the rational basis, not the eigenline's series, by inv:
         # a product of two cyclotomic series costs phi(M)^2 series products
-        normalized = _Linear([(c * inv, e) for c, e in expr.terms])
-        rec = NewformRecord(level, weight, "?", normalized)
-        records.append(rec)
+        normalized.append(_Linear([(c * inv, e) for c, e in expr.terms]))
     # deterministic labels: sort by coefficient tuples
-    def coeff_key(rec: NewformRecord):
-        f = rec.expand(R + 1)
+    def coeff_key(expr: _Linear):
+        f = expr.expand(R + 1)
         return tuple(f.coefficient(n).sort_key() for n in range(1, R + 1))
 
-    records.sort(key=coeff_key)
-    for i, rec in enumerate(records):
-        rec.label = _index_label(i)
+    normalized.sort(key=coeff_key)
+    records = [NewformRecord(level, weight, _index_label(i), expr)
+               for i, expr in enumerate(normalized)]
     for rec in records:
         report = verify_hecke(rec, max(R + 10, 40))
         if not report.ok:
@@ -1024,33 +1000,16 @@ def _sqrt_cyclotomic(value: Fraction) -> CycNumber:
 # ---------------------------------------------------------------------------
 # verification
 
-class HeckeReport:
+class HeckeReport(Record):
     """The outcome of verify_hecke: how many checks ran, and the first
-    failure, if any.  Equal by its fields, so unhashable."""
+    failure, if any."""
 
     __slots__ = ("record", "precision", "ok", "multiplicative_checks",
                  "prime_power_checks", "failure")
 
     def __init__(self, record: str, precision: int, ok: bool, multiplicative_checks: int,
                  prime_power_checks: int, failure: str | None = None):
-        self.record = record
-        self.precision = precision
-        self.ok = ok
-        self.multiplicative_checks = multiplicative_checks
-        self.prime_power_checks = prime_power_checks
-        self.failure = failure
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HeckeReport) and self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"HeckeReport({shown})"
+        super().__init__(record, precision, ok, multiplicative_checks, prime_power_checks, failure)
 
 
 def verify_hecke(rec: NewformRecord, precision: int) -> HeckeReport:

@@ -34,6 +34,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from ._record import Record
 from .scalars import ConductorMismatchError, CycNumber, _zeta_powers, euler_phi, format_cyc
 from .scalars import _pack_signed, _signed_slot_size, _unpack_signed
 
@@ -659,7 +660,7 @@ def _eta_power(step: int, power: int, precision: int) -> list[int]:
     return out
 
 
-class EtaProduct:
+class EtaProduct(Record):
     """A finite product of eta(d*tau)^e factors."""
 
     __slots__ = ("factors",)
@@ -673,10 +674,7 @@ class EtaProduct:
         cleaned = tuple(sorted((d, e) for d, e in merged.items() if e))
         if not cleaned:
             raise ValueError("eta product needs at least one factor")
-        object.__setattr__(self, "factors", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EtaProduct is immutable")
+        super().__init__(cleaned)
 
     @property
     def weight(self) -> Fraction:
@@ -702,12 +700,6 @@ class EtaProduct:
             acc = part if acc is None else _convolve(acc, part, body, release=True)
         # integers over 1 are canonical
         return QSeries._canonical(precision, 1, 1, (tuple(itertools.chain([0] * shift, acc)),))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EtaProduct) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
 
     def spec_text(self) -> str:
         return "eta[" + ",".join(f"{d}^{e}" for d, e in self.factors) + "]"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 
+from ._record import Record
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
 from .errors import CatalogIncompleteError, RankDeficientError
 from .exact import LinearSolver
@@ -43,30 +44,14 @@ __all__ = [
 ALL_PARTS = ("eis", "new", "old")
 
 
-class BasisAtom:
+class BasisAtom(Record):
     """One basis vector of a graded assembly: D^r applied to a payload.
 
     part is "eis", "new", or "old"; the constant function 1 is the unique
-    atom with payload None and belongs to the Eisenstein part.  Immutable,
-    equal and hashed by its three fields.
+    atom with payload None and belongs to the Eisenstein part.
     """
 
     __slots__ = ("part", "payload", "r")
-
-    def __init__(self, part: str, payload: EisensteinAtom | CuspAtom | None, r: int):
-        object.__setattr__(self, "part", part)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "r", r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisAtom is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BasisAtom) and (
-            (self.part, self.payload, self.r) == (other.part, other.payload, other.r))
-
-    def __hash__(self) -> int:
-        return hash((self.part, self.payload, self.r))
 
     @property
     def weight(self) -> int:
@@ -155,31 +140,10 @@ def _old_atoms(N: int, k: int) -> list[CuspAtom]:
     ]
 
 
-class PrecisionPolicy:
-    """Coefficient depth needed for a decomposition to be trustworthy.
-    Immutable, equal and hashed by its three fields."""
+class PrecisionPolicy(Record):
+    """Coefficient depth needed for a decomposition to be trustworthy."""
 
     __slots__ = ("level", "maxweight", "atom_count")
-
-    def __init__(self, level: int, maxweight: int, atom_count: int):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "maxweight", maxweight)
-        object.__setattr__(self, "atom_count", atom_count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrecisionPolicy is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrecisionPolicy) and (
-            (self.level, self.maxweight, self.atom_count)
-            == (other.level, other.maxweight, other.atom_count))
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.maxweight, self.atom_count))
-
-    def __repr__(self) -> str:
-        return (f"PrecisionPolicy(level={self.level!r}, maxweight={self.maxweight!r}, "
-                f"atom_count={self.atom_count!r})")
 
     @property
     def p_req(self) -> int:
@@ -192,19 +156,14 @@ class PrecisionPolicy:
     ESCALATION_CAP = 8  # maximum total deepening factor over p_req
 
 
-class Decomposition:
+class Decomposition(Record):
     """Exact coordinates of a series over a graded assembly.
 
     When residual is True the series was not in the span and coordinates
     are withheld.
     """
 
-    def __init__(self, atoms, coords, residual, rows_used, escalations):
-        self.atoms = atoms
-        self.coords = coords
-        self.residual = residual
-        self.rows_used = rows_used
-        self.escalations = escalations
+    __slots__ = ("atoms", "coords", "residual", "rows_used", "escalations")
 
     def items(self):
         if self.residual:
@@ -271,7 +230,11 @@ class _CoordinateBasis:
     sum_k B_ik (rational atom k) + sum_s A_is h_s, h_s the picked
     coordinate series.  The rank over K (the atoms' fields) is the rational
     atoms' rank plus that of A; back, the solver of the rows of A^T, maps a
-    target's coordinates on the h_s to the g_i."""
+    target's coordinates on the h_s to the g_i.  A rational atom that is a
+    free column makes the basis rank-deficient over K whatever A holds, so
+    then no atom is solved and no back-map built: rank is the upper bound
+    (the rational atoms' rank plus the count of g_i), below ncols, which is
+    all decompose reads, and solve is not called."""
 
     def __init__(self, series: list[QSeries]):
         self.ncols, self.conductor = len(series), math.lcm(*(s.conductor for s in series))
@@ -287,6 +250,10 @@ class _CoordinateBasis:
         scales += [1] * len(primitive)
         self.solver = LinearSolver(columns, scales)
         free, n = set(self.solver.free_columns()), len(self.rational)
+        lost = len(free.intersection(range(n)))
+        if lost:
+            self.rank = n - lost + len(self.cyclotomic)
+            return
         self.picked = [s for s in range(n, len(columns)) if s not in free]
         self.relations, rows_of_a = [], []
         for i in self.cyclotomic:
@@ -295,7 +262,7 @@ class _CoordinateBasis:
             self.relations.append(coords[:n])
             rows_of_a.append([coords[s] for s in self.picked])
         self.back = LinearSolver([list(row) for row in zip(*rows_of_a)])
-        self.rank = n - len(free.intersection(range(n))) + self.back.rank
+        self.rank = n + self.back.rank
 
     def solve(self, target, scale: int, conductor: int) -> list[CycNumber] | None:
         # f = sum_k c_k (rational atom k) + sum_s c_s h_s; then x = back's

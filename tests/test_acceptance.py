@@ -12,7 +12,7 @@ from fractions import Fraction
 from qmf.characters import enumerate_primitive, trivial_character
 from qmf.detect import census, f_kl, macmahon, prime_detect_verdict
 from qmf.eisenstein import EisensteinAtom, enumerate_A, raw_e2_atom
-from qmf.exact import CycNumber, primes_upto
+from qmf.scalars import primes_upto
 from qmf.newforms import (
     CatalogIncompleteError,
     cusp_count,

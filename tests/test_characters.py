@@ -8,7 +8,7 @@ from qmf.characters import (
     trivial_character,
 )
 from qmf.eisenstein import eisenstein_basis
-from qmf.exact import CycNumber, euler_phi, moebius, divisors
+from qmf.scalars import CycNumber, euler_phi, moebius, divisors
 
 
 def primitive_count(u: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 import qmf.detect
 from qmf.cli import eval_form
-from qmf.exact import factorize, is_prime, primes_upto
+from qmf.scalars import factorize, is_prime, primes_upto
 from qmf.qseries import QSeries, delta_eta
 from qmf.detect import (
     CensusReport,

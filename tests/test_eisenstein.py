@@ -13,7 +13,7 @@ from qmf.eisenstein import (
     enumerate_A,
     raw_e2_atom,
 )
-from qmf.exact import CycNumber, divisors, primes_upto, zeta_at_negative
+from qmf.scalars import CycNumber, divisors, primes_upto, zeta_at_negative
 from qmf.qseries import QSeries
 
 

@@ -12,7 +12,7 @@ import pytest
 import qmf
 import qmf.newforms as nf
 from qmf import exact
-from qmf.exact import CycNumber, divisors, primes_upto
+from qmf.scalars import CycNumber, divisors, moebius, primes_upto
 from qmf.newforms import (
     CatalogIncompleteError,
     DerivationError,
@@ -114,7 +114,7 @@ def test_integer_dimension_formulas_match_the_fraction_formulas():
         return int(value)
 
     def beta(n):
-        return sum(exact.moebius(d) * exact.moebius(n // d) for d in divisors(n))
+        return sum(moebius(d) * moebius(n // d) for d in divisors(n))
 
     for N in range(1, 501):
         assert genus_gamma0(N) == fraction_dim(N, 2)

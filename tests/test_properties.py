@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qmf.cli import main  # noqa: E402
 from qmf import exact  # noqa: E402
-from qmf.exact import CycNumber, LinearSolver, format_cyc  # noqa: E402
+from qmf.exact import CycNumber, LinearSolver  # noqa: E402
+from qmf.scalars import euler_phi, format_cyc  # noqa: E402
 from qmf.detect import macmahon  # noqa: E402
 from qmf.qseries import QSeries  # noqa: E402
 
@@ -209,7 +210,7 @@ def cyclotomic_solver_cases(draw):
     combinations of them, and targets inside and (usually) outside the
     column span."""
     M = draw(st.sampled_from([3, 4, 5, 8, 12]))
-    phi = exact.euler_phi(M)
+    phi = euler_phi(M)
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     rank = draw(st.integers(0, min(nrows, ncols)))
     small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -338,8 +339,8 @@ huge_rationals = st.one_of(
 # a nonzero element of Q(zeta_M), M <= 12, dense or sparse, with numerators
 # and denominators up to 10^30
 cyclotomic_elements = st.sampled_from([2, 3, 4, 5, 8, 12]).flatmap(
-    lambda M: st.lists(huge_rationals, min_size=exact.euler_phi(M),
-                       max_size=exact.euler_phi(M)).map(lambda c: CycNumber(M, c))
+    lambda M: st.lists(huge_rationals, min_size=euler_phi(M),
+                       max_size=euler_phi(M)).map(lambda c: CycNumber(M, c))
 ).filter(bool)
 
 
@@ -368,7 +369,7 @@ def cyclotomic_coords(draw, M):
     shared = draw(st.one_of(st.integers(1, 9), st.integers(1, HUGE)))
     numerators = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-HUGE, HUGE))
     return [Fraction(draw(numerators), shared * draw(st.integers(1, 9)))
-            for _ in range(exact.euler_phi(M))]
+            for _ in range(euler_phi(M))]
 
 
 @st.composite
@@ -376,7 +377,7 @@ def cyclotomic_operands(draw):
     """Coordinates of an element of Q(zeta_Ma) and one of Q(zeta_Mb), and a
     rational."""
     conductors = st.tuples(st.sampled_from(CYC_CONDUCTORS), st.sampled_from(CYC_CONDUCTORS))
-    Ma, Mb = draw(conductors.filter(lambda p: exact.euler_phi(math.lcm(*p)) <= 72))
+    Ma, Mb = draw(conductors.filter(lambda p: euler_phi(math.lcm(*p)) <= 72))
     a, b = draw(cyclotomic_coords(Ma)), draw(cyclotomic_coords(Mb))
     return (Ma, a), (Mb, b), draw(huge_rationals)
 

@@ -250,6 +250,25 @@ def test_level8_weight12_decompose_matches_the_golden():
     assert dec.report_text() + "\n" == golden.read_text()
 
 
+def test_level8_weight12_policy_depth_builds_no_back_map():
+    # at 193 rows rational atom 136 is already a free column, so the basis
+    # cannot have full rank over Q(zeta_109): neither cyclotomic atom is
+    # solved and the back-map is not built
+    atoms = assemble_basis(8, 12)
+    rows = PrecisionPolicy(8, 12, len(atoms)).p_req
+    assert rows == 193
+    with mock.patch.object(exact.LinearSolver, "__init__", autospec=True,
+                           side_effect=exact.LinearSolver.__init__) as inits, \
+            mock.patch.object(exact.LinearSolver, "solve", autospec=True,
+                              side_effect=exact.LinearSolver.solve) as solves:
+        basis = quasimodular._basis_solver(atoms, rows)
+    assert isinstance(basis, quasimodular._CoordinateBasis)
+    assert 136 in basis.solver.free_columns()
+    assert inits.call_count == 1 and solves.call_count == 0
+    assert not hasattr(basis, "back")
+    assert basis.rank < basis.ncols == len(atoms)
+
+
 def test_not_in_span():
     f = QSeries([0, 1, 1], 8)
     dec = decompose(f, 1, 2)

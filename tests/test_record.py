@@ -1,0 +1,84 @@
+"""The immutable value records: equality, hashing, immutability and reprs."""
+
+import copy
+import math
+
+import pytest
+
+from qmf.characters import DirichletCharacter, character_group, trivial_character
+from qmf.detect import CensusReport, DetectReport, MacMahonTable, PrimeTestResult
+from qmf.eisenstein import EisensteinAtom, raw_e2_atom
+from qmf.newforms import CuspAtom, HeckeReport, NewformRecord, newforms_for
+from qmf.qseries import EtaProduct
+from qmf.quasimodular import BasisAtom, Decomposition, PrecisionPolicy
+from qmf.scalars import CycNumber
+
+
+def delta():
+    return newforms_for(1, 12)[0]
+
+
+# each case: the record class, then a function giving its fields and the
+# same fields with one of them changed
+CASES = [
+    (BasisAtom, lambda: (("eis", raw_e2_atom(), 1), ("eis", raw_e2_atom(), 2))),
+    (PrecisionPolicy, lambda: ((6, 8, 55), (6, 8, 56))),
+    (Decomposition, lambda: (([raw_e2_atom()], [CycNumber.one()], False, 92, 0),
+                             ([raw_e2_atom()], [CycNumber.one()], False, 92, 1))),
+    (CuspAtom, lambda: ((delta(), 2), (delta(), 3))),
+    (NewformRecord, lambda: ((1, 12, "a", delta().source), (1, 12, "b", delta().source))),
+    (HeckeReport, lambda: (("1.12.a", 40, True, 3, 4, None), ("1.12.a", 40, False, 3, 4, None))),
+    (EisensteinAtom, lambda: ((4, trivial_character(), 1), (4, trivial_character(), 2))),
+    (DirichletCharacter, lambda: ((5, (1,)), (5, (2,)))),
+    (EtaProduct, lambda: ((((1, 24),),), (((1, 12),),))),
+    (MacMahonTable, lambda: ((2, 3, (0, 0, 0)), (2, 3, (0, 0, 1)))),
+    (PrimeTestResult, lambda: ((7, 0), (7, 1))),
+    (DetectReport, lambda: ((1, 10, [], [4]), (1, 11, [], [4]))),
+    (CensusReport, lambda: ((100, 1, "0.05", [2], 1, 2, 1.5, 2.5),
+                            (100, 1, "0.05", [2], 1, 2, 1.5, 3.5))),
+]
+
+
+@pytest.mark.parametrize("cls,fields", CASES, ids=[cls.__name__ for cls, _ in CASES])
+def test_records_are_immutable_values_of_their_fields(cls, fields):
+    (same, changed) = fields()
+    a, b = cls(*same), cls(*same)
+    assert a == b and not a != b
+    assert a != cls(*changed)
+    assert cls(**dict(zip(cls.__slots__, same))) == a == copy.copy(a)
+    assert a != same and a != tuple(getattr(a, name) for name in cls.__slots__)
+    try:
+        hash(same)
+    except TypeError:
+        # a record holding a list is unhashable, as a tuple holding one is
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(a, cls.__slots__[0], same[0])
+    with pytest.raises(TypeError):
+        cls(*same, same[0])
+    with pytest.raises(TypeError):
+        cls(*same[:len(same) // 2])
+
+
+def test_generic_reprs_keep_their_text():
+    assert repr(CuspAtom(delta(), 2)) == (
+        "CuspAtom(record=NewformRecord(1.12.delta, eta[1^24]), n=2)")
+    assert repr(PrecisionPolicy(6, 8, 55)) == "PrecisionPolicy(level=6, maxweight=8, atom_count=55)"
+    assert repr(HeckeReport("1.12.a", 40, True, 3, 4)) == (
+        "HeckeReport(record='1.12.a', precision=40, ok=True, multiplicative_checks=3, "
+        "prime_power_checks=4, failure=None)")
+
+
+def test_conductor_is_the_least_modulus_the_character_factors_through():
+    # chi mod u has conductor f when f is the least divisor of u with chi(a)
+    # = chi(b) for all units a = b mod f
+    for u in range(1, 65):
+        units = [n for n in range(1, u + 1) if math.gcd(n, u) == 1]
+        for chi in character_group(u):
+            values = {n: chi(n) for n in units}
+            brute = min(f for f in range(1, u + 1) if u % f == 0 and all(
+                values[n] == values[m] for n in units for m in units if m < n and (n - m) % f == 0))
+            assert chi.conductor == brute, (u, chi)
