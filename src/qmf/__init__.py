@@ -6,12 +6,13 @@ q-series, Eisenstein atoms, newforms, graded bases and decomposition, and
 the command line front end.  Prime-detecting series, censuses and
 MacMahon tables (`detect`) sit directly on the scalars and q-series.
 Below every layer are the exceptions that several of them raise
-(`errors`) and the immutable value record that their value classes share
-(`_record`).  Importing `qmf.cli` loads only scalars, qseries, _record
-and errors; each command imports the other layers when it runs them.  So
-census, detect and macmahon load detect but never the eliminator,
-characters, eisenstein, newforms or quasimodular, and expand, decompose,
-basis and newforms load no detect unless a form names G[...] or U[...].
+(`errors`) and the immutable value base that every value class shares,
+QSeries and CycNumber too (`_record`).  Importing `qmf.cli` loads only
+scalars, qseries, _record and errors; each command imports the other
+layers when it runs them.  So census, detect and macmahon load detect but
+never the eliminator, characters, eisenstein, newforms or quasimodular,
+and expand, decompose, basis and newforms load no detect unless a form
+names G[...] or U[...].
 """
 
 from .qseries import EtaProduct, QSeries

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
 
 from ._record import Record
 from .scalars import CycNumber, divisors, euler_phi, factorize

@@ -172,12 +172,20 @@ def sturm_bound(k: int, N: int) -> int:
 # expandable expression nodes (construction recipes for derived forms)
 
 class _Expr:
-    """Re-expandable series expression; memoizes its widest expansion."""
+    """Re-expandable series expression; memoizes its widest expansion.
+    Expressions built alike are equal, so a record equals its copies."""
 
     __slots__ = ("_memo",)
 
     def __init__(self):
         self._memo: QSeries | None = None
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(type(self))  # its coefficients and tables are unhashable
 
     def expand(self, precision: int) -> QSeries:
         memo = self._memo
@@ -205,20 +213,16 @@ class _Leaf(_Expr):
 class _Table(_Expr):
     """A finite coefficient table; it cannot expand past its precision."""
 
-    __slots__ = ("name",)
+    __slots__ = ("series", "name")
 
     def __init__(self, series: QSeries, name: str):
         super().__init__()
-        self._memo = series
+        self._memo = self.series = series
         self.name = name
-
-    @property
-    def precision(self) -> int:
-        return self._memo.precision
 
     def _compute(self, precision: int) -> QSeries:
         raise ValueError(
-            f"ingested newform {self.name} holds {self.precision} "
+            f"ingested newform {self.name} holds {self.series.precision} "
             f"coefficients; cannot expand to {precision}"
         )
 
@@ -369,13 +373,14 @@ _BUILTIN_ETA: dict[tuple[int, int], list[tuple[str, list[tuple[int, int]]]]] = {
 }
 
 _registry_lock = threading.RLock()
-_ingest_count = 0  # bumped by ingest and reset_caches
+_ingest_count = 0  # bumped by an ingest that changes the catalog, and by reset_caches
 
 
 def catalog_state() -> tuple[str, int]:
-    """The cache directory, resolved, and the ingest count: everything built
-    from the catalog holds for one state, so caches key off it.  realpath
-    is what Path.resolve() does, without building a Path on every call."""
+    """The cache directory, resolved, and the count of ingests that changed
+    the catalog: everything built from the catalog holds for one state, so
+    caches key off it.  realpath is what Path.resolve() does, without
+    building a Path on every call."""
     return os.path.realpath(_cache_path()), _ingest_count
 
 
@@ -1071,7 +1076,7 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     L, k = rec.level, rec.weight
     if k < 2 or k % 2:
         raise ValueError(f"newform weight must be even and >= 2, got {k}")
-    precision = rec.source.precision
+    precision = rec.source.series.precision
     needed = sturm_bound(k, L)
     if precision < needed:
         raise ValueError(
@@ -1091,12 +1096,17 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
     root = cache_dir()
     root.mkdir(parents=True, exist_ok=True)
     target = root / f"{L}.{k}.{rec.label}.qs"
-    with open(target, "w", encoding="utf-8") as handle:
-        dump_qseries(series, handle, level=L, weight=k, label=rec.label)
     with _registry_lock:
-        # a directory not read yet loads every file on disk, not only this one
-        _ingested(os.path.realpath(root)).setdefault((L, k), {})[rec.label] = rec
-        _ingest_count += 1
+        # a directory not read yet loads every file on disk before this one
+        known = _ingested(os.path.realpath(root)).setdefault((L, k), {})
+        old = known.get(rec.label)
+        with open(target, "w", encoding="utf-8") as handle:
+            dump_qseries(series, handle, level=L, weight=k, label=rec.label)
+        known[rec.label] = rec
+        # a built-in label hides the record; one that held this series stays
+        if old != rec and all(r.label != rec.label for r in _builtin_records(L, k)):
+            _ingest_count += 1
+            _catalog.cache_clear()
     return rec
 
 

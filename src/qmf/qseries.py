@@ -299,8 +299,8 @@ def _zeta_product(xs, ys, conductor: int, precision: int):
     return _reduce_zeta(terms, conductor, precision)
 
 
-class QSeries:
-    """A q-expansion truncated at a stated precision.
+class QSeries(Record):
+    """A q-expansion truncated at a stated precision, an immutable Record.
 
     precision P means coefficients of q^0 .. q^(P-1) are known exactly;
     everything at or beyond q^P is unknown, not zero.
@@ -331,13 +331,7 @@ class QSeries:
             tuple([x.numerator * (den // x.denominator) for x in col] + pad)
             for col in cols
         )
-        self._set(precision, conductor, den, nums)
-
-    def _set(self, precision, conductor, den, nums):
-        _set_precision(self, precision)
-        _set_conductor(self, conductor)
-        _set_den(self, den)
-        _set_nums(self, nums)
+        super().__init__(precision, conductor, den, nums)
 
     @classmethod
     def _make(cls, precision: int, conductor: int, den: int, nums) -> "QSeries":
@@ -356,11 +350,12 @@ class QSeries:
     def _canonical(cls, precision: int, conductor: int, den: int, nums) -> "QSeries":
         # nums a tuple of int tuples, already in the canonical form over den
         self = object.__new__(cls)
-        self._set(precision, conductor, den, nums)
+        set_precision, set_conductor, set_den, set_nums = cls._setters
+        set_precision(self, precision)
+        set_conductor(self, conductor)
+        set_den(self, den)
+        set_nums(self, nums)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -561,12 +556,6 @@ class QSeries:
                 break
         body = " + ".join(shown) if shown else "0"
         return f"QSeries({body} + O(q^{self.precision}))"
-
-
-# The slots' own setters: __setattr__ refuses every assignment, and these
-# skip the attribute lookup of object.__setattr__.
-_set_precision, _set_conductor, _set_den, _set_nums = (
-    QSeries.__dict__[name].__set__ for name in QSeries.__slots__)
 
 
 def _rational(value) -> Fraction | int:

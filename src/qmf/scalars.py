@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence
 
+from ._record import Record
+
 __all__ = [
     "ConductorMismatchError",
     "CycNumber",
@@ -171,12 +173,13 @@ def _reduce_mod_cyclotomic(coeffs: list[int], M: int) -> list[int]:
     return out
 
 
-class CycNumber:
+class CycNumber(Record):
     """An element of Q(zeta_M), immutable: sum_k nums[k] zeta^k / den with
     phi(M) int nums, canonical (den > 0, gcd(den, *nums) = 1) like a QSeries
     coefficient; coords views it as Fractions.  Arithmetic between different
     conductors embeds both operands into Q(zeta_lcm).  Equality is
-    mathematical (embedding-aware); instances are not hashable.
+    mathematical (embedding-aware); instances are not hashable.  Like
+    QSeries, it is a Record, so it copies and pickles.
     """
 
     __slots__ = ("conductor", "den", "nums")
@@ -191,12 +194,8 @@ class CycNumber:
             )
         # lcm of reduced denominators: the canonical form needs no gcd pass
         den = math.lcm(*(c.denominator for c in coords))
-        _set_conductor(self, conductor)
-        _set_den(self, den)
-        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in coords))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("CycNumber is immutable")
+        super().__init__(conductor, den,
+                         tuple(c.numerator * (den // c.denominator) for c in coords))
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -211,9 +210,10 @@ class CycNumber:
                 den //= g
                 nums = [x // g for x in nums]
         self = object.__new__(cls)
-        _set_conductor(self, conductor)
-        _set_den(self, den)
-        _set_nums(self, tuple(nums))
+        set_conductor, set_den, set_nums = cls._setters
+        set_conductor(self, conductor)
+        set_den(self, den)
+        set_nums(self, tuple(nums))
         return self
 
     @staticmethod
@@ -225,11 +225,7 @@ class CycNumber:
     @functools.cache
     def zero(conductor: int = 1) -> "CycNumber":
         # one instance per conductor: CycNumbers are immutable
-        self = object.__new__(CycNumber)
-        _set_conductor(self, conductor)
-        _set_den(self, 1)
-        _set_nums(self, (0,) * euler_phi(conductor))
-        return self
+        return CycNumber(conductor, (0,) * euler_phi(conductor))
 
     @staticmethod
     def one(conductor: int = 1) -> "CycNumber":
@@ -387,13 +383,6 @@ class CycNumber:
         if self.is_rational():
             return f"CycNumber({self.as_rational()})"
         return f"CycNumber(M={self.conductor}, {format_cyc(self)})"
-
-
-# The slots' own setters: __setattr__ refuses every assignment, and these
-# skip the attribute lookup of object.__setattr__ on each of the many
-# CycNumbers a solve returns.
-_set_conductor, _set_den, _set_nums = (CycNumber.__dict__[name].__set__
-                                       for name in CycNumber.__slots__)
 
 
 def format_cyc(x: CycNumber) -> str:

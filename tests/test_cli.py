@@ -799,6 +799,18 @@ def test_decompose_level9_newform_outside_ambient_field(tmp_path, capsys):
     assert lines[:-1] == ["new D^0(newform[9,8,b]) : 1" + " 0" * 15]
 
 
+def test_decompose_escalation_cap_is_one_error_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f.qs"
+    rc, _, _ = run(capsys, "expand", "--form", "newform[9,8,b]", "--prec", "120",
+                   "--out", str(path))
+    assert rc == 0
+    monkeypatch.setattr("qmf.quasimodular.PrecisionPolicy.ESCALATION_CAP", 1)
+    rc, out, err = run(capsys, "decompose", "--series", str(path),
+                       "--level", "9", "--maxweight", "8")
+    assert (rc, out, err) == (1, "", "error: basis matrix for level 9, max weight 8 is "
+                                     "rank-deficient at depth 83 (cap reached)\n")
+
+
 def test_decompose_escalation_out_of_coefficients(tmp_path, capsys):
     # the 9.8 basis has rank 53 of 55 at its 83 default rows, so decompose
     # must deepen, and the series carries no more than those 83

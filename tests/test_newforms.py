@@ -697,6 +697,31 @@ def cache_a(tmp_path, monkeypatch):
     reset_caches()
 
 
+def test_ingest_starts_a_new_catalog_state_only_when_the_catalog_changes(tmp_path, cache_a):
+    delta = newforms_for(1, 12)[0].expand(30)
+    newforms_for(8, 12)
+    state, before = catalog_state(), nf._catalog.cache_info()
+    # the built-in 1.12.delta wins over its ingested copy: 8.12 stays cached
+    _ingest_series(tmp_path, delta, 1, 12, "delta")
+    assert catalog_state() == state
+    newforms_for(8, 12)
+    after = nf._catalog.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits + 1, before.misses, before.currsize)
+    # a new label is a new catalog, and the old state's entries go
+    a = newforms_for(2, 10)[0]
+    _ingest_series(tmp_path, a.expand(40), 2, 10, "a")
+    assert catalog_state() != state and nf._catalog.cache_info().currsize == 0
+    state = catalog_state()
+    assert [r.source_text() for r in newforms_for(2, 10)] == ["ingested"]
+    # the same label with the same series again changes nothing; with
+    # another series it does
+    _ingest_series(tmp_path, a.expand(40), 2, 10, "a")
+    assert catalog_state() == state and nf._catalog.cache_info().currsize == 1
+    _ingest_series(tmp_path, a.expand(50), 2, 10, "a")
+    assert catalog_state() != state
+
+
 def test_directory_switch_drops_a_failure_of_the_old_catalog(tmp_path, monkeypatch, cache_a):
     # sum sigma_7(n) q^n, which ingest refuses, written into the cache
     # directory by hand reads as a second 2.8 record, and 6.8 fails on it;

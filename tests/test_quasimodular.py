@@ -17,6 +17,7 @@ from qmf.quasimodular import (
     BasisAtom,
     InsufficientPrecisionError,
     PrecisionPolicy,
+    RankDeficientError,
     assemble_basis,
     constant_one_atom,
     decompose,
@@ -215,6 +216,16 @@ def test_level9_weight8_combinations_over_the_eigenform_field():
     dec = decompose(f.scale(z3), 9, 8)
     assert dec.coords == [c * z3 for c in coeffs]
     assert {c.conductor for c in dec.coords} == {120}
+
+
+def test_escalation_cap_raises_rank_deficient(monkeypatch):
+    # the 9.8 basis is rank-deficient at its policy depth of 83 rows, and a
+    # cap of 1 allows no deepening past it
+    (b,) = [rec for rec in newforms_for(9, 8) if rec.label == "b"]
+    monkeypatch.setattr(PrecisionPolicy, "ESCALATION_CAP", 1)
+    message = r"^basis matrix for level 9, max weight 8 is rank-deficient at depth 83 \(cap reached\)$"
+    with pytest.raises(RankDeficientError, match=message):
+        decompose(b.expand(120), 9, 8)
 
 
 def test_level9_weight8_targets_outside_the_span():

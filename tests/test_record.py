@@ -1,16 +1,21 @@
-"""The immutable value records: equality, hashing, immutability and reprs."""
+"""The immutable value records: equality, hashing, immutability, copies and reprs."""
 
+import ast
 import copy
 import math
+import pickle
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qmf
 from qmf.characters import DirichletCharacter, character_group, trivial_character
 from qmf.detect import CensusReport, DetectReport, MacMahonTable, PrimeTestResult
 from qmf.eisenstein import EisensteinAtom, raw_e2_atom
 from qmf.newforms import CuspAtom, HeckeReport, NewformRecord, newforms_for
-from qmf.qseries import EtaProduct
-from qmf.quasimodular import BasisAtom, Decomposition, PrecisionPolicy
+from qmf.qseries import EtaProduct, QSeries
+from qmf.quasimodular import BasisAtom, Decomposition, PrecisionPolicy, decompose
 from qmf.scalars import CycNumber
 
 
@@ -46,6 +51,7 @@ def test_records_are_immutable_values_of_their_fields(cls, fields):
     assert a == b and not a != b
     assert a != cls(*changed)
     assert cls(**dict(zip(cls.__slots__, same))) == a == copy.copy(a)
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     assert a != same and a != tuple(getattr(a, name) for name in cls.__slots__)
     try:
         hash(same)
@@ -61,6 +67,51 @@ def test_records_are_immutable_values_of_their_fields(cls, fields):
         cls(*same, same[0])
     with pytest.raises(TypeError):
         cls(*same[:len(same) // 2])
+
+
+def newform_9_8_b(precision):
+    (b,) = [rec for rec in newforms_for(9, 8) if rec.label == "b"]
+    return b.expand(precision)
+
+
+VALUES = [
+    ("rational series", lambda: QSeries([Fraction(1, 2), 0, -3, Fraction(5, 7)], 6)),
+    ("newform[9,8,b] to 30", lambda: newform_9_8_b(30)),
+    ("one", CycNumber.one),
+    ("zero of Q(zeta_40)", lambda: CycNumber.zero(40)),
+    ("dense element of Q(zeta_109)",
+     lambda: CycNumber(109, [Fraction(k * k - 50, k + 1) for k in range(108)])),
+    ("9.8 decomposition", lambda: decompose(newform_9_8_b(120), 9, 8)),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in VALUES], ids=[name for name, _ in VALUES])
+def test_values_copy_deep_copy_and_pickle(make):
+    value = make()
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
+
+
+def test_only_record_stores_slots():
+    # every value stores its slots through Record: no other module assigns
+    # past __setattr__ or keeps a slot's own setter
+    offences = []
+    for path in sorted(Path(qmf.__file__).resolve().parent.glob("*.py")):
+        if path.name == "_record.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
+                offences.append(f"{path.name}:{node.lineno} defines __setattr__")
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr == "__setattr__" and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"):
+                offences.append(f"{path.name}:{node.lineno} calls object.__setattr__")
+            elif isinstance(node, ast.Attribute) and node.attr == "__set__" and (
+                    isinstance(node.value, ast.Subscript)
+                    and isinstance(node.value.value, ast.Attribute)
+                    and node.value.value.attr == "__dict__"):
+                offences.append(f"{path.name}:{node.lineno} takes a slot's setter")
+    assert offences == []
 
 
 def test_generic_reprs_keep_their_text():
