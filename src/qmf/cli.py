@@ -63,9 +63,13 @@ class FormSpecError(ValueError):
     """Unparseable or unresolvable form expression."""
 
     def __init__(self, position: int, reason: str):
+        # the fields stay in args, so copy and pickle rebuild the error
+        super().__init__(position, reason)
         self.position = position
         self.reason = reason
-        super().__init__(f"at position {position}: {reason}")
+
+    def __str__(self) -> str:
+        return f"at position {self.position}: {self.reason}"
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,10 @@ __all__ = [
     "CensusReport",
     "DetectReport",
     "MacMahonTable",
-    "PrimeTestResult",
     "census",
     "f_kl",
     "g_series",
     "macmahon",
-    "macmahon_prime_test",
     "prime_detect_verdict",
     "validate_census",
     "validate_detect",
@@ -90,41 +88,6 @@ def macmahon(a: int, precision: int) -> MacMahonTable:
     assert not any(vals[:floor]), "chain sum below the minimal triangle"
     assert min(vals) >= 0
     return MacMahonTable(a, P, tuple(vals))
-
-
-class PrimeTestResult(Record):
-    """The value of the prime test at n."""
-
-    __slots__ = ("n", "value")
-
-    @property
-    def prime(self) -> bool:
-        return self.value == 0
-
-    def report_text(self) -> str:
-        verdict = "prime" if self.prime else "composite"
-        return f"n={self.n} value={self.value} verdict={verdict}"
-
-
-def macmahon_prime_test(
-    n: int,
-    m1: MacMahonTable | None = None,
-    m2: MacMahonTable | None = None,
-) -> PrimeTestResult:
-    """Evaluate (n^2-3n+2) M_1(n) - 8 M_2(n); zero claims n is prime.
-
-    Tables may be supplied to amortize the tabulation over many n.
-    """
-    if n < 2:
-        raise ValueError("the prime test needs n >= 2")
-    if m1 is None:
-        m1 = macmahon(1, n + 1)
-    if m2 is None:
-        m2 = macmahon(2, n + 1)
-    if m1.a != 1 or m2.a != 2:
-        raise ValueError("tables must be M_1 and M_2")
-    value = (n * n - 3 * n + 2) * m1.value(n) - 8 * m2.value(n)
-    return PrimeTestResult(n, value)
 
 
 def g_series(k: int, N: int, precision: int) -> QSeries:

@@ -16,13 +16,15 @@ class CatalogIncompleteError(LookupError):
     the records could not be completed (empty when none is known)."""
 
     def __init__(self, level: int, weight: int, detail: str = ""):
+        # the fields stay in args, so copy and pickle rebuild the error
+        super().__init__(level, weight, detail)
         self.level = level
         self.weight = weight
         self.detail = detail
-        msg = f"newform space (level {level}, weight {weight}) is not available"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+
+    def __str__(self) -> str:
+        msg = f"newform space (level {self.level}, weight {self.weight}) is not available"
+        return f"{msg}: {self.detail}" if self.detail else msg
 
 
 class DerivationError(RuntimeError):

@@ -392,10 +392,6 @@ def _builtin_records(level: int, weight: int) -> tuple[NewformRecord, ...]:
     )
 
 
-def cache_dir() -> Path:
-    return Path(_cache_path())
-
-
 def _cache_path() -> str:
     return os.environ.get("QMF_CACHE_DIR", ".qmf-cache")
 
@@ -1093,7 +1089,7 @@ def ingest(path: str | os.PathLike) -> NewformRecord:
             raise ValueError(
                 f"a({p}) = {a_p.as_rational()} breaks Deligne's bound a(p)^2 <= 4 p^{k - 1}"
             )
-    root = cache_dir()
+    root = Path(_cache_path())
     root.mkdir(parents=True, exist_ok=True)
     target = root / f"{L}.{k}.{rec.label}.qs"
     with _registry_lock:

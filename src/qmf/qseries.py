@@ -42,7 +42,6 @@ __all__ = [
     "EtaProduct",
     "InsufficientPrecisionError",
     "QSeries",
-    "delta_eta",
     "dump_qseries",
     "load_qseries",
 ]
@@ -66,10 +65,11 @@ _DECIMAL_CHUNK = 1024
 # Eta powers of series shorter than this use the Miller recurrence.
 _ETA_SQUARING_MIN = 256
 # The largest precision a command expands to (--prec, --xmax, --nmax) or a
-# q-series file may declare: ten times the largest census the tests run.  A
-# cold census of Delta at the cap takes about 9 s and peaks near 190 MB
-# (numbers in CHANGES.md); far above it a command would run for minutes or
-# run out of memory.
+# q-series file may declare, and the most cells, phi(conductor) per
+# coefficient, such a file may fill: ten times the largest census the tests
+# run.  A cold census of Delta at the cap takes about 9 s and peaks near
+# 190 MB (numbers in CHANGES.md); far above it a command would run for
+# minutes or run out of memory.
 MAX_PRECISION = 1_000_000
 # The largest conductor a q-series file may declare, checked before
 # anything factors it; the derived newform tables reach conductor 280.  The
@@ -78,19 +78,20 @@ MAX_PRECISION = 1_000_000
 # 140 MB at M = 3003 and 12 s at the prime M = 9973.
 MAX_CONDUCTOR = 2310
 
-_ZERO = CycNumber.zero()
-
 
 class InsufficientPrecisionError(ValueError):
     """Input series is too short; .required says how many coefficients the
     operation needs."""
 
     def __init__(self, required: int, have: int, what: str = "series"):
+        # the fields stay in args, so copy and pickle rebuild the error
+        super().__init__(required, have, what)
         self.required = required
         self.have = have
-        super().__init__(
-            f"{what} has {have} coefficients; need at least {required}"
-        )
+
+    def __str__(self) -> str:
+        required, have, what = self.args
+        return f"{what} has {have} coefficients; need at least {required}"
 
 
 def _wrap(value) -> CycNumber:
@@ -366,15 +367,6 @@ class QSeries(Record):
     def constant(value, precision: int) -> "QSeries":
         return QSeries([_wrap(value)], precision)
 
-    @staticmethod
-    def from_dict(entries: dict[int, object], precision: int) -> "QSeries":
-        cs = [_ZERO] * precision
-        for n, c in entries.items():
-            if not 0 <= n < precision:
-                raise ValueError(f"exponent {n} outside precision {precision}")
-            cs[n] = _wrap(c)
-        return QSeries(cs, precision)
-
     # -- access ------------------------------------------------------------
     def coefficient(self, n: int) -> CycNumber:
         if not 0 <= n < self.precision:
@@ -542,11 +534,6 @@ class QSeries(Record):
 
     __hash__ = None
 
-    def agrees_with(self, other: "QSeries") -> bool:
-        """Equality on the shared prefix of known coefficients."""
-        p = min(self.precision, other.precision)
-        return self.truncate(p) == other.truncate(p)
-
     def __repr__(self) -> str:
         shown = []
         for n, c in self.items():
@@ -698,11 +685,6 @@ class EtaProduct(Record):
         return f"EtaProduct({inner})"
 
 
-def delta_eta() -> EtaProduct:
-    """The weight-12 level-1 cusp form as eta(tau)^24."""
-    return EtaProduct([(1, 24)])
-
-
 # ---------------------------------------------------------------------------
 # q-series wire format
 
@@ -738,8 +720,9 @@ def dumps_qseries(series: QSeries, **headers) -> str:
 
 def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
     """Parse the wire format; returns the series and any optional headers.
-    The declared precision is at most MAX_PRECISION and the conductor at
-    most MAX_CONDUCTOR, both checked before the series is built."""
+    The declared precision is at most MAX_PRECISION, the conductor at most
+    MAX_CONDUCTOR, and the phi(conductor) * precision cells of the series at
+    most MAX_PRECISION, all checked before the series is built."""
     if isinstance(source, str):
         lines = source.splitlines()
     else:
@@ -777,6 +760,11 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
             f"q-series file declares conductor {conductor}; it is above the cap {MAX_CONDUCTOR}"
         )
     width = euler_phi(conductor)
+    if width * precision > MAX_PRECISION:
+        raise ValueError(
+            f"q-series file declares {width * precision} cells (conductor {conductor}, "
+            f"precision {precision}); it is above the cap {MAX_PRECISION}"
+        )
     for n, (_, nums) in body.items():
         if len(nums) != width:
             raise ValueError(

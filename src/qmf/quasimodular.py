@@ -76,10 +76,6 @@ class BasisAtom(Record):
         return f"BasisAtom({self.part}, {self.spec_text()})"
 
 
-def constant_one_atom() -> BasisAtom:
-    return BasisAtom("eis", None, 0)
-
-
 def assemble_basis(
     N: int, maxweight: int, parts: tuple[str, ...] = ALL_PARTS
 ) -> list[BasisAtom]:
@@ -107,7 +103,7 @@ def assemble_basis(
     }
     out: list[BasisAtom] = []
     if "eis" in parts:
-        out.append(constant_one_atom())
+        out.append(BasisAtom("eis", None, 0))
     for weight in range(2, maxweight + 1, 2):
         j = weight // 2
         if "eis" in parts:
@@ -203,15 +199,16 @@ _BASIS_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _basis_entry(
     N: int, maxweight: int, state: tuple[str, int]
-) -> tuple[list[BasisAtom], int, dict[int, "LinearSolver | _CoordinateBasis"]]:
+) -> tuple[tuple[BasisAtom, ...], int, dict[int, "LinearSolver | _CoordinateBasis"]]:
     """The assembly of (N, maxweight) under one catalog state, its
     PrecisionPolicy depth, and its solvers by depth, which decompose fills
-    as it needs them."""
-    atoms = assemble_basis(N, maxweight)
+    as it needs them.  Every Decomposition of the space shares the atoms,
+    so they are a tuple: no caller can reorder the cached basis."""
+    atoms = tuple(assemble_basis(N, maxweight))
     return atoms, PrecisionPolicy(N, maxweight, len(atoms)).p_req, {}
 
 
-def _basis_solver(atoms: list[BasisAtom], rows: int) -> "LinearSolver | _CoordinateBasis":
+def _basis_solver(atoms: tuple[BasisAtom, ...], rows: int) -> "LinearSolver | _CoordinateBasis":
     # a rational basis goes in as integer columns, each atom's numerators
     # over its denominator; derived newforms may need a field beyond the
     # level's character values (the 9.8 newforms have conductor 40), and
@@ -286,9 +283,7 @@ def _primitive(t) -> tuple[int, ...]:
     return tuple(v // g for v in t)
 
 
-def decompose(
-    f: QSeries, N: int, maxweight: int, initial_rows: int | None = None
-) -> Decomposition:
+def decompose(f: QSeries, N: int, maxweight: int) -> Decomposition:
     """Resolve f into exact eis/new/old coordinates at level N.
 
     f must carry at least PrecisionPolicy.p_req coefficients.  If the basis
@@ -300,10 +295,7 @@ def decompose(
     atoms, p_req, solvers = _basis_entry(N, maxweight, catalog_state())
     if f.precision < p_req:
         raise InsufficientPrecisionError(p_req, f.precision, "input series")
-    rows = p_req if initial_rows is None else max(2, initial_rows)
-    if rows > f.precision:
-        raise InsufficientPrecisionError(rows, f.precision, "input series")
-    escalations = 0
+    rows, escalations = p_req, 0
     while True:
         solver = solvers.get(rows)
         if solver is None:

@@ -305,11 +305,10 @@ def test_random_combination_round_trip():
                     if (c - want.get(a.spec_text(), Fraction(0))) != 0:
                         bad.append((N, maxweight, a.spec_text()))
                         break
-    # force the depth-doubling path once with an undersized starting depth
-    atoms = assemble_basis(1, 4)
-    P = PrecisionPolicy(1, 4, len(atoms)).p_req
-    f = atoms[-1].expand(2 * P)
-    esc = decompose(f, 1, 4, initial_rows=2)
+    # the depth-doubling path: the 9.8 basis is rank-deficient at its
+    # policy depth of 83 rows
+    (b,) = [rec for rec in newforms_for(9, 8) if rec.label == "b"]
+    esc = decompose(b.expand(120), 9, 8)
     ok = (
         not bad
         and total == 1800

@@ -8,7 +8,7 @@ import pytest
 import qmf.detect
 from qmf.cli import eval_form
 from qmf.scalars import factorize, is_prime, primes_upto
-from qmf.qseries import QSeries, delta_eta
+from qmf.qseries import EtaProduct, QSeries
 from qmf.detect import (
     CensusReport,
     DetectReport,
@@ -17,7 +17,6 @@ from qmf.detect import (
     f_kl,
     g_series,
     macmahon,
-    macmahon_prime_test,
     prime_detect_verdict,
     validate_census,
     validate_detect,
@@ -211,35 +210,31 @@ def test_table_bounds_and_validation():
         macmahon(1, 1)
 
 
+def macmahon_form(precision):
+    """(D^2 - 3D + 2) U_1 - 8 U_2, whose coefficient at n >= 2 vanishes
+    exactly at the primes (Craig-van Ittersum-Ono)."""
+    u1, u2 = macmahon(1, precision).series(), macmahon(2, precision).series()
+    return u1.apply_D(2) - u1.apply_D(1).scale(3) + u1.scale(2) - u2.scale(8)
+
+
 def test_prime_test_worked_examples():
-    m1 = macmahon(1, 40)
-    m2 = macmahon(2, 40)
-    assert macmahon_prime_test(5, m1, m2).value == 0
-    assert macmahon_prime_test(4, m1, m2).value == 18
-    assert macmahon_prime_test(2, m1, m2).value == 0
-    assert macmahon_prime_test(2, m1, m2).prime
-    assert not macmahon_prime_test(9, m1, m2).prime
-    r = macmahon_prime_test(31)  # self-built tables
-    assert r.prime
-    assert r.report_text() == "n=31 value=0 verdict=prime"
+    form = macmahon_form(40)
+    assert [form.coefficient(n).as_rational() for n in (2, 4, 5, 9, 31)] == [0, 18, 0, 192, 0]
+    assert prime_detect_verdict(form, 1, 39).report_text() == "prime-detecting (n <= 39, level 1)"
 
 
 def test_prime_identity_small_range():
-    m1 = macmahon(1, 301)
-    m2 = macmahon(2, 301)
+    form = macmahon_form(301)
     for n in range(2, 301):
-        assert macmahon_prime_test(n, m1, m2).prime == is_prime(n)
+        assert (form.coefficient(n).as_rational() == 0) == is_prime(n)
+    assert prime_detect_verdict(form, 1, 300).ok
 
 
 def test_operator_and_table_paths_agree():
     # (D^2 - 3D + 2) U_1 - 8 U_2 against (n^2-3n+2)M_1(n) - 8M_2(n)
     m1 = macmahon(1, 150)
     m2 = macmahon(2, 150)
-    u1 = m1.series()
-    u2 = m2.series()
-    combo = (
-        u1.apply_D(2) - u1.apply_D(1).scale(3) + u1.scale(2) - u2.scale(8)
-    )
+    combo = macmahon_form(150)
     for n in range(150):
         expected = (n * n - 3 * n + 2) * m1.value(n) - 8 * m2.value(n)
         assert combo.coefficient(n).as_rational() == expected
@@ -310,7 +305,7 @@ def test_detect_verdict_f13():
 
 
 def test_detect_verdict_failures():
-    delta = delta_eta().expand(102)
+    delta = EtaProduct([(1, 24)]).expand(102)
     report = prime_detect_verdict(delta, 1, 100)
     assert not report.ok
     assert report.vanishing_failures[:3] == [2, 3, 5]
@@ -334,7 +329,7 @@ def test_level_guard():
 
 
 def scan_inputs(precision):
-    delta = delta_eta().expand(precision)
+    delta = EtaProduct([(1, 24)]).expand(precision)
     for N in (1, 2, 6):
         yield f"f_kl(1,3,{N})", f_kl(1, 3, N, precision), N
     yield "Delta", delta, 1
@@ -386,7 +381,7 @@ def test_census_partition_identity_and_level_primes():
 def test_census_dilated_delta():
     # at level 2 every scanned prime coefficient vanishes; at level 1 the
     # prime 2 carries tau(1) = 1 and meets the nonvanishing hypothesis
-    delta2 = delta_eta().expand(1001).dilate(2, 1001)
+    delta2 = EtaProduct([(1, 24)]).expand(1001).dilate(2, 1001)
     at2 = census(delta2, 2, 1000, "0.05")
     assert at2.zero_count == at2.eligible_count == len(primes_upto(1000)) - 1
     assert not at2.hypothesis_met
@@ -397,7 +392,7 @@ def test_census_dilated_delta():
 
 
 def test_census_report_text():
-    delta2 = delta_eta().expand(1001).dilate(2, 1001)
+    delta2 = EtaProduct([(1, 24)]).expand(1001).dilate(2, 1001)
     report = census(delta2, 2, 1000, "0.05")
     lines = report.report_text().splitlines()
     assert lines[0] == "X=1000 N=2 delta=0.05"

@@ -2,6 +2,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +15,6 @@ from qmf.qseries import (
     EtaProduct,
     QSeries,
     _euler_power,
-    delta_eta,
     dump_qseries,
     dumps_qseries,
     load_qseries,
@@ -152,7 +152,7 @@ def test_conductor_tracking():
 
 
 def test_delta_expansion():
-    delta = delta_eta().expand(11)
+    delta = EtaProduct([(1, 24)]).expand(11)
     assert [delta.coefficient(n).as_rational() for n in range(1, 11)] == TAU
     assert delta.coefficient(0).is_zero()
 
@@ -185,7 +185,7 @@ def test_eta_fractional_leading_exponent_rejected():
 
 
 def test_eta_weight():
-    assert delta_eta().weight == 12
+    assert EtaProduct([(1, 24)]).weight == 12
     assert EtaProduct([(1, 8), (2, 8)]).weight == 8
     assert EtaProduct([(1, 8), (2, -4)]).weight == 2
 
@@ -237,7 +237,7 @@ def test_file_with_nonpositive_conductor_names_it(conductor):
 def fraction_parse(text):
     """The q-series file parse as it was before load_qseries read integers,
     kept as its oracle: every coordinate a Fraction, each coefficient a
-    CycNumber, the series QSeries.from_dict."""
+    CycNumber, the series built from a list of them."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "# qseries v1":
         raise ValueError("missing `# qseries v1` signature line")
@@ -268,7 +268,12 @@ def fraction_parse(text):
                 f"coefficient at q^{n} has {len(coords)} coordinates, conductor {conductor} needs {width}"
             )
         entries[n] = CycNumber(conductor, coords)
-    return QSeries.from_dict(entries, precision), headers
+    coefficients = [0] * precision
+    for n, c in entries.items():
+        if not 0 <= n < precision:
+            raise ValueError(f"exponent {n} outside precision {precision}")
+        coefficients[n] = c
+    return QSeries(coefficients, precision), headers
 
 
 def parse_outcome(parse, text):
@@ -357,11 +362,36 @@ def test_load_refuses_a_conductor_above_the_cap():
     assert series.coefficient(1) == 1 and series.valuation() == 1
 
 
-def test_agrees_with():
+def test_load_refuses_more_cells_than_the_cap():
+    # phi(109) = 108 coordinates per coefficient: a 264-byte file declaring
+    # precision 50000 asks for 5.4 million cells, refused before any column
+    # of them is allocated
+    text = f"# qseries v1\nconductor: 109\nprecision: 50000\n1: {' '.join(['1'] + ['0'] * 107)}\n"
+    assert len(text) == 264
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                r"^q-series file declares 5400000 cells \(conductor 109, precision 50000\); "
+                f"it is above the cap {qseries.MAX_PRECISION}$")):
+            load_qseries(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    at_cap = qseries.MAX_PRECISION // 108
+    series, _ = load_qseries(text.replace("50000", str(at_cap)))
+    assert (series.conductor, series.precision) == (109, at_cap)
+    # a file the size of the 8.12 golden's decompose input loads as before
+    rng = random.Random("8.12 at 400")
+    text = random_cyclotomic_file(rng, 109, 400, 100)
+    assert load_qseries(text) == fraction_parse(text)
+
+
+def test_series_agree_on_a_prefix_when_their_truncations_are_equal():
     a = QSeries([1, 2, 3, 4])
     b = QSeries([1, 2, 3])
-    assert a.agrees_with(b)
-    assert not a.agrees_with(QSeries([1, 2, 4]))
+    assert a != b and a.truncate(3) == b and b.truncate(5) == b
+    assert a.truncate(3) != QSeries([1, 2, 4])
 
 
 # ------------------------------------------------------- integer kernel oracles
@@ -641,7 +671,7 @@ def test_canonical_storage_makes_equal_series_equal():
     assert f.embed(12) == f
     assert f.embed(12).embed(24) == f.embed(8)
     assert f.scale(z4).scale(z4) == -f
-    assert f.truncate(2).agrees_with(f)
+    assert f.truncate(2) == QSeries([1, z4]) != f
 
 
 @pytest.mark.parametrize("conductor", [1, 3])
@@ -673,7 +703,7 @@ def test_add_and_sub_match_the_fraction_oracle(dens, sign, conductor):
 
 def test_eta_expansion_matches_miller_for_delta_to_20001():
     P = 20001
-    got = delta_eta().expand(P)
+    got = EtaProduct([(1, 24)]).expand(P)
     assert [c.as_rational() for c in got.coefficients()] == [0] + _euler_power(1, 24, P - 1)
 
 

@@ -19,10 +19,9 @@ from qmf.quasimodular import (
     PrecisionPolicy,
     RankDeficientError,
     assemble_basis,
-    constant_one_atom,
     decompose,
 )
-from qmf.detect import prime_detect_verdict
+from qmf.detect import f_kl, prime_detect_verdict
 from replay_oracle import ReplaySolver
 
 PART_RANK = {"eis": 0, "new": 1, "old": 2}
@@ -30,6 +29,16 @@ PART_RANK = {"eis": 0, "new": 1, "old": 2}
 
 def texts(atoms):
     return [a.spec_text() for a in atoms]
+
+
+@pytest.fixture
+def policy_depth(monkeypatch):
+    """Sets the policy depth, in rows, of every basis the test assembles."""
+    def set_depth(rows):
+        monkeypatch.setattr(PrecisionPolicy, "p_req", property(lambda self: rows))
+        quasimodular._basis_entry.cache_clear()
+    yield set_depth
+    quasimodular._basis_entry.cache_clear()
 
 
 # ---------------------------------------------------------------- listings
@@ -109,7 +118,7 @@ def test_part_filter_validation():
 
 
 def test_atom_weight_and_expand():
-    one = constant_one_atom()
+    one = BasisAtom("eis", None, 0)
     assert one.weight == 0
     assert one.spec_text() == "1"
     series = one.expand(5)
@@ -172,7 +181,7 @@ def test_round_trip_level2_old_part():
     )
 
 
-def test_round_trip_cyclotomic_coefficients():
+def test_round_trip_cyclotomic_coefficients(policy_depth):
     # level 25 mixes rational and Q(zeta_4) coordinates; E2twist[25] only
     # separates from E2 - 25 at row 25, so any start below that depth has
     # to escalate before the rank check clears
@@ -182,7 +191,8 @@ def test_round_trip_cyclotomic_coefficients():
     assert len(twisted) == 1
     c = CycNumber.root_of_unity(4) + 2
     f = twisted[0].expand(P).scale(c) + e2_series(P).scale(Fraction(1, 3))
-    dec = decompose(f, 25, 2, initial_rows=20)
+    policy_depth(20)
+    dec = decompose(f, 25, 2)
     assert not dec.residual
     assert dec.escalations == 1
     assert dec.coordinate(twisted[0]) == c
@@ -321,7 +331,9 @@ def test_integer_basis_solves_match_the_replay(level, maxweight):
     assert third.conductor == 3
     # the pivot rows of `inside` fix its coordinates; a changed other row
     # leaves the span
-    outside = inside + QSeries.from_dict({solver._modular.others[0]: 1}, rows)
+    changed = [0] * rows
+    changed[solver._modular.others[0]] = 1
+    outside = inside + QSeries(changed)
     targets = [inside, third, outside, QSeries.zero(rows)]
     got = [solve_series(solver, f, rows) for f in targets]
     assert got == [solve_series(oracle, f, rows) for f in targets]
@@ -369,19 +381,14 @@ def test_insufficient_precision():
     assert info.value.have == 3
 
 
-def test_escalation_from_shallow_initial_rows():
+def test_escalation_from_a_shallow_policy_depth(policy_depth):
+    policy_depth(2)
     f = assemble_basis(1, 4)[2].expand(48)
-    dec = decompose(f, 1, 4, initial_rows=2)
+    dec = decompose(f, 1, 4)
     assert dec.escalations >= 1
     assert not dec.residual
     nz = dec.nonzero()
     assert len(nz) == 1 and nz[0][1] == CycNumber.from_rational(1)
-
-
-def test_initial_rows_beyond_precision():
-    f = e2_series(10)
-    with pytest.raises(InsufficientPrecisionError):
-        decompose(f, 1, 2, initial_rows=100)
 
 
 def test_coordinate_unknown_atom():
@@ -389,6 +396,24 @@ def test_coordinate_unknown_atom():
     dec = decompose(e2_series(P), 1, 2)
     with pytest.raises(KeyError):
         dec.coordinate(BasisAtom("eis", raw_e2_atom(), 5))
+
+
+def test_a_decomposition_cannot_reorder_the_cached_basis():
+    # every Decomposition of a space holds the one cached assembly, so a
+    # caller that reversed it in place would relabel every later decompose
+    f = f_kl(1, 3, 1, 40)
+    dec = decompose(f, 1, 8)
+    assert isinstance(dec.atoms, tuple)
+    with pytest.raises(AttributeError):
+        dec.atoms.reverse()
+    assert decompose(f, 1, 8).report_text() == dec.report_text() == (
+        "eis 1 : 11/240\n"
+        "eis E2 : -1/24\n"
+        "eis E[4,1.1,1] : -1/2\n"
+        "eis D^1(E[4,1.1,1]) : -1/2\n"
+        "eis D^3(E2) : -1/24\n"
+        "residual: none"
+    )
 
 
 def test_catalog_change_invalidates_cached_basis(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""The immutable value records: equality, hashing, immutability, copies and reprs."""
+"""The immutable value records: equality, hashing, immutability, copies and reprs.
+The package's exceptions copy and pickle too."""
 
 import ast
 import copy
@@ -11,12 +12,14 @@ import pytest
 
 import qmf
 from qmf.characters import DirichletCharacter, character_group, trivial_character
-from qmf.detect import CensusReport, DetectReport, MacMahonTable, PrimeTestResult
+from qmf.errors import CatalogIncompleteError, DerivationError, RankDeficientError
+from qmf.cli import FormSpecError
+from qmf.detect import CensusReport, DetectReport, MacMahonTable
 from qmf.eisenstein import EisensteinAtom, raw_e2_atom
 from qmf.newforms import CuspAtom, HeckeReport, NewformRecord, newforms_for
-from qmf.qseries import EtaProduct, QSeries
+from qmf.qseries import EtaProduct, InsufficientPrecisionError, QSeries
 from qmf.quasimodular import BasisAtom, Decomposition, PrecisionPolicy, decompose
-from qmf.scalars import CycNumber
+from qmf.scalars import ConductorMismatchError, CycNumber
 
 
 def delta():
@@ -37,7 +40,6 @@ CASES = [
     (DirichletCharacter, lambda: ((5, (1,)), (5, (2,)))),
     (EtaProduct, lambda: ((((1, 24),),), (((1, 12),),))),
     (MacMahonTable, lambda: ((2, 3, (0, 0, 0)), (2, 3, (0, 0, 1)))),
-    (PrimeTestResult, lambda: ((7, 0), (7, 1))),
     (DetectReport, lambda: ((1, 10, [], [4]), (1, 11, [], [4]))),
     (CensusReport, lambda: ((100, 1, "0.05", [2], 1, 2, 1.5, 2.5),
                             (100, 1, "0.05", [2], 1, 2, 1.5, 3.5))),
@@ -90,6 +92,37 @@ def test_values_copy_deep_copy_and_pickle(make):
     value = make()
     for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(copied) is type(value) and copied == value
+
+
+# each case: an exception of the package, the text it prints, and the
+# fields it carries besides args
+ERRORS = [
+    (InsufficientPrecisionError(166, 83, "input series"),
+     "input series has 83 coefficients; need at least 166", {"required": 166, "have": 83}),
+    (InsufficientPrecisionError(5, 2), "series has 2 coefficients; need at least 5",
+     {"required": 5, "have": 2}),
+    (CatalogIncompleteError(5, 10, "eigenline splitting found 0 lines, expected 1"),
+     "newform space (level 5, weight 10) is not available: "
+     "eigenline splitting found 0 lines, expected 1",
+     {"level": 5, "weight": 10, "detail": "eigenline splitting found 0 lines, expected 1"}),
+    (CatalogIncompleteError(7, 2), "newform space (level 7, weight 2) is not available",
+     {"level": 7, "weight": 2, "detail": ""}),
+    (FormSpecError(4, "stray character '!'"), "at position 4: stray character '!'",
+     {"position": 4, "reason": "stray character '!'"}),
+    (DerivationError("span fell short"), "span fell short", {}),
+    (RankDeficientError("cap reached"), "cap reached", {}),
+    (ConductorMismatchError("no room"), "no room", {}),
+]
+
+
+@pytest.mark.parametrize("error,text,fields", ERRORS,
+                         ids=[f"{type(e).__name__}-{i}" for i, (e, _, _) in enumerate(ERRORS)])
+def test_exceptions_copy_deep_copy_and_pickle(error, text, fields):
+    assert str(error) == text
+    for copied in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+        assert type(copied) is type(error) and copied.args == error.args
+        assert str(copied) == text
+        assert {name: getattr(copied, name) for name in fields} == fields
 
 
 def test_only_record_stores_slots():
