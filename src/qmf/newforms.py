@@ -482,7 +482,7 @@ def _catalog(
     if len(records) < expected:
         try:
             derived = _derive_space(level, weight)
-        except (DerivationError, CatalogIncompleteError) as err:
+        except (DerivationError, CatalogIncompleteError, ValueError) as err:
             return str(err)
         for rec in derived:
             form = rec.expand(bound)
@@ -577,97 +577,86 @@ def _index_label(i: int) -> str:
     return out
 
 
-def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
-    """Linearly independent rational expressions spanning
-    S_weight(Gamma0(level)), and the solver of their expansions to q^R.
-
-    Candidates, in order: dilated lower-level newforms, products of known
-    cusp forms with modular forms of complementary weight, and Eisenstein
-    products pushed into the cusp space by a Hecke eigenvalue annihilator.
-    A candidate over Q(zeta_M) offers its power-basis coordinate series:
-    each is a cusp form, as S_weight(Gamma0(level)) has a rational basis
-    and power-basis coordinates are unique.  A series is picked when the
-    solver of those picked before certifies it outside their span.
-    """
-    rows_precision = R + 1
-    picked_exprs: list[_Expr] = []
-    columns: list[tuple[int, ...]] = []
-    scales: list[int] = []
-    solver = None
-
-    def try_add(expr: _Expr) -> None:
-        nonlocal solver
-        series = expr.expand(rows_precision)
-        den, nums = series.numerators()
-        for j, col in enumerate(nums):
-            if len(picked_exprs) >= dim_total:
-                return
-            if not any(col):
-                continue
-            if solver is not None and solver.solve([col], den) is not None:
-                continue  # in the span of the columns picked so far
-            picked_exprs.append(
-                expr if series.conductor == 1 else _Coordinate(expr, series.conductor, j))
-            columns.append(col)
-            scales.append(den)
-            solver = LinearSolver(columns, scales)
-
+def _span_candidates(level: int, weight: int):
+    """Cusp forms of S_weight(Gamma0(level)), in the order the span tries
+    them: dilated lower-level newforms, products of known cusp forms with
+    modular forms of complementary weight, and Eisenstein products pushed
+    into the cusp space by a Hecke eigenvalue annihilator.  Lazy, so a
+    lower space is derived only once the span reaches its candidates."""
     # 1. oldforms: dilations of lower-level newforms
     for L in divisors(level)[:-1]:
         if dim_cusp_new(L, weight) == 0:
             continue
         for rec in newforms_for(L, weight):
             for n in divisors(level // L):
-                try_add(_Leaf(CuspAtom(rec, n)))
+                yield _Leaf(CuspAtom(rec, n))
 
     # 2. known cusp forms times modular forms of complementary weight
     for w in range(weight - 2, 1, -2):
-        if len(picked_exprs) >= dim_total:
-            break
         if dim_cusp(level, w) == 0:
             continue
         try:
             cusp_atoms = cusp_basis(level, w)
         except CatalogIncompleteError:
             continue
-        multipliers: list[_Expr] = [
-            _Leaf(atom) for atom in eisenstein_basis(level, weight - w)
-        ]
+        multipliers = [_Leaf(atom) for atom in eisenstein_basis(level, weight - w)]
         if dim_cusp(level, weight - w):
             try:
-                multipliers.extend(
-                    _Leaf(atom) for atom in cusp_basis(level, weight - w)
-                )
+                multipliers += map(_Leaf, cusp_basis(level, weight - w))
             except CatalogIncompleteError:
                 pass
         for c_atom in cusp_atoms:
             for mult in multipliers:
-                if len(picked_exprs) >= dim_total:
-                    break
-                try_add(_Product((_Leaf(c_atom), mult)))
+                yield _Product((_Leaf(c_atom), mult))
 
     # 3. Eisenstein products, projected into the cusp space
-    if len(picked_exprs) < dim_total:
-        projector_ps = [p for p in primes_upto(50) if level % p][:1]
-        for w in range(2, weight - 1, 2):
-            if len(picked_exprs) >= dim_total:
-                break
-            left = eisenstein_basis(level, w)
-            right = eisenstein_basis(level, weight - w)
-            for a in left:
-                for b in right:
-                    if len(picked_exprs) >= dim_total:
-                        break
-                    expr: _Expr = _Product((_Leaf(a), _Leaf(b)))
-                    for p in projector_ps:
-                        expr = _eisenstein_annihilator(expr, level, weight, p)
-                    try_add(expr)
+    projector_ps = [p for p in primes_upto(50) if level % p][:1]
+    for w in range(2, weight - 1, 2):
+        for a, b in itertools.product(eisenstein_basis(level, w), eisenstein_basis(level, weight - w)):
+            expr: _Expr = _Product((_Leaf(a), _Leaf(b)))
+            for p in projector_ps:
+                expr = _eisenstein_annihilator(expr, level, weight, p)
+            yield expr
 
-    if len(picked_exprs) < dim_total:
-        raise DerivationError(
-            f"spanned only {len(picked_exprs)} of {dim_total} cusp dimensions"
-        )
-    return picked_exprs, solver
+
+def _span_cusp_space(level: int, weight: int, dim_total: int, R: int):
+    """Linearly independent rational expressions spanning
+    S_weight(Gamma0(level)), and the solver of their expansions to q^R.
+
+    A candidate (_span_candidates) over Q(zeta_M) offers its power-basis
+    coordinate series: each is a cusp form, as S_weight(Gamma0(level)) has
+    a rational basis and power-basis coordinates are unique.  The picks are
+    the rank profile of the series in order, which the solver certifies
+    over Q: each batch of candidates is factored once with the picks so
+    far, and the free columns are dropped.
+    """
+    candidates = _span_candidates(level, weight)
+    picks = []  # (expression, int column, scale) of each series kept
+    while len(picks) < dim_total:
+        batch = list(itertools.islice(candidates, len(picks) + dim_total))
+        if not batch:
+            break
+        fresh = []
+        for expr in batch:
+            try:
+                series = expr.expand(R + 1)
+            except ValueError:
+                continue  # an ingested table shorter than R + 1 coefficients
+            den, nums = series.numerators()
+            fresh += [(expr if series.conductor == 1 else _Coordinate(expr, series.conductor, j), col, den)
+                      for j, col in enumerate(nums) if any(col)]
+        if fresh:
+            picks += fresh
+            _, columns, scales = zip(*picks)
+            solver = LinearSolver(columns, scales)
+            free = set(solver.free_columns())
+            picks = [pick for j, pick in enumerate(picks) if j not in free][:dim_total]
+    if len(picks) < dim_total:
+        raise DerivationError(f"spanned only {len(picks)} of {dim_total} cusp dimensions")
+    exprs, columns, scales = zip(*picks)
+    if solver.ncols > dim_total:
+        solver = LinearSolver(columns, scales)
+    return exprs, solver
 
 
 def _eisenstein_annihilator(expr: _Expr, level: int, weight: int, p: int) -> _Expr:

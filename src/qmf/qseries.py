@@ -691,12 +691,25 @@ class EtaProduct(Record):
 _HEADER_KEYS = ("conductor", "precision", "level", "maxweight", "weight", "label")
 
 
+def _cell_width(conductor: int, precision: int) -> int:
+    """phi(conductor), the cells per coefficient of a q-series file, once
+    its phi(conductor) * precision cells are within MAX_PRECISION."""
+    width = euler_phi(conductor)
+    if width * precision > MAX_PRECISION:
+        raise ValueError(
+            f"q-series file declares {width * precision} cells (conductor {conductor}, "
+            f"precision {precision}); it is above the cap {MAX_PRECISION}"
+        )
+    return width
+
+
 def dump_qseries(series: QSeries, out: TextIO, **headers) -> None:
-    """Write the `# qseries v1` representation.
+    """Write the `# qseries v1` representation, if load_qseries takes it.
 
     Recognized optional headers: level, maxweight, weight, label.  Zero
     coefficients are omitted from the body.
     """
+    _cell_width(series.conductor, series.precision)
     out.write("# qseries v1\n")
     out.write(f"conductor: {series.conductor}\n")
     out.write(f"precision: {series.precision}\n")
@@ -759,12 +772,7 @@ def load_qseries(source: TextIO | str) -> tuple[QSeries, dict[str, object]]:
         raise ValueError(
             f"q-series file declares conductor {conductor}; it is above the cap {MAX_CONDUCTOR}"
         )
-    width = euler_phi(conductor)
-    if width * precision > MAX_PRECISION:
-        raise ValueError(
-            f"q-series file declares {width * precision} cells (conductor {conductor}, "
-            f"precision {precision}); it is above the cap {MAX_PRECISION}"
-        )
+    width = _cell_width(conductor, precision)
     for n, (_, nums) in body.items():
         if len(nums) != width:
             raise ValueError(

@@ -14,7 +14,7 @@ import qmf
 import qmf.cli
 from qmf.cli import FormSpecError, eval_form, main
 from qmf.newforms import reset_caches
-from qmf.qseries import load_qseries
+from qmf.qseries import QSeries, load_qseries
 
 
 def run(capsys, *argv):
@@ -101,6 +101,22 @@ def test_expand_writes_file(tmp_path, capsys):
     series, headers = load_qseries(target.read_text())
     assert headers["maxweight"] == 2
     assert series.coefficient(2).as_rational() == -72
+
+
+def test_expand_out_refuses_a_file_the_loader_refuses(tmp_path, capsys, monkeypatch):
+    # E[4,5.1,1] to 500001 lies over Q(zeta_4): 1000002 cells, one above
+    # the cap of load_qseries; a zero series of that shape stands in for
+    # its 14 s expansion, and no --out file is left
+    precision = qmf.cli.MAX_PRECISION // 2 + 1
+    zero = QSeries._make(precision, 4, 1, [[0] * precision] * 2)
+    monkeypatch.setattr(qmf.cli, "eval_form", lambda form, prec: (zero, 4))
+    target = tmp_path / "e.qs"
+    rc, out, err = run(capsys, "expand", "--form", "E[4,5.1,1]", "--prec", str(precision),
+                       "--out", str(target))
+    assert (rc, out) == (1, "")
+    assert err == ("error: q-series file declares 1000002 cells (conductor 4, precision 500001);"
+                   " it is above the cap 1000000\n")
+    assert not target.exists()
 
 
 def test_expand_equivalent_spellings(capsys):

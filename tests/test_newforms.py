@@ -35,6 +35,7 @@ from qmf.newforms import (
 )
 from qmf.eisenstein import enumerate_A
 from qmf.qseries import QSeries, dumps_qseries
+from replay_oracle import ReplayEliminator
 
 TAU = [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 LEVEL11 = [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2]
@@ -479,6 +480,51 @@ def test_coordinate_series_span_10_8_over_q():
     assert d > 1 and all(c.denominator == 1 for c in poly)
 
 
+def _greedy_picks(level, weight):
+    """The span's picks by Fraction ranks: each coordinate series of each
+    candidate, in order, picked when the replay eliminator finds it outside
+    the span of those picked before it."""
+    R, dim = sturm_bound(weight, level), dim_cusp(level, weight)
+    replay, picks = ReplayEliminator(R + 1), []
+    for expr in nf._span_candidates(level, weight):
+        series = expr.expand(R + 1)
+        den, nums = series.numerators()
+        for j, col in enumerate(nums):
+            if len(picks) < dim and replay.pivot([Fraction(a, den) for a in col], len(picks)):
+                picks.append(expr if series.conductor == 1 else nf._Coordinate(expr, series.conductor, j))
+        if len(picks) == dim:
+            return picks
+
+
+@pytest.mark.parametrize("level, weight", [(10, 8), (12, 10)])
+def test_span_picks_are_the_greedy_picks_by_fraction_ranks(level, weight):
+    # the certified rank profile of the candidates' columns in order is the
+    # greedy pick; 10.8 picks coordinate series of the Q(zeta_76) 5.8.b
+    _catalog_below((level, weight))
+    R, dim = sturm_bound(weight, level), dim_cusp(level, weight)
+    exprs, solver = nf._span_cusp_space(level, weight, dim, R)
+    assert list(exprs) == _greedy_picks(level, weight)
+    assert (solver.ncols, solver.rank, solver.free_columns()) == (dim, dim, [])
+    if level == 10:
+        assert sum(isinstance(e, nf._Coordinate) for e in exprs) == 4
+
+
+def test_span_builds_at_most_three_solvers(monkeypatch):
+    # one solver per batch of candidates and one over the picks, not one
+    # per pick
+    _catalog_below((12, 10))
+    built = []
+
+    class CountingSolver(exact.LinearSolver):
+        def __init__(self, *args):
+            built.append(True)
+            super().__init__(*args)
+
+    monkeypatch.setattr(nf, "LinearSolver", CountingSolver)
+    exprs, _ = nf._span_cusp_space(12, 10, dim_cusp(12, 10), sturm_bound(10, 12))
+    assert len(exprs) == dim_cusp(12, 10) and 1 <= len(built) <= 3
+
+
 def test_failed_derivation_is_attempted_once(monkeypatch):
     # a failing space such as 7.10 costs seconds, so its message is cached
     reset_caches()
@@ -801,3 +847,32 @@ def test_table_shorter_than_the_sturm_bound_fails(cache_a):
         dumps_qseries(QSeries([0, 1]), level=2, weight=10, label="x"))
     with pytest.raises(CatalogIncompleteError, match="holds 2 coefficients; cannot expand to 3"):
         newforms_for(2, 10)
+
+
+def test_a_table_too_short_for_the_span_is_skipped(tmp_path, cache_a):
+    # 3.8.a ingested at its Sturm bound of 3 coefficients: the 6.8 span
+    # expands its candidates to 10, so it skips those built on the table
+    # and derives the same 6.8.a from the others
+    assert sturm_bound(8, 3) == 3
+    three, six = (newforms_for(level, 8)[0] for level in (3, 6))
+    reset_caches()
+    _ingest_series(tmp_path, three.expand(3), 3, 8, "a")
+    for lookup in (newforms_for, catalog_lookup):
+        got = lookup(6, 8)
+        assert [(r.name(), r.source_text()) for r in got] == [("6.8.a", "derived")]
+        assert got[0].expand(40) == six.expand(40)
+
+
+def test_a_table_too_short_for_the_hecke_matrices_fails_once(tmp_path, cache_a, monkeypatch):
+    # 30 coefficients of 3.8.a pass the span's 10 but not the 46 that T_5
+    # reads from the picked dilations: 6.8 fails with the table's reason,
+    # derived once, and catalog_lookup does not raise
+    three = newforms_for(3, 8)[0]
+    reset_caches()
+    _ingest_series(tmp_path, three.expand(30), 3, 8, "a")
+    derived = spy_on_derive(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(CatalogIncompleteError, match="3.8.a holds 30 coefficients; cannot expand to 46"):
+            newforms_for(6, 8)
+    assert catalog_lookup(6, 8) == []
+    assert derived.count((6, 8)) == 1

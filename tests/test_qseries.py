@@ -362,6 +362,25 @@ def test_load_refuses_a_conductor_above_the_cap():
     assert series.coefficient(1) == 1 and series.valuation() == 1
 
 
+def test_dump_refuses_the_cells_the_loader_refuses():
+    # one cap on phi(conductor) * precision serves both: a zero series over
+    # Q(zeta_4) at precision 500001 fills 1000002 cells, and nothing is
+    # written; at precision 500000 it dumps and loads back
+    cap = qseries.MAX_PRECISION
+    for precision in (cap // 2 + 1, cap // 2):
+        zero = QSeries._make(precision, 4, 1, [[0] * precision] * 2)
+        out = io.StringIO()
+        if precision == cap // 2:
+            qseries.dump_qseries(zero, out)
+            assert load_qseries(out.getvalue())[0].precision == precision
+            continue
+        with pytest.raises(ValueError, match=(
+                r"^q-series file declares 1000002 cells \(conductor 4, precision 500001\); "
+                f"it is above the cap {cap}$")):
+            qseries.dump_qseries(zero, out)
+        assert out.getvalue() == ""
+
+
 def test_load_refuses_more_cells_than_the_cap():
     # phi(109) = 108 coordinates per coefficient: a 264-byte file declaring
     # precision 50000 asks for 5.4 million cells, refused before any column
