@@ -2,8 +2,9 @@
 
 Subpackages build on each other roughly in this order: exact scalars
 (`scalars`), the exact eliminator (`exact`), Dirichlet characters,
-q-series, Eisenstein atoms, newforms, graded bases and decomposition, and
-the command line front end.  Prime-detecting series, censuses and
+q-series, Eisenstein atoms, the newform catalog (`newforms`) and the
+derivation of the spaces it lacks (`derive`), graded bases and
+decomposition, and the command line front end.  Prime-detecting series, censuses and
 MacMahon tables (`detect`) sit directly on the scalars and q-series.
 Below every layer are the exceptions that several of them raise
 (`errors`) and the immutable value base that every value class shares,
@@ -12,7 +13,9 @@ scalars, qseries, _record and errors; each command imports the other
 layers when it runs them.  So census, detect and macmahon load detect but
 never the eliminator, characters, eisenstein, newforms or quasimodular,
 and expand, decompose, basis and newforms load no detect unless a form
-names G[...] or U[...].
+names G[...] or U[...].  A newform of a built-in or ingested space loads
+newforms alone; only a space that must be derived loads derive, and with
+it the eliminator, characters and eisenstein.
 """
 
 from .qseries import EtaProduct, QSeries

@@ -34,7 +34,8 @@ from .qseries import (
 # what it runs: census, detect and macmahon load detect but not characters,
 # eisenstein, newforms, quasimodular or the eliminator in exact; expand,
 # decompose, basis and newforms load no detect unless a form names G[...]
-# or U[...].
+# or U[...]; a newform of a built-in or ingested space loads newforms
+# alone, and only a derived one loads derive and the eliminator.
 
 __all__ = ["FormSpecError", "eval_form", "main", "console_main"]
 

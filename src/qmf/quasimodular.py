@@ -199,7 +199,7 @@ _BASIS_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _basis_entry(
     N: int, maxweight: int, state: tuple[str, int]
-) -> tuple[tuple[BasisAtom, ...], int, dict[int, "LinearSolver | _CoordinateBasis"]]:
+) -> tuple[tuple[BasisAtom, ...], int, dict[int, "_CoordinateBasis"]]:
     """The assembly of (N, maxweight) under one catalog state, its
     PrecisionPolicy depth, and its solvers by depth, which decompose fills
     as it needs them.  Every Decomposition of the space shares the atoms,
@@ -208,30 +208,20 @@ def _basis_entry(
     return atoms, PrecisionPolicy(N, maxweight, len(atoms)).p_req, {}
 
 
-def _basis_solver(atoms: tuple[BasisAtom, ...], rows: int) -> "LinearSolver | _CoordinateBasis":
-    # a rational basis goes in as integer columns, each atom's numerators
-    # over its denominator; derived newforms may need a field beyond the
-    # level's character values (the 9.8 newforms have conductor 40), and
-    # then their coordinate series join those columns (_CoordinateBasis)
-    series = [atom.expand(rows) for atom in atoms]
-    if all(s.conductor == 1 for s in series):
-        dens, nums = zip(*(s.numerators() for s in series))
-        return LinearSolver([t for (t,) in nums], dens)
-    return _CoordinateBasis(series)
-
-
 class _CoordinateBasis:
-    """A basis with cyclotomic atoms, solved by rational solves only.  The
-    int-column solver takes the rational atoms, then the nonzero power-basis
+    """The solver of a basis, by rational solves only.  The int-column
+    solver takes the rational atoms, then the nonzero power-basis
     coordinate series of the cyclotomic atoms g_i; on its pivots g_i =
     sum_k B_ik (rational atom k) + sum_s A_is h_s, h_s the picked
     coordinate series.  The rank over K (the atoms' fields) is the rational
     atoms' rank plus that of A; back, the solver of the rows of A^T, maps a
-    target's coordinates on the h_s to the g_i.  A rational atom that is a
-    free column makes the basis rank-deficient over K whatever A holds, so
-    then no atom is solved and no back-map built: rank is the upper bound
-    (the rational atoms' rank plus the count of g_i), below ncols, which is
-    all decompose reads, and solve is not called."""
+    target's coordinates on the h_s to the g_i.  An all-rational basis has
+    no g_i, so back is None and solve returns the int-column solve.  A
+    rational atom that is a free column makes the basis rank-deficient over
+    K whatever A holds, so then no atom is solved and no back-map built:
+    rank is the upper bound (the rational atoms' rank plus the count of
+    g_i), below ncols, which is all decompose reads, and solve is not
+    called."""
 
     def __init__(self, series: list[QSeries]):
         self.ncols, self.conductor = len(series), math.lcm(*(s.conductor for s in series))
@@ -258,14 +248,18 @@ class _CoordinateBasis:
             coords = self.solver.solve(nums, den, series[i].conductor)
             self.relations.append(coords[:n])
             rows_of_a.append([coords[s] for s in self.picked])
-        self.back = LinearSolver([list(row) for row in zip(*rows_of_a)])
-        self.rank = n + self.back.rank
+        self.back, self.rank = None, n
+        if rows_of_a:
+            self.back = LinearSolver([list(row) for row in zip(*rows_of_a)])
+            self.rank += self.back.rank
 
     def solve(self, target, scale: int, conductor: int) -> list[CycNumber] | None:
         # f = sum_k c_k (rational atom k) + sum_s c_s h_s; then x = back's
         # solution for the c_s on the g_i, and x_k = c_k - sum_i x_i B_ik
         coords = self.solver.solve(target, scale, conductor)
-        x = None if coords is None else self.back.solve([coords[s] for s in self.picked])
+        if coords is None or self.back is None:
+            return coords
+        x = self.back.solve([coords[s] for s in self.picked])
         if x is None:
             return None
         L = math.lcm(self.conductor, conductor)
@@ -299,7 +293,7 @@ def decompose(f: QSeries, N: int, maxweight: int) -> Decomposition:
     while True:
         solver = solvers.get(rows)
         if solver is None:
-            solver = solvers.setdefault(rows, _basis_solver(atoms, rows))
+            solver = solvers.setdefault(rows, _CoordinateBasis([a.expand(rows) for a in atoms]))
         if solver.rank == len(atoms):
             break
         if rows >= p_req * PrecisionPolicy.ESCALATION_CAP:

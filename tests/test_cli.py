@@ -323,6 +323,27 @@ def test_newforms_ingest(tmp_path, capsys, monkeypatch):
         reset_caches()
 
 
+def test_newforms_ingest_refuses_a_label_that_would_break_the_space(tmp_path, capsys, monkeypatch):
+    # 5.4.a relabelled b: ingest refuses it in one line and writes nothing,
+    # so the space and the bases above it still work
+    monkeypatch.setenv("QMF_CACHE_DIR", str(tmp_path / "cache"))
+    reset_caches()
+    try:
+        rc, out, _ = run(capsys, "newforms", "--level", "5", "--weight", "4", "--prec", "20")
+        assert rc == 0
+        path = tmp_path / "form.qs"
+        path.write_text(out.replace("label: a\n", "label: b\n"))
+        rc, out, err = run(capsys, "newforms", "--ingest", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: 5.4.b is 5.4.a: they agree below the pinning bound 3\n"
+        assert not (tmp_path / "cache").exists()
+        assert run(capsys, "newforms", "--level", "5", "--weight", "4") == (0, "5.4.a eta[1^4,5^4]\n", "")
+        assert run(capsys, "basis", "--level", "10", "--maxweight", "4")[0] == 0
+    finally:
+        monkeypatch.delenv("QMF_CACHE_DIR")
+        reset_caches()
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -739,7 +760,7 @@ def test_derivation_and_rank_error_lines_are_unchanged(capsys, monkeypatch, old_
     assert (rc, out, err) == (1, "", "error: simulated failure\n")
 
 
-_HEAVY_MODULES = ("qmf.newforms", "qmf.quasimodular", "qmf.eisenstein",
+_HEAVY_MODULES = ("qmf.newforms", "qmf.derive", "qmf.quasimodular", "qmf.eisenstein",
                   "qmf.characters", "qmf.exact", "qmf.detect", "dataclasses")
 
 
@@ -783,6 +804,24 @@ def test_newform_expansion_does_not_load_decomposition(tmp_path):
     assert "qmf.newforms" in loaded
     assert "qmf.quasimodular" not in loaded
     assert "dataclasses" not in loaded
+
+
+def test_only_a_derived_newform_space_loads_the_derivation(tmp_path):
+    # a built-in or ingested space is a catalog lookup: it loads no
+    # eliminator, no Eisenstein layer and no derivation
+    assert heavy_modules_loaded(
+        tmp_path, ("expand", "--form", "newform[11,2,a]", "--prec", "20")) == ["qmf.newforms"]
+    from qmf.newforms import newforms_for
+    from qmf.qseries import dumps_qseries
+
+    candidate = tmp_path / "a.qs"
+    candidate.write_text(dumps_qseries(newforms_for(2, 10)[0].expand(40), level=2, weight=10, label="a"))
+    assert heavy_modules_loaded(
+        tmp_path, ("newforms", "--ingest", str(candidate)),
+        ("expand", "--form", "newform[2,10,a]", "--prec", "20")) == ["qmf.newforms"]
+    loaded = heavy_modules_loaded(tmp_path, ("expand", "--form", "newform[6,8,a]", "--prec", "20"))
+    assert {"qmf.newforms", "qmf.derive", "qmf.exact", "qmf.eisenstein", "qmf.characters"} <= set(loaded)
+    assert "qmf.quasimodular" not in loaded
 
 
 def test_expand_and_decompose_do_not_load_dataclasses(tmp_path):

@@ -245,7 +245,7 @@ def test_conductor_280_quadratic_inverse():
     # Q(zeta_280), as 9.12's eigenvalues do: its inverse is the conjugate
     # over the norm, (3 - (5/7) sqrt(70)) / (9 - 250/7), and the product
     # holds in the Fraction-coordinate arithmetic
-    from qmf.newforms import _sqrt_cyclotomic
+    from qmf.derive import _sqrt_cyclotomic
 
     root = _sqrt_cyclotomic(Fraction(70))
     assert root.conductor == 280

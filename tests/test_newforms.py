@@ -11,7 +11,7 @@ import pytest
 
 import qmf
 import qmf.newforms as nf
-from qmf import exact
+from qmf import derive, exact
 from qmf.scalars import CycNumber, divisors, moebius, primes_upto
 from qmf.newforms import (
     CatalogIncompleteError,
@@ -375,13 +375,13 @@ def test_full_cusp_basis_at_level6_weight12():
 def spy_on_derive(monkeypatch):
     """The (level, weight) of each space derived from now on, in order."""
     derived = []
-    real_derive = nf._derive_space
+    real_derive = derive._derive_space
 
     def spy_derive(level, weight):
         derived.append((level, weight))
         return real_derive(level, weight)
 
-    monkeypatch.setattr(nf, "_derive_space", spy_derive)
+    monkeypatch.setattr(derive, "_derive_space", spy_derive)
     return derived
 
 
@@ -422,17 +422,17 @@ def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
             super().__init__(matrix, scales)
 
     def spy(name):
-        real = getattr(nf, name)
+        real = getattr(derive, name)
 
         def wrapper(*args):
             if inside and _holds_cyclotomic(args):
                 cyclotomic_inputs.append(name)
             return real(*args)
 
-        monkeypatch.setattr(nf, name, wrapper)
+        monkeypatch.setattr(derive, name, wrapper)
 
     def mark(name):
-        real = getattr(nf, name)
+        real = getattr(derive, name)
 
         def wrapper(*args):
             inside.append(True)
@@ -441,9 +441,9 @@ def test_hecke_split_eliminates_over_q_when_t_p_is_rational(monkeypatch):
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(nf, name, wrapper)
+        monkeypatch.setattr(derive, name, wrapper)
 
-    monkeypatch.setattr(nf, "LinearSolver", SpySolver)
+    monkeypatch.setattr(derive, "LinearSolver", SpySolver)
     monkeypatch.setattr(exact, "LinearSolver", SpySolver)
     for name in ("_span_cusp_space", "_split_eigenlines"):
         mark(name)
@@ -466,17 +466,17 @@ def test_coordinate_series_span_10_8_over_q():
     # characteristic polynomial
     _catalog_below((10, 8))
     R, dim = sturm_bound(8, 10), dim_cusp(10, 8)
-    exprs, solver = nf._span_cusp_space(10, 8, dim, R)
+    exprs, solver = derive._span_cusp_space(10, 8, dim, R)
     assert len(exprs) == dim
-    assert any(isinstance(e, nf._Coordinate) and e.conductor == 76 for e in exprs)
+    assert any(isinstance(e, derive._Coordinate) and e.conductor == 76 for e in exprs)
     assert [e.expand(R + 1).conductor for e in exprs] == [1] * dim
     assert solver._int_columns and solver.rank == dim
-    tp = nf._hecke_matrix(exprs, solver, 3, 8, R + 1)
+    tp = derive._hecke_matrix(exprs, solver, 3, 8, R + 1)
     assert all(type(x) is Fraction for col in tp for x in col)
     # det(x - A) for A = B/d is d^-n det(dx - B)
     d = math.lcm(*(x.denominator for col in tp for x in col))
     B = [[x.numerator * (d // x.denominator) for x in row] for row in zip(*tp)]
-    poly = [Fraction(c, d ** (dim - i)) for i, c in enumerate(nf._char_poly(B))]
+    poly = [Fraction(c, d ** (dim - i)) for i, c in enumerate(derive._char_poly(B))]
     assert d > 1 and all(c.denominator == 1 for c in poly)
 
 
@@ -486,12 +486,12 @@ def _greedy_picks(level, weight):
     the span of those picked before it."""
     R, dim = sturm_bound(weight, level), dim_cusp(level, weight)
     replay, picks = ReplayEliminator(R + 1), []
-    for expr in nf._span_candidates(level, weight):
+    for expr in derive._span_candidates(level, weight):
         series = expr.expand(R + 1)
         den, nums = series.numerators()
         for j, col in enumerate(nums):
             if len(picks) < dim and replay.pivot([Fraction(a, den) for a in col], len(picks)):
-                picks.append(expr if series.conductor == 1 else nf._Coordinate(expr, series.conductor, j))
+                picks.append(expr if series.conductor == 1 else derive._Coordinate(expr, series.conductor, j))
         if len(picks) == dim:
             return picks
 
@@ -502,11 +502,11 @@ def test_span_picks_are_the_greedy_picks_by_fraction_ranks(level, weight):
     # greedy pick; 10.8 picks coordinate series of the Q(zeta_76) 5.8.b
     _catalog_below((level, weight))
     R, dim = sturm_bound(weight, level), dim_cusp(level, weight)
-    exprs, solver = nf._span_cusp_space(level, weight, dim, R)
+    exprs, solver = derive._span_cusp_space(level, weight, dim, R)
     assert list(exprs) == _greedy_picks(level, weight)
     assert (solver.ncols, solver.rank, solver.free_columns()) == (dim, dim, [])
     if level == 10:
-        assert sum(isinstance(e, nf._Coordinate) for e in exprs) == 4
+        assert sum(isinstance(e, derive._Coordinate) for e in exprs) == 4
 
 
 def test_span_builds_at_most_three_solvers(monkeypatch):
@@ -520,8 +520,8 @@ def test_span_builds_at_most_three_solvers(monkeypatch):
             built.append(True)
             super().__init__(*args)
 
-    monkeypatch.setattr(nf, "LinearSolver", CountingSolver)
-    exprs, _ = nf._span_cusp_space(12, 10, dim_cusp(12, 10), sturm_bound(10, 12))
+    monkeypatch.setattr(derive, "LinearSolver", CountingSolver)
+    exprs, _ = derive._span_cusp_space(12, 10, dim_cusp(12, 10), sturm_bound(10, 12))
     assert len(exprs) == dim_cusp(12, 10) and 1 <= len(built) <= 3
 
 
@@ -546,9 +546,9 @@ def _companion_109():
 
 def test_quadratic_factor_splits_into_eigenlines():
     A = _companion_109()
-    pieces = nf._eigen_split_matrix(A, 2, 12)
+    pieces = derive._eigen_split_matrix(A, 2, 12)
     assert [len(piece) for piece in pieces] == [1, 1]
-    sq = nf._sqrt_cyclotomic(Fraction(109))
+    sq = derive._sqrt_cyclotomic(Fraction(109))
     roots = [(1 + sq) * Fraction(1, 2), (1 - sq) * Fraction(1, 2)]
     matched = []
     for (v,) in pieces:
@@ -566,13 +566,13 @@ def test_quadratic_eigenline_check_rejects_vectors_outside_the_kernel():
     g = [Fraction(-27), Fraction(-1), Fraction(1)]
     zero, one = Fraction(0), Fraction(1)
     with pytest.raises(DerivationError, match="no eigenline"):
-        nf._quadratic_eigenlines(_companion_109(), g, [zero, zero])
+        derive._quadratic_eigenlines(_companion_109(), g, [zero, zero])
     # the companion block plus the eigenvalue 5: (A - lam')w = (5 - lam')w
     # is nonzero for w = e_3, but A v = 5 v, not lam v
     A = [row + [zero] for row in _companion_109()]
     A.append([zero, zero, Fraction(5)])
     with pytest.raises(DerivationError, match="no eigenline"):
-        nf._quadratic_eigenlines(A, g, [zero, zero, one])
+        derive._quadratic_eigenlines(A, g, [zero, zero, one])
 
 
 def test_weight2_derivation_refuses():
@@ -684,17 +684,16 @@ def _ingest_in_new_process(candidate, cache):
 
 
 def test_ingest_keeps_files_another_process_wrote(tmp_path):
-    # the second process must load 2.10.x from disk, not start an empty store
-    rec = newforms_for(2, 10)[0]
+    # the second process must load 8.8.x from disk, not start an empty store
+    # (which would derive 8.8.a next to 8.8.y)
     cache = tmp_path / "cache"
-    f = rec.expand(40)
-    for label in ("x", "y"):
+    for label, rec in zip(("x", "y"), newforms_for(8, 8)):
         (tmp_path / f"{label}.qs").write_text(
-            dumps_qseries(f, level=2, weight=10, label=label)
+            dumps_qseries(rec.expand(40), level=8, weight=8, label=label)
         )
-    assert _ingest_in_new_process(tmp_path / "x.qs", cache) == ["2.10.x"]
-    assert _ingest_in_new_process(tmp_path / "y.qs", cache) == ["2.10.x", "2.10.y"]
-    assert sorted(p.name for p in cache.iterdir()) == ["2.10.x.qs", "2.10.y.qs"]
+    assert _ingest_in_new_process(tmp_path / "x.qs", cache) == ["8.8.b", "8.8.x"]
+    assert _ingest_in_new_process(tmp_path / "y.qs", cache) == ["8.8.x", "8.8.y"]
+    assert sorted(p.name for p in cache.iterdir()) == ["8.8.x.qs", "8.8.y.qs"]
 
 
 @pytest.mark.parametrize("kind", ["relative", "symlinked", "missing"])
@@ -716,11 +715,11 @@ def test_catalog_state_resolves_the_cache_directory_like_pathlib(tmp_path, monke
     reset_caches()
     try:
         assert catalog_state()[0] == str(Path(directory).resolve())
-        delta = newforms_for(1, 12)[0]
-        _ingest_series(tmp_path, delta.expand(30), 1, 12, "x")
+        a = newforms_for(2, 10)[0]
+        _ingest_series(tmp_path, a.expand(40), 2, 10, "a")
         assert catalog_state()[0] == str(Path(directory).resolve())
-        assert "x" in nf._ingested(catalog_state()[0])[1, 12]
-        assert [r.name() for r in catalog_lookup(1, 12)] == ["1.12.delta", "1.12.x"]
+        assert "a" in nf._ingested(catalog_state()[0])[2, 10]
+        assert [(r.name(), r.source_text()) for r in catalog_lookup(2, 10)] == [("2.10.a", "ingested")]
     finally:
         reset_caches()
 
@@ -795,6 +794,41 @@ def test_ingest_refuses_an_eisenstein_series(tmp_path, cache_a):
     assert [r.name() for r in newforms_for(2, 8)] == ["2.8.a"]
 
 
+@pytest.mark.parametrize("level, weight, label, coefficients, message", [
+    # 5.4.a under another label, the same form twice
+    (5, 4, "b", None, r"^5.4.b is 5.4.a: they agree below the pinning bound 3$"),
+    # a(2) = -1 is no Hecke or Deligne failure at precision 3, but 11.2
+    # holds one newform and 11.2.a is it
+    (11, 2, "b", [0, 1, -1], r"^11.2 has 1 newforms, all known; a new label b would make 2$"),
+    (11, 2, "", None, r"^newform label '' is not a letter followed by letters and digits$"),
+    (11, 2, "x/y", None, r"^newform label 'x/y' is not a letter"),
+    (11, 2, "2a", None, r"^newform label '2a' is not a letter"),
+])
+def test_ingest_refuses_a_record_the_catalog_would_refuse(tmp_path, cache_a, level, weight,
+                                                          label, coefficients, message):
+    # each was ingested, and then the space failed on every later lookup
+    (known,) = newforms_for(level, weight)
+    series = known.expand(20) if coefficients is None else QSeries(coefficients)
+    src = tmp_path / "candidate.qs"
+    src.write_text(dumps_qseries(series, level=level, weight=weight, label=label))
+    with pytest.raises(ValueError, match=message):
+        ingest(src)
+    assert not cache_a.exists()
+    assert newforms_for(level, weight) == [known]
+
+
+def test_ingest_refusal_reads_the_files_on_disk(tmp_path, cache_a):
+    # 2.10.a written by hand, before the process read the directory: the
+    # same form under the label b is refused
+    a = newforms_for(2, 10)[0]
+    reset_caches()
+    cache_a.mkdir()
+    (cache_a / "2.10.a.qs").write_text(dumps_qseries(a.expand(40), level=2, weight=10, label="a"))
+    with pytest.raises(ValueError, match="^2.10.b is 2.10.a: they agree"):
+        _ingest_series(tmp_path, a.expand(40), 2, 10, "b")
+    assert sorted(p.name for p in cache_a.iterdir()) == ["2.10.a.qs"]
+
+
 def test_ingested_label_of_another_form_fails(tmp_path, cache_a):
     # 8.8.b's expansion under the label a must not hide the true 8.8.a
     b = newforms_for(8, 8)[1]
@@ -816,10 +850,13 @@ def test_ingested_label_of_another_form_fails(tmp_path, cache_a):
 
 
 def test_one_form_under_two_labels_fails(tmp_path, cache_a):
+    # ingest refuses the second label, so both files are written by hand
     b = newforms_for(8, 8)[1]
     reset_caches()
+    cache_a.mkdir()
     for label in ("y", "z"):
-        _ingest_series(tmp_path, b.expand(40), 8, 8, label)
+        (cache_a / f"8.8.{label}.qs").write_text(
+            dumps_qseries(b.expand(40), level=8, weight=8, label=label))
     with pytest.raises(CatalogIncompleteError, match="8.8.y and 8.8.z are the same form"):
         newforms_for(8, 8)
 

@@ -11,7 +11,7 @@ import pytest
 from qmf import exact, quasimodular
 from qmf.exact import CycNumber
 from qmf.eisenstein import e2_series, raw_e2_atom
-from qmf.newforms import CatalogIncompleteError, ingest, newforms_for, reset_caches
+from qmf.newforms import CatalogIncompleteError, newforms_for, reset_caches
 from qmf.qseries import QSeries, dump_qseries
 from qmf.quasimodular import (
     BasisAtom,
@@ -251,7 +251,7 @@ def test_level9_weight8_targets_outside_the_span():
     # (they span b's), but c is no Q(zeta_40) combination of the other
     # atoms: the back-map's solve fails
     c = texts_.index("D^0(newform[9,8,c])")
-    basis = quasimodular._basis_solver(atoms[:c] + atoms[c + 1:], 120)
+    basis = quasimodular._CoordinateBasis([a.expand(120) for a in atoms[:c] + atoms[c + 1:]])
     assert basis.rank == len(atoms) - 1
     den, nums = series[c].numerators()
     assert basis.solver.solve(nums, den, 40) is not None
@@ -282,8 +282,7 @@ def test_level8_weight12_policy_depth_builds_no_back_map():
                            side_effect=exact.LinearSolver.__init__) as inits, \
             mock.patch.object(exact.LinearSolver, "solve", autospec=True,
                               side_effect=exact.LinearSolver.solve) as solves:
-        basis = quasimodular._basis_solver(atoms, rows)
-    assert isinstance(basis, quasimodular._CoordinateBasis)
+        basis = quasimodular._CoordinateBasis([a.expand(rows) for a in atoms])
     assert 136 in basis.solver.free_columns()
     assert inits.call_count == 1 and solves.call_count == 0
     assert not hasattr(basis, "back")
@@ -317,7 +316,7 @@ def solve_series(solver, f, rows):
 def test_integer_basis_solves_match_the_replay(level, maxweight):
     atoms = assemble_basis(level, maxweight)
     rows = PrecisionPolicy(level, maxweight, len(atoms)).p_req
-    solver = quasimodular._basis_solver(atoms, rows)
+    solver = quasimodular._CoordinateBasis([a.expand(rows) for a in atoms])
     columns = [a.expand(rows).coefficients() for a in atoms]
     oracle = ReplaySolver([[col[n] for col in columns] for n in range(rows)])
     assert solver.rank == oracle.rank == len(atoms)
@@ -332,7 +331,7 @@ def test_integer_basis_solves_match_the_replay(level, maxweight):
     # the pivot rows of `inside` fix its coordinates; a changed other row
     # leaves the span
     changed = [0] * rows
-    changed[solver._modular.others[0]] = 1
+    changed[solver.solver._modular.others[0]] = 1
     outside = inside + QSeries(changed)
     targets = [inside, third, outside, QSeries.zero(rows)]
     got = [solve_series(solver, f, rows) for f in targets]
@@ -344,8 +343,8 @@ def test_integer_basis_solves_match_the_replay(level, maxweight):
     # a basis of rank below its column count mod 7 moves on to the next
     # prime, with the same answers
     with mock.patch.object(exact, "_MODULUS", 7):
-        deficient = quasimodular._basis_solver(atoms, rows)
-    assert deficient._modular.p != 7 and deficient.rank == len(atoms)
+        deficient = quasimodular._CoordinateBasis([a.expand(rows) for a in atoms])
+    assert deficient.solver._modular.p != 7 and deficient.rank == len(atoms)
     assert [solve_series(deficient, f, rows) for f in targets] == got
 
 
@@ -417,9 +416,10 @@ def test_a_decomposition_cannot_reorder_the_cached_basis():
 
 
 def test_catalog_change_invalidates_cached_basis(tmp_path, monkeypatch):
-    # the basis and its solvers are cached per catalog state, so an
-    # ingested record that overfills a space, or a switch to a cache
-    # directory that holds one, must surface on the next call
+    # the basis and its solvers are cached per catalog state, so a record
+    # that overfills a space (written by hand: ingest refuses it), or a
+    # switch to a cache directory that holds one, must surface on the next
+    # call
     full, empty = tmp_path / "full", tmp_path / "empty"
     monkeypatch.setenv("QMF_CACHE_DIR", str(full))
     reset_caches()
@@ -430,10 +430,10 @@ def test_catalog_change_invalidates_cached_basis(tmp_path, monkeypatch):
         assert [(a.spec_text(), c) for a, c in dec.nonzero()] == [
             ("D^0(newform[11,2,a])", 1)
         ]
-        source = tmp_path / "b.qs"
-        with open(source, "w") as fh:
+        full.mkdir()
+        with open(full / "11.2.b.qs", "w") as fh:
             dump_qseries(f, fh, level=11, weight=2, label="b")
-        ingest(source)
+        reset_caches()
         with pytest.raises(CatalogIncompleteError, match="2 of 1 newforms known"):
             decompose(f, 11, 2)
         monkeypatch.setenv("QMF_CACHE_DIR", str(empty))
