@@ -9,6 +9,7 @@ evaluation, order and conductor are all exact and deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from ._record import Record
@@ -54,17 +55,10 @@ class _UnitGroup:
             else:
                 gens, orders = [_primitive_root(q, p)], [euler_phi(q)]
             # discrete-log table: residue mod q -> exponent tuple on gens
-            table: dict[int, tuple[int, ...]] = {}
-            ranges = [range(o) for o in orders]
-            def fill(idx: int, acc: int, exps: tuple[int, ...]) -> None:
-                if idx == len(gens):
-                    table[acc] = exps
-                    return
-                val = acc
-                for e in ranges[idx]:
-                    fill(idx + 1, val, exps + (e,))
-                    val = val * gens[idx] % q
-            fill(0, 1 % q, ())
+            table = {
+                math.prod(pow(g, e, q) for g, e in zip(gens, exps)) % q: exps
+                for exps in itertools.product(*map(range, orders))
+            }
             self._local.append((q, table))
             for g, o in zip(gens, orders):
                 # lift generator to a residue mod modulus that is 1 mod the cofactor
@@ -160,16 +154,8 @@ def trivial_character(modulus: int = 1) -> DirichletCharacter:
 
 def character_group(u: int) -> list[DirichletCharacter]:
     """All characters mod u, lexicographic on exponent tuples."""
-    group = _unit_group(u)
-    chars: list[DirichletCharacter] = []
-    def build(idx: int, acc: tuple[int, ...]) -> None:
-        if idx == len(group.orders):
-            chars.append(DirichletCharacter(u, acc))
-            return
-        for e in range(group.orders[idx]):
-            build(idx + 1, acc + (e,))
-    build(0, ())
-    return chars
+    orders = _unit_group(u).orders
+    return [DirichletCharacter(u, exps) for exps in itertools.product(*map(range, orders))]
 
 
 @functools.cache

@@ -25,6 +25,7 @@ from .qseries import (
     EtaProduct,
     InsufficientPrecisionError,
     QSeries,
+    _cell_width,
     dumps_qseries,
     load_qseries,
 )
@@ -466,6 +467,11 @@ def cmd_basis(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    # a form's conductor comes from its atoms and operations, not from the
+    # precision, so a two-coefficient pass refuses a file above the cell cap
+    # before the full expansion; the derivations it runs stay cached, and a
+    # precision below 2 is refused by the pass before the form is parsed
+    _cell_width(eval_form(args.form, min(args.prec, 2))[0].conductor, args.prec)
     series, weight = eval_form(args.form, args.prec)
     headers = {}
     if weight is not None:

@@ -16,24 +16,24 @@ import math
 import operator
 from fractions import Fraction
 
+from .characters import character_group
 from .eisenstein import eisenstein_basis
 from .errors import CatalogIncompleteError, DerivationError
 from .exact import LinearSolver, null_space
 from .newforms import (
-    CuspAtom,
     NewformRecord,
+    _dilations,
     _Expr,
     _Leaf,
     cusp_basis,
     dim_cusp,
     dim_cusp_new,
     hecke_image,
-    newforms_for,
     sturm_bound,
     verify_hecke,
 )
 from .qseries import QSeries
-from .scalars import CycNumber, divisors, factorize, primes_upto
+from .scalars import CycNumber, _reduce_mod_cyclotomic, divisors, factorize, primes_upto
 
 # ---------------------------------------------------------------------------
 # recipe nodes that only derivation builds
@@ -160,12 +160,7 @@ def _span_candidates(level: int, weight: int):
     into the cusp space by a Hecke eigenvalue annihilator.  Lazy, so a
     lower space is derived only once the span reaches its candidates."""
     # 1. oldforms: dilations of lower-level newforms
-    for L in divisors(level)[:-1]:
-        if dim_cusp_new(L, weight) == 0:
-            continue
-        for rec in newforms_for(L, weight):
-            for n in divisors(level // L):
-                yield _Leaf(CuspAtom(rec, n))
+    yield from map(_Leaf, _dilations(level, weight, divisors(level)[:-1]))
 
     # 2. known cusp forms times modular forms of complementary weight
     for w in range(weight - 2, 1, -2):
@@ -499,23 +494,13 @@ def _poly_matrix_eval(poly, A):
     return out
 
 
-def _jacobi_symbol(a: int, m: int) -> int:
-    # m odd positive; standard via factorization at desk scale
-    out = 1
-    for p, e in factorize(m).items():
-        leg = pow(a % p, (p - 1) // 2, p)
-        if leg == p - 1:
-            leg = -1
-        if leg == 0:
-            return 0
-        if e % 2:
-            out *= leg
-    return out
-
-
 def _sqrt_cyclotomic(value: Fraction) -> CycNumber:
-    """Exact square root of a positive rational inside a cyclotomic field,
-    built from quadratic resolvent sums; the result squares back to value."""
+    """Exact square root of a positive rational inside a cyclotomic field;
+    the result squares back to value.
+
+    With value = (square/den)^2 rest, rest squarefree, sqrt(rest) comes from
+    the Gauss sum of chi_D, the even real primitive character mod D = rest
+    (rest = 1 mod 4) or 4 rest: sum_a chi_D(a) zeta_D^a = sqrt(D)."""
     if value <= 0:
         raise DerivationError("cyclotomic square root needs a positive rational")
     num, den = value.numerator, value.denominator
@@ -527,10 +512,6 @@ def _sqrt_cyclotomic(value: Fraction) -> CycNumber:
         square *= prime ** (e // 2)
         if e % 2:
             rest *= prime
-    if rest == 1:
-        out = CycNumber.from_rational(Fraction(square, den))
-        assert out * out == value
-        return out
     if rest > 150:
         # the Gauss-sum embedding would need conductor ~rest; every later
         # product of such numbers costs phi(rest)^2 int products and every
@@ -540,24 +521,9 @@ def _sqrt_cyclotomic(value: Fraction) -> CycNumber:
             f"eigenvalue field Q(sqrt({rest})) is too large for exact"
             " cyclotomic representation"
         )
-    odd = rest // 2 if rest % 2 == 0 else rest
-    acc = CycNumber.from_rational(1)
-    if rest % 2 == 0:
-        z8 = CycNumber.root_of_unity(8)
-        acc = acc * (z8 + z8**7)  # sqrt(2)
-    if odd > 1:
-        M = odd
-        gauss = CycNumber.zero()
-        for aa in range(1, M):
-            sym = _jacobi_symbol(aa, M)
-            if sym:
-                term = CycNumber.root_of_unity(M, aa)
-                gauss = gauss + (term if sym > 0 else -term)
-        if M % 4 == 1:
-            acc = acc * gauss
-        else:
-            # gauss = i*sqrt(M); divide out i, as 1/i = zeta_4^3
-            acc = acc * gauss * CycNumber.root_of_unity(4, 3)
-    out = acc * Fraction(square, den)
+    D = rest if rest % 4 == 1 else 4 * rest
+    (chi,) = [c for c in character_group(D) if c.order <= 2 and c(D - 1) == 1 and c.is_primitive()]
+    gauss = _reduce_mod_cyclotomic([int(chi(a).as_rational()) for a in range(D)], D)
+    out = CycNumber._make(D, 1, gauss) * Fraction(square, den if D == rest else 2 * den)
     assert out * out == value, "square-root construction failed self-check"
     return out

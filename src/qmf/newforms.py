@@ -444,15 +444,20 @@ def cusp_basis(N: int, k: int) -> list[CuspAtom]:
     Requires complete newform coverage for every level dividing N at this
     weight; raises CatalogIncompleteError otherwise.
     """
-    atoms: list[CuspAtom] = []
-    for L in divisors(N):
-        if dim_cusp_new(L, k) == 0:
-            continue
-        for rec in newforms_for(L, k):
-            for n in divisors(N // L):
-                atoms.append(CuspAtom(rec, n))
+    atoms = list(_dilations(N, k, divisors(N)))
     assert len(atoms) == dim_cusp(N, k)
     return atoms
+
+
+def _dilations(N: int, k: int, levels):
+    """The atoms g(n tau), n | N/L, of the weight-k newforms g of each level
+    L in levels (divisors of N), in level, label, dilation order.  Lazy: a
+    level's newforms are looked up only when the walk reaches them."""
+    for L in levels:
+        if dim_cusp_new(L, k):
+            for rec in newforms_for(L, k):
+                for n in divisors(N // L):
+                    yield CuspAtom(rec, n)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from ._record import Record
-from .scalars import ConductorMismatchError, CycNumber, _zeta_powers, euler_phi, format_cyc
+from .scalars import ConductorMismatchError, CycNumber, _exact, _zeta_powers, euler_phi, format_cyc
 from .scalars import _pack_signed, _signed_slot_size, _unpack_signed
 
 __all__ = [
@@ -550,7 +550,7 @@ def _rational(value) -> Fraction | int:
         return value.as_rational()
     if isinstance(value, (int, Fraction)):
         return value
-    return Fraction(value)
+    return _exact(value)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,7 @@ from ._record import Record
 from .eisenstein import EisensteinAtom, eisenstein_basis, raw_e2_atom
 from .errors import CatalogIncompleteError, RankDeficientError
 from .exact import LinearSolver
-from .newforms import (
-    CuspAtom,
-    catalog_state,
-    cusp_basis,
-    dim_cusp_new,
-    newforms_for,
-    sturm_bound,
-)
+from .newforms import CuspAtom, _dilations, catalog_state, cusp_basis, sturm_bound
 from .qseries import InsufficientPrecisionError, QSeries
 from .scalars import CycNumber, divisors, format_cyc
 
@@ -127,13 +120,7 @@ def _new_atoms(N: int, k: int) -> list[CuspAtom]:
 def _old_atoms(N: int, k: int) -> list[CuspAtom]:
     """The dilations g(n tau), n > 1, of the newforms g of levels L < N
     dividing N, in cusp-basis order: the old part of S_k(Gamma0(N))."""
-    return [
-        CuspAtom(rec, n)
-        for L in divisors(N)[:-1]
-        if dim_cusp_new(L, k)
-        for rec in newforms_for(L, k)
-        for n in divisors(N // L)[1:]
-    ]
+    return [catom for catom in _dilations(N, k, divisors(N)[:-1]) if catom.n > 1]
 
 
 class PrecisionPolicy(Record):

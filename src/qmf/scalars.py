@@ -44,6 +44,17 @@ class ConductorMismatchError(ValueError):
     that does not contain it (target conductor not a multiple of M)."""
 
 
+def _exact(value) -> Fraction:
+    """Fraction(value) for an exact value; a float is refused, as its binary
+    fraction (0.1 is 3602879701896397/36028797018963968) is not the number
+    it prints."""
+    if isinstance(value, float):
+        raise TypeError(
+            f"float {value!r} is not exact; pass an int, a Fraction or a string such as '1/10'"
+        )
+    return Fraction(value)
+
+
 # ---------------------------------------------------------------------------
 # elementary number theory helpers
 
@@ -185,7 +196,7 @@ class CycNumber(Record):
     __slots__ = ("conductor", "den", "nums")
 
     def __init__(self, conductor: int, coords: Iterable[Fraction | int]):
-        coords = [Fraction(c) for c in coords]
+        coords = [_exact(c) for c in coords]
         if conductor < 1:
             raise ValueError("conductor must be positive")
         if len(coords) != euler_phi(conductor):
@@ -218,7 +229,7 @@ class CycNumber(Record):
 
     @staticmethod
     def from_rational(value: Fraction | int) -> "CycNumber":
-        value = Fraction(value)
+        value = _exact(value)
         return CycNumber._make(1, value.denominator, (value.numerator,))
 
     @staticmethod

@@ -119,6 +119,38 @@ def test_expand_out_refuses_a_file_the_loader_refuses(tmp_path, capsys, monkeypa
     assert not target.exists()
 
 
+@pytest.mark.parametrize("form", [
+    "E[4,5.1,1]", "E[6,7.2,1] + E2", "newform[9,8,b]", "newform[8,12,c] - 3*Delta",
+    "dilate[2](E[4,3.1,1])", "D^2(E[4,4.1,1])", "E[2,3.1,1]", "Delta", "G[4,3]",
+])
+def test_a_form_has_one_conductor_at_every_precision(form):
+    # expand reads the conductor of a two-coefficient pass to refuse a file
+    # above the cell cap before the full expansion
+    assert eval_form(form, 2)[0].conductor == eval_form(form, 60)[0].conductor
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_expand_refuses_an_over_cap_file_before_expanding(tmp_path, capsys, monkeypatch, out):
+    # E[4,5.1,1] to 500001 fills 1000002 cells over Q(zeta_4); a sieve that
+    # fails above 1000 coefficients shows the full expansion never starts
+    from qmf import eisenstein
+
+    sieve = eisenstein._sigma_sieve
+
+    def short_sieve(chi, power, precision):
+        assert precision <= 1000, "the over-cap series was expanded"
+        return sieve(chi, power, precision)
+
+    monkeypatch.setattr(eisenstein, "_sigma_sieve", short_sieve)
+    target = tmp_path / "e.qs"
+    argv = ["expand", "--form", "E[4,5.1,1]", "--prec", "500001"]
+    rc, stdout, err = run(capsys, *argv, *(["--out", str(target)] if out else []))
+    assert (rc, stdout) == (1, "")
+    assert err == ("error: q-series file declares 1000002 cells (conductor 4, precision 500001);"
+                   " it is above the cap 1000000\n")
+    assert not target.exists()
+
+
 def test_expand_equivalent_spellings(capsys):
     rc1, out1, _ = run(capsys, "expand", "--form", "D^2(U[1])",
                        "--prec", "9")
@@ -463,6 +495,20 @@ def test_eisenstein_character_modulus_must_be_positive(capsys):
     assert err == "parse error at position 0: character modulus must be positive\n"
 
 
+@pytest.mark.parametrize("form,message", [
+    ("E2twist[1]", "E2twist index must be at least 2"),
+    ("dilate[0](E2)", "dilation multiplier must be positive"),
+    ("U[0]", "U index must be positive"),
+    ("E[3,1.1,1]", "Eisenstein weight must be even, >= 2"),
+    ("E[4,1.2,1]", "modulus 1 has only the character 1.1"),
+    ("E[4,2.1,1]", "no primitive characters mod 2"),
+    ("newform[1,12,1]", "newform label must be alphabetic"),
+])
+def test_atom_argument_refusals(capsys, form, message):
+    rc, out, err = run(capsys, "expand", "--form", form, "--prec", "5")
+    assert (rc, out, err) == (1, "", f"parse error at position 0: {message}\n")
+
+
 def test_parse_misuse_errors(capsys):
     for form in (
         "E2 E2",            # series product
@@ -525,9 +571,11 @@ def test_newforms_zero_precision_is_an_error(capsys, level, weight):
 
 @pytest.mark.parametrize("prec", ["0", "1"])
 def test_expand_low_precision_is_not_a_parse_error(capsys, prec):
-    # the precision is not part of the form, so no parse position is given
-    rc, out, err = run(capsys, "expand", "--form", "Delta", "--prec", prec)
-    assert (rc, out, err) == (1, "", "error: precision must be at least 2\n")
+    # the precision is not part of the form, so no parse position is given,
+    # even for a form that would not parse
+    for form in ("Delta", "U[3](Delta)"):
+        rc, out, err = run(capsys, "expand", "--form", form, "--prec", prec)
+        assert (rc, out, err) == (1, "", "error: precision must be at least 2\n")
 
 
 def test_census_huge_delta_bound_underflows_to_zero(capsys):

@@ -1,4 +1,5 @@
 """Dimensions, the newform catalog, derivation, ingestion, verification."""
+import cmath
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import qmf
 import qmf.newforms as nf
 from qmf import derive, exact
-from qmf.scalars import CycNumber, divisors, moebius, primes_upto
+from qmf.scalars import CycNumber, divisors, factorize, moebius, primes_upto
 from qmf.newforms import (
     CatalogIncompleteError,
     DerivationError,
@@ -573,6 +574,31 @@ def test_quadratic_eigenline_check_rejects_vectors_outside_the_kernel():
     A.append([zero, zero, Fraction(5)])
     with pytest.raises(DerivationError, match="no eigenline"):
         derive._quadratic_eigenlines(A, g, [zero, zero, one])
+
+
+def test_sqrt_cyclotomic_is_the_positive_gauss_sum_root():
+    # sqrt(rest), rest the squarefree part of num * den, is the Gauss sum of
+    # the even real character of conductor D = rest (rest = 1 mod 4) or
+    # 4 rest: it lies in Q(zeta_D) and is positive at zeta_D = e^(2 pi i/D);
+    # the squarefree values <= 150 cover every residue class of rest mod 4
+    squarefree = [Fraction(n) for n in range(1, 151) if all(n % (p * p) for p in range(2, 13))]
+    for value in squarefree + [Fraction(1, 2), Fraction(1, 3), Fraction(5, 2),
+                               Fraction(7, 12), Fraction(26, 27), Fraction(9, 4)]:
+        rest = math.prod(p for p, e in factorize(value.numerator * value.denominator).items() if e % 2)
+        D = rest if rest % 4 == 1 else 4 * rest
+        root = derive._sqrt_cyclotomic(value)
+        assert root * root == value
+        assert root.conductor == D, value
+        # float evaluation, in this test only
+        at_zeta = sum(x * cmath.exp(2j * math.pi * k / D) for k, x in enumerate(root.nums)) / root.den
+        assert abs(at_zeta - math.sqrt(value)) < 1e-9, value
+
+
+def test_sqrt_cyclotomic_refuses_large_and_nonpositive_values():
+    with pytest.raises(DerivationError, match=r"Q\(sqrt\(151\)\) is too large"):
+        derive._sqrt_cyclotomic(Fraction(151, 4))
+    with pytest.raises(DerivationError, match="needs a positive rational"):
+        derive._sqrt_cyclotomic(Fraction(-3))
 
 
 def test_weight2_derivation_refuses():

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -84,6 +85,25 @@ def test_zero_refuses_what_the_constructor_refuses():
             QSeries.zero(precision)
         with pytest.raises(ValueError, match="precision must be at least 1"):
             QSeries([], precision)
+
+
+def test_a_float_is_refused_at_every_rational_entry_point():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: each
+    # door that turns a value into a Fraction refuses a float, and keeps
+    # taking ints, Fractions, Decimals and strings
+    for build in (
+        lambda x: QSeries([x, 1]).coefficient(0),
+        lambda x: CycNumber.from_rational(x),
+        lambda x: CycNumber(1, [x]),
+        lambda x: QSeries.constant(x, 3).coefficient(0),
+        lambda x: QSeries([1, 2]).scale(x).coefficient(0),
+        lambda x: (QSeries([1, 2]) + x).coefficient(0) - 1,
+    ):
+        with pytest.raises(TypeError, match=r"^float 0\.1 is not exact"):
+            build(0.1)
+        for exact in (Fraction(1, 10), Decimal("0.1"), "1/10"):
+            assert build(exact) == Fraction(1, 10)
+        assert build(3) == 3
 
 
 def test_e2_square_coefficient():
